@@ -11,7 +11,6 @@ as baselines, with a Monte Carlo harness and CLI to compare all three.
 from .estimator import (
     GaussianBelief,
     KlArgminResult,
-    TargetDistribution,
     gaussian_kl,
     kl_optimal_virtual_measurement,
     open_loop_predict,
@@ -21,11 +20,9 @@ from .estimator import (
 from .history import (
     HistoryWindow,
     PolyModel,
-    extrapolate,
     fit_polynomial,
     lagrange_extrapolate,
     residual_covariance,
-    smoothed_state,
 )
 from .kinematics import (
     CaModel,
@@ -38,13 +35,10 @@ from .kinematics import (
 )
 from .outage import (
     AdaptiveConfidenceParams,
-    OutageClock,
-    VirtualMeasurement,
     VirtualUpdateDiagnostic,
     adaptive_noise,
     run_outage,
     vhd_outage_step,
-    virtual_measurement,
 )
 from .simkit import (
     McResult,
@@ -76,22 +70,18 @@ __all__ = [
     "McResult",
     "MeasurementSet",
     "OnsetState",
-    "OutageClock",
     "PREDICTORS",
     "PolyModel",
     "RunRecord",
     "ScenarioConfig",
     "SensorConfig",
-    "TargetDistribution",
     "Trajectory",
     "TrajectoryConfig",
-    "VirtualMeasurement",
     "VirtualUpdateDiagnostic",
     "adaptive_noise",
     "ca_model",
     "ca_process_noise",
     "ca_transition_matrix",
-    "extrapolate",
     "fit_polynomial",
     "gaussian_kl",
     "generate_truth",
@@ -107,10 +97,8 @@ __all__ = [
     "run_outage",
     "run_scenario",
     "simulate_measurements",
-    "smoothed_state",
     "track_to_outage",
     "update",
     "vhd_outage_step",
-    "virtual_measurement",
     "__version__",
 ]

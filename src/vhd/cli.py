@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .outage import AdaptiveConfidenceParams
-from .simkit import PREDICTORS, McResult, ScenarioConfig, SensorConfig, TrajectoryConfig, monte_carlo
+from .simkit import PREDICTORS, McResult, ScenarioConfig, monte_carlo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,33 +38,43 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# key -> (converter, pretty type name); order fixed for the resolved echo.
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# key -> (ScenarioConfig section, field, converter, pretty type name); the
+# section "" is ScenarioConfig itself. Order fixed for the resolved echo.
+# vhd.r_base is the one key whose field differs from its value: the scalar
+# s stands for the isotropic 2x2 covariance diag(s, s).
 _SCHEMA = {
-    "sim.duration": (float, "float"),
-    "sim.dt": (float, "float"),
-    "sim.outage_start": (float, "float"),
-    "sim.outage_duration": (float, "float"),
-    "sim.history_window": (float, "float"),
-    "sim.mc_runs": (int, "int"),
-    "sim.base_seed": (int, "int"),
-    "sim.sigma_jerk": (float, "float"),
-    "current.speed": (float, "float"),
-    "current.heading_deg": (float, "float"),
-    "sensor.position_fix_noise": (float, "float"),
-    "sensor.accel_white_noise": (float, "float"),
-    "sensor.accel_bias_walk": (float, "float"),
-    "sensor.fix_rate": (float, "float"),
-    "sensor.imu_during_outage": (_parse_bool, "bool"),
-    "vhd.r_base": (float, "float"),
-    "vhd.alpha": (float, "float"),
-    "vhd.p": (float, "float"),
-    "vhd.poly_degree": (int, "int"),
-    "baseline.lagrange_nodes": (int, "int"),
-    "traj.cruise_speed": (float, "float"),
-    "traj.turn_rate": (float, "float"),
-    "traj.turn_start": (float, "float"),
-    "traj.turn_duration": (float, "float"),
-    "traj.initial_heading": (float, "float"),
+    "sim.duration": ("", "duration", _finite_float, "finite float"),
+    "sim.dt": ("", "dt", _finite_float, "finite float"),
+    "sim.outage_start": ("", "outage_start", _finite_float, "finite float"),
+    "sim.outage_duration": ("", "outage_duration", _finite_float, "finite float"),
+    "sim.history_window": ("", "history_window", _finite_float, "finite float"),
+    "sim.mc_runs": ("", "mc_runs", int, "int"),
+    "sim.base_seed": ("", "base_seed", int, "int"),
+    "sim.sigma_jerk": ("", "sigma_jerk", _finite_float, "finite float"),
+    "current.speed": ("", "current_speed", _finite_float, "finite float"),
+    "current.heading_deg": ("", "current_heading_deg", _finite_float, "finite float"),
+    "sensor.position_fix_noise": ("sensor", "position_fix_noise", _finite_float, "finite float"),
+    "sensor.accel_white_noise": ("sensor", "accel_white_noise", _finite_float, "finite float"),
+    "sensor.accel_bias_walk": ("sensor", "accel_bias_walk", _finite_float, "finite float"),
+    "sensor.fix_rate": ("sensor", "fix_rate", _finite_float, "finite float"),
+    "sensor.imu_during_outage": ("sensor", "imu_during_outage", _parse_bool, "bool"),
+    "vhd.r_base": ("vhd_params", "r_base", _finite_float, "finite float"),
+    "vhd.alpha": ("vhd_params", "alpha", _finite_float, "finite float"),
+    "vhd.p": ("vhd_params", "p", _finite_float, "finite float"),
+    "vhd.poly_degree": ("", "poly_degree", int, "int"),
+    "baseline.lagrange_nodes": ("", "lagrange_nodes", int, "int"),
+    "traj.cruise_speed": ("trajectory", "cruise_speed", _finite_float, "finite float"),
+    "traj.turn_rate": ("trajectory", "turn_rate", _finite_float, "finite float"),
+    "traj.turn_start": ("trajectory", "turn_start", _finite_float, "finite float"),
+    "traj.turn_duration": ("trajectory", "turn_duration", _finite_float, "finite float"),
+    "traj.initial_heading": ("trajectory", "initial_heading", _finite_float, "finite float"),
 }
 
 
@@ -84,7 +94,7 @@ def _parse_lines(lines, source: str) -> dict[str, object]:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        converter, type_name = _SCHEMA[key]
+        _, _, converter, type_name = _SCHEMA[key]
         try:
             values[key] = converter(text)
         except ValueError:
@@ -95,49 +105,19 @@ def _parse_lines(lines, source: str) -> dict[str, object]:
 
 
 def _build_config(values: dict[str, object]) -> ScenarioConfig:
+    # Fields grouped by section in schema order, so the nested configs are
+    # validated in a fixed order (sensor, vhd, trajectory) before the whole.
+    sections: dict[str, dict[str, object]] = {}
+    for key, (section, name, _, _) in _SCHEMA.items():
+        if key in values:
+            value = values[key]
+            sections.setdefault(section, {})[name] = np.diag([value, value]) if name == "r_base" else value
     defaults = ScenarioConfig()
-
-    def pick(key: str, fallback):
-        return values.get(key, fallback)
-
+    top = sections.pop("", {})
     try:
-        sensor = SensorConfig(
-            position_fix_noise=pick("sensor.position_fix_noise", defaults.sensor.position_fix_noise),
-            accel_white_noise=pick("sensor.accel_white_noise", defaults.sensor.accel_white_noise),
-            accel_bias_walk=pick("sensor.accel_bias_walk", defaults.sensor.accel_bias_walk),
-            fix_rate=pick("sensor.fix_rate", defaults.sensor.fix_rate),
-            imu_during_outage=pick("sensor.imu_during_outage", defaults.sensor.imu_during_outage),
-        )
-        r_base_scale = pick("vhd.r_base", float(defaults.vhd_params.r_base[0, 0]))
-        vhd_params = AdaptiveConfidenceParams(
-            r_base=np.diag([r_base_scale, r_base_scale]),
-            alpha=pick("vhd.alpha", defaults.vhd_params.alpha),
-            p=pick("vhd.p", defaults.vhd_params.p),
-        )
-        trajectory = TrajectoryConfig(
-            cruise_speed=pick("traj.cruise_speed", defaults.trajectory.cruise_speed),
-            turn_rate=pick("traj.turn_rate", defaults.trajectory.turn_rate),
-            turn_start=pick("traj.turn_start", defaults.trajectory.turn_start),
-            turn_duration=pick("traj.turn_duration", defaults.trajectory.turn_duration),
-            initial_heading=pick("traj.initial_heading", defaults.trajectory.initial_heading),
-        )
-        return ScenarioConfig(
-            duration=pick("sim.duration", defaults.duration),
-            dt=pick("sim.dt", defaults.dt),
-            outage_start=pick("sim.outage_start", defaults.outage_start),
-            outage_duration=pick("sim.outage_duration", defaults.outage_duration),
-            history_window=pick("sim.history_window", defaults.history_window),
-            mc_runs=pick("sim.mc_runs", defaults.mc_runs),
-            base_seed=pick("sim.base_seed", defaults.base_seed),
-            sigma_jerk=pick("sim.sigma_jerk", defaults.sigma_jerk),
-            poly_degree=pick("vhd.poly_degree", defaults.poly_degree),
-            lagrange_nodes=pick("baseline.lagrange_nodes", defaults.lagrange_nodes),
-            current_speed=pick("current.speed", defaults.current_speed),
-            current_heading_deg=pick("current.heading_deg", defaults.current_heading_deg),
-            sensor=sensor,
-            vhd_params=vhd_params,
-            trajectory=trajectory,
-        )
+        for section, fields in sections.items():
+            top[section] = replace(getattr(defaults, section), **fields)
+        return replace(defaults, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -154,33 +134,11 @@ def load_config(path) -> ScenarioConfig:
 
 def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     """The flat key/value view of a resolved config, in schema order."""
-    return {
-        "sim.duration": cfg.duration,
-        "sim.dt": cfg.dt,
-        "sim.outage_start": cfg.outage_start,
-        "sim.outage_duration": cfg.outage_duration,
-        "sim.history_window": cfg.history_window,
-        "sim.mc_runs": cfg.mc_runs,
-        "sim.base_seed": cfg.base_seed,
-        "sim.sigma_jerk": cfg.sigma_jerk,
-        "current.speed": cfg.current_speed,
-        "current.heading_deg": cfg.current_heading_deg,
-        "sensor.position_fix_noise": cfg.sensor.position_fix_noise,
-        "sensor.accel_white_noise": cfg.sensor.accel_white_noise,
-        "sensor.accel_bias_walk": cfg.sensor.accel_bias_walk,
-        "sensor.fix_rate": cfg.sensor.fix_rate,
-        "sensor.imu_during_outage": cfg.sensor.imu_during_outage,
-        "vhd.r_base": float(cfg.vhd_params.r_base[0, 0]),
-        "vhd.alpha": cfg.vhd_params.alpha,
-        "vhd.p": cfg.vhd_params.p,
-        "vhd.poly_degree": cfg.poly_degree,
-        "baseline.lagrange_nodes": cfg.lagrange_nodes,
-        "traj.cruise_speed": cfg.trajectory.cruise_speed,
-        "traj.turn_rate": cfg.trajectory.turn_rate,
-        "traj.turn_start": cfg.trajectory.turn_start,
-        "traj.turn_duration": cfg.trajectory.turn_duration,
-        "traj.initial_heading": cfg.trajectory.initial_heading,
-    }
+    values = {}
+    for key, (section, name, _, _) in _SCHEMA.items():
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        values[key] = float(value[0, 0]) if name == "r_base" else value
+    return values
 
 
 def _format_value(value) -> str:

@@ -14,54 +14,37 @@ import numpy as np
 from .kinematics import CaModel
 
 
-def _validate_gaussian(name: str, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = mean.shape[0]
-    if mean.ndim != 1:
-        raise ValueError(f"{name}: mean must be a vector")
-    if cov.shape != (n, n):
-        raise ValueError(f"{name}: covariance shape {cov.shape} does not match mean length {n}")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValueError(f"{name}: non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if float(np.max(np.abs(cov - cov.T))) > 1e-9 * scale:
-        raise ValueError(f"{name}: covariance is not symmetric")
-    return mean, cov
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianBelief:
     """Gaussian state belief: mean vector plus covariance.
 
     Dimension is not fixed; the tracking code uses 6-D states but every
-    operation below works for any consistent (mean, cov) pair.
+    operation below works for any consistent (mean, cov) pair. The same
+    type serves as the history target of the KL diagnostics.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean, cov = _validate_gaussian("GaussianBelief", self.mean, self.cov)
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        n = mean.shape[0]
+        if mean.ndim != 1:
+            raise ValueError("GaussianBelief: mean must be a vector")
+        if cov.shape != (n, n):
+            raise ValueError(f"GaussianBelief: covariance shape {cov.shape} does not match mean length {n}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("GaussianBelief: non-finite entries")
+        scale = max(1.0, float(np.max(np.abs(cov))))
+        if float(np.max(np.abs(cov - cov.T))) > 1e-9 * scale:
+            raise ValueError("GaussianBelief: covariance is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class TargetDistribution:
-    """Gaussian summary of where the history says the state should be."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean, cov = _validate_gaussian("TargetDistribution", self.mean, self.cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -180,7 +163,7 @@ class KlArgminResult:
 
 def kl_optimal_virtual_measurement(
     prior: GaussianBelief,
-    target: TargetDistribution,
+    target: GaussianBelief,
     R: np.ndarray,
     H: np.ndarray,
 ) -> KlArgminResult:
@@ -204,9 +187,9 @@ def kl_optimal_virtual_measurement(
     _cholesky_or_raise(S, "innovation covariance")
     K = np.linalg.solve(S, H @ prior.cov).T
 
-    Lq = _cholesky_or_raise(np.asarray(target.cov, dtype=float), "target covariance")
+    Lq = _cholesky_or_raise(target.cov, "target covariance")
     A = np.linalg.solve(Lq, K)
-    d = np.linalg.solve(Lq, np.asarray(target.mean, dtype=float) - prior.mean)
+    d = np.linalg.solve(Lq, target.mean - prior.mean)
 
     w, _, rank, _ = np.linalg.lstsq(A, d, rcond=None)
     z = H @ prior.mean + w

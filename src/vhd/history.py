@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .kinematics import AX, AY, PX, PY, VX, VY, STATE_DIM, position_of
+from .kinematics import AX, AY, PX, PY, VX, VY, STATE_DIM
 
 
 class HistoryWindow:
@@ -62,12 +62,13 @@ class HistoryWindow:
 
     @property
     def states(self) -> np.ndarray:
-        return np.array(self._states)
+        """(n, 6) array of the buffered states; (0, 6) when empty."""
+        return np.array(self._states).reshape(-1, STATE_DIM)
 
     @property
     def positions(self) -> np.ndarray:
         """(n, 2) array of the buffered (p_x, p_y) samples."""
-        return np.array([position_of(s) for s in self._states])
+        return self.states[:, [PX, PY]]
 
     @property
     def end_time(self) -> float:
@@ -172,21 +173,6 @@ def fit_polynomial(w: HistoryWindow, degree: int = 2) -> PolyModel:
         t_scale=t_scale,
         window_end=float(times[-1]),
     )
-
-
-def smoothed_state(p: PolyModel) -> np.ndarray:
-    """Distilled state estimate at the window end."""
-    return p.state_at(p.window_end)
-
-
-def extrapolate(p: PolyModel, t: float) -> np.ndarray:
-    """Polynomial position at time t.
-
-    Intended for forward extrapolation (t at or beyond the window end);
-    evaluation at in-window times reproduces the fitted values and is used
-    for residuals.
-    """
-    return p.position(t)
 
 
 def residual_covariance(w: HistoryWindow, p: PolyModel) -> np.ndarray:

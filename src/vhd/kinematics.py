@@ -21,32 +21,10 @@ PX, VX, AX, PY, VY, AY = range(6)
 
 STATE_DIM = 6
 
-_POSITION = (PX, PY)
-_VELOCITY = (VX, VY)
-_ACCELERATION = (AX, AY)
-
 
 def make_state(p_x=0.0, v_x=0.0, a_x=0.0, p_y=0.0, v_y=0.0, a_y=0.0) -> np.ndarray:
     """Build a state vector in the fixed component ordering."""
     return np.array([p_x, v_x, a_x, p_y, v_y, a_y], dtype=float)
-
-
-def position_of(s: np.ndarray) -> np.ndarray:
-    """Extract (p_x, p_y) from a state vector."""
-    s = np.asarray(s, dtype=float)
-    return s[list(_POSITION)]
-
-
-def velocity_of(s: np.ndarray) -> np.ndarray:
-    """Extract (v_x, v_y) from a state vector."""
-    s = np.asarray(s, dtype=float)
-    return s[list(_VELOCITY)]
-
-
-def acceleration_of(s: np.ndarray) -> np.ndarray:
-    """Extract (a_x, a_y) from a state vector."""
-    s = np.asarray(s, dtype=float)
-    return s[list(_ACCELERATION)]
 
 
 def ca_transition_matrix(dt: float) -> np.ndarray:
@@ -164,12 +142,7 @@ class CaModel:
 
 def ca_model(dt: float, sigma_jerk: float) -> CaModel:
     """Construct a CaModel from step length and jerk noise density."""
-    return CaModel(
-        dt=dt,
-        F=ca_transition_matrix(dt),
-        Q=ca_process_noise(dt, sigma_jerk),
-        H=position_measurement_matrix(),
-    )
+    return CaModel(dt=dt, F=ca_transition_matrix(dt), Q=ca_process_noise(dt, sigma_jerk))
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,18 @@ extrapolation ages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import (
     GaussianBelief,
-    TargetDistribution,
     gaussian_kl,
     kl_optimal_virtual_measurement,
     predict,
     update,
 )
-from .history import HistoryWindow, PolyModel, fit_polynomial, residual_covariance, smoothed_state
+from .history import HistoryWindow, PolyModel, fit_polynomial, residual_covariance
 from .kinematics import AX, AY, CaModel, VX, VY
 
 # Variance assigned to the velocity/acceleration diagonal of the history
@@ -70,46 +69,6 @@ class AdaptiveConfidenceParams:
         object.__setattr__(self, "r_base", r)
 
 
-@dataclass(frozen=True)
-class OutageClock:
-    """Time bookkeeping for steps taken since the outage began.
-
-    `step_index` counts completed prediction steps into the outage, so the
-    wall-clock time of the current step is outage_start + step_index * dt
-    and the elapsed outage time is step_index * dt.
-    """
-
-    outage_start: float
-    dt: float
-    step_index: int = 0
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.step_index < 0:
-            raise ValueError(f"step_index must be >= 0, got {self.step_index}")
-
-    @property
-    def elapsed(self) -> float:
-        return self.step_index * self.dt
-
-    @property
-    def t_curr(self) -> float:
-        return self.outage_start + self.step_index * self.dt
-
-    def advanced(self, steps: int = 1) -> "OutageClock":
-        return replace(self, step_index=self.step_index + steps)
-
-
-@dataclass(frozen=True, eq=False)
-class VirtualMeasurement:
-    """A synthetic position observation and its scheduled covariance."""
-
-    z: np.ndarray
-    R: np.ndarray
-    elapsed: float
-
-
 def adaptive_noise(params: AdaptiveConfidenceParams, elapsed: float) -> np.ndarray:
     """Virtual-measurement noise covariance after `elapsed` seconds.
 
@@ -122,31 +81,22 @@ def adaptive_noise(params: AdaptiveConfidenceParams, elapsed: float) -> np.ndarr
     return params.r_base * (1.0 + params.alpha * elapsed**params.p)
 
 
-def virtual_measurement(
-    poly: PolyModel, params: AdaptiveConfidenceParams, clock: OutageClock
-) -> VirtualMeasurement:
-    """Synthesize the virtual observation for the clock's current step."""
-    z = poly.position(clock.t_curr)
-    R = adaptive_noise(params, clock.elapsed)
-    return VirtualMeasurement(z=z, R=R, elapsed=clock.elapsed)
-
-
 def vhd_outage_step(
     b: GaussianBelief,
     poly: PolyModel,
     params: AdaptiveConfidenceParams,
-    clock: OutageClock,
+    elapsed: float,
     model: CaModel,
 ) -> GaussianBelief:
     """One outage step: predict, then assimilate the virtual measurement.
 
-    The clock identifies the step being produced: the belief is advanced
-    one model step to t_curr, the polynomial supplies z at t_curr, and the
-    schedule supplies R for the elapsed outage time.
+    `elapsed` is the outage age of the step being produced: the belief is
+    advanced one model step, the polynomial supplies z at
+    window_end + elapsed, and the schedule supplies R for that age.
     """
     predicted = predict(b, model)
-    vm = virtual_measurement(poly, params, clock)
-    return update(predicted, vm.z, vm.R, model.H)
+    z = poly.position(poly.window_end + elapsed)
+    return update(predicted, z, adaptive_noise(params, elapsed), model.H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +128,44 @@ def _history_target_cov(w: HistoryWindow, poly: PolyModel) -> np.ndarray:
     return cov
 
 
+def _fill_diagnostics(
+    diagnostics: list,
+    b: GaussianBelief,
+    beliefs: list[GaussianBelief],
+    w: HistoryWindow,
+    poly: PolyModel,
+    params: AdaptiveConfidenceParams,
+    model: CaModel,
+) -> None:
+    """Compare each assimilated polynomial value against the KL argmin.
+
+    The history target starts at the polynomial's smoothed state at the
+    window end and is carried forward through the motion model; its
+    covariance is the fit residual covariance on the position block.
+    """
+    target_mean = poly.state_at(poly.window_end)
+    target_cov = _history_target_cov(w, poly)
+    for k, (prior, post_poly) in enumerate(zip([b] + beliefs[:-1], beliefs), start=1):
+        elapsed = k * model.dt
+        target_mean = model.F @ target_mean
+        target = GaussianBelief(target_mean, target_cov)
+        predicted = predict(prior, model)
+        z_poly = poly.position(poly.window_end + elapsed)
+        R = adaptive_noise(params, elapsed)
+        sol = kl_optimal_virtual_measurement(predicted, target, R, model.H)
+        post_opt = update(predicted, sol.z, R, model.H)
+        diagnostics.append(
+            VirtualUpdateDiagnostic(
+                elapsed=elapsed,
+                z_poly=z_poly,
+                z_kl=sol.z,
+                delta=float(np.linalg.norm(z_poly - sol.z)),
+                kl_poly=gaussian_kl(post_poly, target),
+                kl_opt=gaussian_kl(post_opt, target),
+            )
+        )
+
+
 def run_outage(
     b: GaussianBelief,
     w: HistoryWindow,
@@ -190,9 +178,9 @@ def run_outage(
     """Run the full outage loop from the belief at the last real fix.
 
     The history polynomial is fitted once, at onset (no new data arrives
-    during the outage), then each step predicts through the motion model
-    and assimilates the polynomial's position with the scheduled noise.
-    The outage start time is the window's final timestamp.
+    during the outage), then each step k predicts through the motion model
+    and assimilates the polynomial's position at outage age k * dt with
+    the scheduled noise. The outage starts at the window's final timestamp.
 
     When `diagnostics` is a list, a VirtualUpdateDiagnostic is appended
     per step comparing the assimilated value against the analytic KL
@@ -204,37 +192,11 @@ def run_outage(
     if T_steps < 1:
         raise ValueError(f"T_steps must be >= 1, got {T_steps}")
     poly = fit_polynomial(w, degree)
-    clock = OutageClock(outage_start=w.end_time, dt=model.dt)
-
-    collect = diagnostics is not None
-    if collect:
-        target_mean = smoothed_state(poly)
-        target_cov = _history_target_cov(w, poly)
-
     out = []
     belief = b
-    for _ in range(T_steps):
-        clock = clock.advanced()
-        if collect:
-            target_mean = model.F @ target_mean
-            target = TargetDistribution(target_mean, target_cov)
-            predicted = predict(belief, model)
-            vm = virtual_measurement(poly, params, clock)
-            sol = kl_optimal_virtual_measurement(predicted, target, vm.R, model.H)
-            post_poly = update(predicted, vm.z, vm.R, model.H)
-            post_opt = update(predicted, sol.z, vm.R, model.H)
-            diagnostics.append(
-                VirtualUpdateDiagnostic(
-                    elapsed=clock.elapsed,
-                    z_poly=vm.z,
-                    z_kl=sol.z,
-                    delta=float(np.linalg.norm(vm.z - sol.z)),
-                    kl_poly=gaussian_kl(post_poly, target),
-                    kl_opt=gaussian_kl(post_opt, target),
-                )
-            )
-            belief = post_poly
-        else:
-            belief = vhd_outage_step(belief, poly, params, clock, model)
+    for k in range(1, T_steps + 1):
+        belief = vhd_outage_step(belief, poly, params, k * model.dt, model)
         out.append(belief)
+    if diagnostics is not None:
+        _fill_diagnostics(diagnostics, b, out, w, poly, params, model)
     return out

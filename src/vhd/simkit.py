@@ -61,9 +61,9 @@ class SensorConfig:
     accel_white_noise  : accelerometer white noise std dev, m/s^2.
     accel_bias_walk    : std dev of each per-step bias increment, m/s^2.
     fix_rate           : position fixes per second outside the outage.
-    imu_during_outage  : whether accelerometer readings keep feeding the
-                         estimators during the outage (off by default:
-                         the outage is a total blackout of external data).
+    imu_during_outage  : parsed and echoed, but no estimator reads it yet:
+                         the outage is a total blackout of external data
+                         whatever its value.
     """
 
     position_fix_noise: float = 1.0
@@ -107,19 +107,6 @@ class TrajectoryConfig:
     @property
     def has_turn(self) -> bool:
         return self.turn_duration > 0.0 and self.turn_rate != 0.0
-
-    def phases(self, duration: float) -> list[tuple[str, float, float]]:
-        """Ordered (kind, t0, t1) segments covering [0, duration]."""
-        if not self.has_turn or self.turn_start >= duration:
-            return [("straight", 0.0, duration)]
-        out = []
-        if self.turn_start > 0.0:
-            out.append(("straight", 0.0, self.turn_start))
-        end = min(self.turn_end, duration)
-        out.append(("turning", self.turn_start, end))
-        if end < duration:
-            out.append(("straight", end, duration))
-        return out
 
 
 @dataclass(frozen=True)
@@ -167,6 +154,13 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig invariant: poly_degree must be >= 0")
         if self.lagrange_nodes < 2:
             raise ValueError("ScenarioConfig invariant: lagrange_nodes must be >= 2")
+        capacity = self.window_capacity
+        if self.poly_degree + 1 > capacity:
+            raise ValueError(f"ScenarioConfig invariant: poly_degree + 1 must be <= window capacity {capacity}")
+        if self.lagrange_nodes > capacity:
+            raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
+        if not self.sigma_jerk >= 0.0:
+            raise ValueError("ScenarioConfig invariant: sigma_jerk must be >= 0")
         if self.current_speed < 0.0:
             raise ValueError("ScenarioConfig invariant: current_speed must be >= 0")
         if self.trajectory.has_turn and self.trajectory.turn_start >= self.outage_start:
@@ -242,16 +236,14 @@ class Trajectory:
         return self.states[:, [AX, AY]]
 
 
-def generate_truth(cfg: ScenarioConfig, seed: int) -> Trajectory:
+def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     """Simulate the true vehicle trajectory on the step grid.
 
     Straight segments advance through the CA model plus current drift
     (propagate_truth); the turn advances along the exact circular arc with
-    the same per-step drift. The geometry is deterministic, so the result
-    does not depend on `seed`; the parameter keeps the interface uniform
-    with the sensor layer.
+    the same per-step drift. The geometry is noise-free, so the result
+    depends on the config alone.
     """
-    del seed  # geometry is noise-free
     traj = cfg.trajectory
     dt = cfg.dt
     n = cfg.n_steps
@@ -367,7 +359,6 @@ class OnsetState:
     window: HistoryWindow
     model: CaModel
     truth: Trajectory
-    measurements: MeasurementSet
     tracking_err: np.ndarray
 
 
@@ -382,7 +373,7 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     predictors branch from.
     """
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    truth = generate_truth(cfg, seed)
+    truth = generate_truth(cfg)
     meas = simulate_measurements(truth, cfg, seed)
 
     H_pos = position_measurement_matrix()
@@ -414,7 +405,6 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
         window=window,
         model=model,
         truth=truth,
-        measurements=meas,
         tracking_err=tracking_err,
     )
 
@@ -448,23 +438,15 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     times = cfg.outage_start + np.arange(T + 1) * cfg.dt
     truth_xy = onset_state.truth.positions[onset : onset + T + 1]
 
-    start_pos = np.array([b0.mean[PX], b0.mean[PY]])
-    paths = {name: np.empty((T + 1, 2)) for name in PREDICTORS}
-    for name in PREDICTORS:
-        paths[name][0] = start_pos
-
     ukf_seq = open_loop_predict(b0, model, T)
     vhd_seq = run_outage(b0, window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
-    for k in range(1, T + 1):
-        paths["ukf"][k] = (ukf_seq[k - 1].mean[PX], ukf_seq[k - 1].mean[PY])
-        paths["vhd"][k] = (vhd_seq[k - 1].mean[PX], vhd_seq[k - 1].mean[PY])
-        paths["lagrange"][k] = lagrange_extrapolate(
-            window, cfg.outage_start + k * cfg.dt, cfg.lagrange_nodes
-        )
-
-    errors = {
-        name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS
+    start = [b0.mean[[PX, PY]]]  # the shared branch point at index 0
+    paths = {
+        "ukf": np.array(start + [b.mean[[PX, PY]] for b in ukf_seq]),
+        "lagrange": np.array(start + [lagrange_extrapolate(window, t, cfg.lagrange_nodes) for t in times[1:]]),
+        "vhd": np.array(start + [b.mean[[PX, PY]] for b in vhd_seq]),
     }
+    errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS}
 
     return RunRecord(
         seed=seed,
@@ -508,10 +490,6 @@ class McResult:
     designated_run: RunRecord
 
 
-def _run_scenario_packed(args: tuple[ScenarioConfig, int]) -> RunRecord:
-    return run_scenario(*args)
-
-
 def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     """Run mc_runs seeded scenarios and aggregate their error series.
 
@@ -525,9 +503,9 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     if jobs == 1 or cfg.mc_runs == 1:
         records = [run_scenario(cfg, s) for s in seeds]
     else:
-        work = [(cfg, s) for s in seeds]
+        chunksize = max(1, len(seeds) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_scenario_packed, work, chunksize=max(1, len(work) // (4 * jobs))))
+            records = list(pool.map(run_scenario, [cfg] * len(seeds), seeds, chunksize=chunksize))
 
     stacked = {
         name: np.stack([rec.errors[name] for rec in records]) for name in PREDICTORS

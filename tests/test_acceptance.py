@@ -20,10 +20,8 @@ from vhd import (
     GaussianBelief,
     HistoryWindow,
     ScenarioConfig,
-    TargetDistribution,
     adaptive_noise,
     ca_model,
-    extrapolate,
     fit_polynomial,
     gaussian_kl,
     kl_optimal_virtual_measurement,
@@ -175,7 +173,7 @@ def test_criterion_5_kl_argmin_grid_optimality(acceptance_report):
         A = rng.normal(size=(6, 6))
         prior = GaussianBelief(rng.normal(scale=10.0, size=6), A @ A.T + 6.0 * np.eye(6))
         B = rng.normal(size=(6, 6))
-        target = TargetDistribution(
+        target = GaussianBelief(
             prior.mean + rng.normal(scale=3.0, size=6), B @ B.T + 6.0 * np.eye(6)
         )
         C = rng.normal(size=(2, 2))
@@ -191,7 +189,7 @@ def test_criterion_5_kl_argmin_grid_optimality(acceptance_report):
                 worst_margin = max(worst_margin, kl_star - kl_here)
 
     prior1 = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
-    target1 = TargetDistribution(np.array([1.0]), np.array([[1.0]]))
+    target1 = GaussianBelief(np.array([1.0]), np.array([[1.0]]))
     sol1 = kl_optimal_virtual_measurement(prior1, target1, np.array([[1.0]]), np.array([[1.0]]))
     scalar_err = abs(float(sol1.z[0]) - 2.0)
 
@@ -219,7 +217,7 @@ def test_criterion_6_polynomial_exactness(acceptance_report):
         p = fit_polynomial(w, degree=2)
         t_end = times[-1] + 40.0
         want = np.array([npoly.polyval(t_end, cx), npoly.polyval(t_end, cy)])
-        worst_fit = max(worst_fit, float(np.linalg.norm(extrapolate(p, t_end) - want)))
+        worst_fit = max(worst_fit, float(np.linalg.norm(p.position(t_end) - want)))
 
     worst_lagrange = 0.0
     for nodes in range(2, 9):

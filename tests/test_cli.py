@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from vhd import ScenarioConfig
 from vhd.cli import (
+    _SCHEMA,
     ConfigError,
     config_values,
     load_config,
@@ -12,6 +14,35 @@ from vhd.cli import (
     resolved_config_text,
     run_command,
 )
+
+# Every config key at a valid value that differs from its default.
+NON_DEFAULT = {
+    "sim.duration": 80.0,
+    "sim.dt": 0.05,
+    "sim.outage_start": 40.0,
+    "sim.outage_duration": 30.0,
+    "sim.history_window": 30.0,
+    "sim.mc_runs": 3,
+    "sim.base_seed": 99,
+    "sim.sigma_jerk": 2.5,
+    "current.speed": 0.5,
+    "current.heading_deg": 120.0,
+    "sensor.position_fix_noise": 2.0,
+    "sensor.accel_white_noise": 0.1,
+    "sensor.accel_bias_walk": 0.01,
+    "sensor.fix_rate": 2.0,
+    "sensor.imu_during_outage": True,
+    "vhd.r_base": 1.5,
+    "vhd.alpha": 0.02,
+    "vhd.p": 1.5,
+    "vhd.poly_degree": 3,
+    "baseline.lagrange_nodes": 6,
+    "traj.cruise_speed": 3.0,
+    "traj.turn_rate": -0.05,
+    "traj.turn_start": 20.0,
+    "traj.turn_duration": 8.0,
+    "traj.initial_heading": 0.5,
+}
 
 TINY = """
 sim.duration = 40
@@ -106,6 +137,34 @@ class TestConfigParsing:
         assert config_values(reloaded) == config_values(original)
         # a second echo is textually identical, not merely equivalent
         assert resolved_config_text(reloaded) == resolved_config_text(original)
+
+    def test_schema_covers_every_config_field_once(self):
+        defaults = ScenarioConfig()
+        leaves = []
+        for f in dataclasses.fields(ScenarioConfig):
+            value = getattr(defaults, f.name)
+            if dataclasses.is_dataclass(value):
+                leaves += [(f.name, g.name) for g in dataclasses.fields(value)]
+            else:
+                leaves.append(("", f.name))
+        pairs = [(section, name) for section, name, _, _ in _SCHEMA.values()]
+        assert len(pairs) == len(set(pairs)) == 25
+        assert sorted(pairs) == sorted(leaves)
+
+    def test_every_key_round_trips_at_a_non_default_value(self, tmp_path):
+        defaults = config_values(ScenarioConfig())
+        assert list(NON_DEFAULT) == list(_SCHEMA)
+        assert all(NON_DEFAULT[key] != defaults[key] for key in NON_DEFAULT)
+        path = tmp_path / "all.cfg"
+        path.write_text(
+            "".join(f"{key} = {str(value).lower()}\n" for key, value in NON_DEFAULT.items()),
+            encoding="utf-8",
+        )
+        loaded = load_config(path)
+        assert config_values(loaded) == NON_DEFAULT
+        echo = tmp_path / "echo.cfg"
+        echo.write_text(resolved_config_text(loaded), encoding="utf-8")
+        assert config_values(load_config(echo)) == NON_DEFAULT
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +321,28 @@ class TestMain:
             ["--config", str(cfg_path), "--predictors", "vhd,ekf", "--out-dir", str(tmp_path / "o")]
         ) == 2
         assert "unknown predictors: ekf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "vhd.poly_degree = 60",
+            "baseline.lagrange_nodes = 80",
+            "sim.history_window = 0.5",
+            "vhd.alpha = inf",
+            "vhd.alpha = nan",
+            "vhd.p = nan",
+            "sim.sigma_jerk = -1",
+            "sim.sigma_jerk = nan",
+            "sim.duration = nan",
+        ],
+    )
+    def test_config_that_cannot_run_exits_2_before_running(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_unwritable_out_dir_exits_3(self, tmp_path, capsys):
         cfg_path = tiny_cfg_file(tmp_path)

@@ -6,7 +6,6 @@ from scipy.stats import norm
 
 from vhd import (
     GaussianBelief,
-    TargetDistribution,
     ca_model,
     gaussian_kl,
     kl_optimal_virtual_measurement,
@@ -40,12 +39,10 @@ class TestBeliefValidation:
     def test_non_finite_rejected(self):
         P = np.eye(6)
         P[2, 2] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             GaussianBelief(np.zeros(6), P)
-
-    def test_target_distribution_validates_too(self):
-        with pytest.raises(ValueError):
-            TargetDistribution(np.zeros(3), np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianBelief(np.zeros(3), np.full((3, 3), np.nan))
 
 
 class TestPredict:
@@ -231,13 +228,13 @@ class TestKlArgmin:
     def test_matched_target_needs_no_correction(self):
         rng = np.random.default_rng(16)
         prior = GaussianBelief(rng.normal(size=6), rand_spd(rng, 6))
-        target = TargetDistribution(prior.mean.copy(), rand_spd(rng, 6))
+        target = GaussianBelief(prior.mean.copy(), rand_spd(rng, 6))
         sol = kl_optimal_virtual_measurement(prior, target, np.eye(2), H_POS)
         np.testing.assert_allclose(sol.z, H_POS @ prior.mean, atol=1e-12)
 
     def test_scalar_case_analytic_value(self):
         prior = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
-        target = TargetDistribution(np.array([1.0]), np.array([[1.0]]))
+        target = GaussianBelief(np.array([1.0]), np.array([[1.0]]))
         sol = kl_optimal_virtual_measurement(
             prior, target, np.array([[1.0]]), np.array([[1.0]])
         )
@@ -248,7 +245,7 @@ class TestKlArgmin:
 
     def test_scalar_case_beats_dense_grid(self):
         prior = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
-        target = TargetDistribution(np.array([1.0]), np.array([[1.0]]))
+        target = GaussianBelief(np.array([1.0]), np.array([[1.0]]))
         R, H = np.array([[1.0]]), np.array([[1.0]])
         sol = kl_optimal_virtual_measurement(prior, target, R, H)
         kl_star = gaussian_kl(update(prior, sol.z, R, H), target)
@@ -260,7 +257,7 @@ class TestKlArgmin:
         rng = np.random.default_rng(17)
         for _ in range(5):
             prior = GaussianBelief(rng.normal(scale=10, size=6), rand_spd(rng, 6))
-            target = TargetDistribution(
+            target = GaussianBelief(
                 prior.mean + rng.normal(scale=3, size=6), rand_spd(rng, 6)
             )
             R = rand_spd(rng, 2, 0.5)
@@ -276,7 +273,7 @@ class TestKlArgmin:
     def test_rank_deficient_gain_flagged(self):
         rng = np.random.default_rng(18)
         prior = GaussianBelief(rng.normal(size=6), rand_spd(rng, 6))
-        target = TargetDistribution(prior.mean + 1.0, rand_spd(rng, 6))
+        target = GaussianBelief(prior.mean + 1.0, rand_spd(rng, 6))
         H = np.zeros((2, 6))
         H[0, 0] = 1.0  # second measurement row observes nothing
         sol = kl_optimal_virtual_measurement(prior, target, np.eye(2), H)

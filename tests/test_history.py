@@ -4,12 +4,10 @@ from numpy.polynomial import polynomial as npoly
 
 from vhd import (
     HistoryWindow,
-    extrapolate,
     fit_polynomial,
     lagrange_extrapolate,
     make_state,
     residual_covariance,
-    smoothed_state,
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY
 
@@ -69,6 +67,14 @@ class TestWindow:
         w = HistoryWindow(3).push(0.0, s)
         s[PX] = 99.0
         assert w.positions[0, 0] == 1.0
+
+    def test_positions_are_the_position_columns_of_states(self):
+        w = HistoryWindow(3)
+        assert w.states.shape == (0, 6)
+        assert w.positions.shape == (0, 2)
+        w.push(0.0, make_state(p_x=1.0, v_x=2.0, p_y=4.0)).push(1.0, make_state(p_x=3.0, p_y=-1.0))
+        np.testing.assert_array_equal(w.positions, w.states[:, [PX, PY]])
+        np.testing.assert_array_equal(w.positions, [[1.0, 4.0], [3.0, -1.0]])
 
     def test_end_time(self):
         w = HistoryWindow(3)
@@ -167,7 +173,7 @@ class TestFit:
     def test_smoothed_state_matches_model_at_window_end(self):
         times = 0.5 * np.arange(30)
         p = fit_polynomial(quad_window(times), degree=2)
-        s = smoothed_state(p)
+        s = p.state_at(p.window_end)
         end = times[-1]
         np.testing.assert_allclose(
             [s[PX], s[PY]], [npoly.polyval(end, QUAD_X), npoly.polyval(end, QUAD_Y)],
@@ -181,23 +187,23 @@ class TestExtrapolate:
     def test_boundary_continuity(self):
         times = 0.5 * np.arange(30)
         p = fit_polynomial(quad_window(times), degree=2)
-        s = smoothed_state(p)
-        np.testing.assert_array_equal(extrapolate(p, p.window_end), p.position(p.window_end))
-        np.testing.assert_allclose(extrapolate(p, p.window_end), [s[PX], s[PY]], atol=1e-12)
+        s = p.state_at(p.window_end)
+        np.testing.assert_allclose(p.position(p.window_end + 1e-9), p.position(p.window_end), atol=1e-6)
+        np.testing.assert_allclose(p.position(p.window_end), [s[PX], s[PY]], atol=1e-12)
 
     def test_linear_slope_carries_forward(self):
         w = HistoryWindow(20)
         for k in range(20):
             w.push(float(k), make_state(p_x=2.0 * k, p_y=5.0))
         p = fit_polynomial(w, degree=1)
-        np.testing.assert_allclose(extrapolate(p, 24.0), [2.0 * 19 + 10.0, 5.0], atol=1e-9)
+        np.testing.assert_allclose(p.position(24.0), [2.0 * 19 + 10.0, 5.0], atol=1e-9)
 
     def test_exact_quadratic_extrapolates_exactly(self):
         times = 0.5 * np.arange(30)
         p = fit_polynomial(quad_window(times), degree=2)
         for t in (15.0, 30.0, 55.0):
             np.testing.assert_allclose(
-                extrapolate(p, t),
+                p.position(t),
                 [npoly.polyval(t, QUAD_X), npoly.polyval(t, QUAD_Y)],
                 rtol=1e-9,
             )
@@ -276,7 +282,7 @@ class TestLagrange:
             t = end + horizon
             truth = np.array([npoly.polyval(t, QUAD_X), npoly.polyval(t, QUAD_Y)])
             lag = np.linalg.norm(lagrange_extrapolate(w, t, node_count=8) - truth)
-            ls = np.linalg.norm(extrapolate(p, t) - truth)
+            ls = np.linalg.norm(p.position(t) - truth)
             return lag, ls
 
         lag10, ls10 = errs(10.0)

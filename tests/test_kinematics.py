@@ -16,11 +16,8 @@ from vhd.kinematics import (
     PY,
     VX,
     VY,
-    acceleration_of,
     accel_measurement_matrix,
     position_measurement_matrix,
-    position_of,
-    velocity_of,
 )
 
 
@@ -101,9 +98,9 @@ class TestMeasurementMatrices:
 class TestStateHelpers:
     def test_component_layout(self):
         s = make_state(p_x=1.0, v_x=2.0, a_x=3.0, p_y=4.0, v_y=5.0, a_y=6.0)
-        np.testing.assert_array_equal(position_of(s), [1.0, 4.0])
-        np.testing.assert_array_equal(velocity_of(s), [2.0, 5.0])
-        np.testing.assert_array_equal(acceleration_of(s), [3.0, 6.0])
+        np.testing.assert_array_equal(s[[PX, PY]], [1.0, 4.0])
+        np.testing.assert_array_equal(s[[VX, VY]], [2.0, 5.0])
+        np.testing.assert_array_equal(s[[AX, AY]], [3.0, 6.0])
         assert (s[PX], s[VX], s[AX], s[PY], s[VY], s[AY]) == (1, 2, 3, 4, 5, 6)
 
     def test_disturbance_speed(self):
@@ -144,5 +141,5 @@ class TestTruthPropagation:
         for k in range(1, 401):
             s = propagate_truth(s, model, d)
             np.testing.assert_allclose(
-                position_of(s), [k * 0.1 * d.current_x, k * 0.1 * d.current_y], rtol=1e-12
+                s[[PX, PY]], [k * 0.1 * d.current_x, k * 0.1 * d.current_y], rtol=1e-12
             )

@@ -5,7 +5,6 @@ from vhd import (
     AdaptiveConfidenceParams,
     GaussianBelief,
     HistoryWindow,
-    OutageClock,
     ScenarioConfig,
     adaptive_noise,
     ca_model,
@@ -17,7 +16,6 @@ from vhd import (
     track_to_outage,
     update,
     vhd_outage_step,
-    virtual_measurement,
 )
 from vhd.kinematics import position_measurement_matrix
 
@@ -102,35 +100,6 @@ class TestAdaptiveNoise:
         )
 
 
-class TestClock:
-    def test_times(self):
-        clock = OutageClock(outage_start=60.0, dt=0.1)
-        assert clock.elapsed == 0.0
-        assert clock.t_curr == 60.0
-        later = clock.advanced(5)
-        assert later.elapsed == 0.5
-        assert later.t_curr == 60.5
-        assert clock.step_index == 0  # advanced() returns a new clock
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="dt"):
-            OutageClock(outage_start=0.0, dt=0.0)
-        with pytest.raises(ValueError, match="step_index"):
-            OutageClock(outage_start=0.0, dt=0.1, step_index=-1)
-
-
-class TestVirtualMeasurement:
-    def test_fields_come_from_poly_and_schedule(self):
-        w = line_window()
-        poly = fit_polynomial(w, degree=2)
-        params = AdaptiveConfidenceParams()
-        clock = OutageClock(outage_start=w.end_time, dt=0.1).advanced(100)
-        vm = virtual_measurement(poly, params, clock)
-        np.testing.assert_array_equal(vm.z, poly.position(clock.t_curr))
-        np.testing.assert_array_equal(vm.R, adaptive_noise(params, clock.elapsed))
-        assert vm.elapsed == clock.elapsed
-
-
 class TestOutageStep:
     def setup_method(self):
         self.model = ca_model(0.1, 0.5)
@@ -141,20 +110,23 @@ class TestOutageStep:
         self.belief = GaussianBelief(
             make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), A @ A.T + np.eye(6)
         )
-        self.clock = OutageClock(outage_start=self.w.end_time, dt=0.1).advanced()
+        self.elapsed = 0.1  # the first step of the outage
 
     def test_equals_predict_then_update(self):
+        # z comes from the polynomial at window_end + elapsed and R from the
+        # schedule at elapsed, for the first step and well into the outage
         params = AdaptiveConfidenceParams()
-        got = vhd_outage_step(self.belief, self.poly, params, self.clock, self.model)
         predicted = predict(self.belief, self.model)
-        vm = virtual_measurement(self.poly, params, self.clock)
-        want = update(predicted, vm.z, vm.R, self.model.H)
-        np.testing.assert_array_equal(got.mean, want.mean)
-        np.testing.assert_array_equal(got.cov, want.cov)
+        for elapsed in (0.1, 10.0):
+            got = vhd_outage_step(self.belief, self.poly, params, elapsed, self.model)
+            z = self.poly.position(self.w.end_time + elapsed)
+            want = update(predicted, z, adaptive_noise(params, elapsed), self.model.H)
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_array_equal(got.cov, want.cov)
 
     def test_huge_alpha_reduces_to_pure_predict(self):
         params = AdaptiveConfidenceParams(alpha=1e24)
-        got = vhd_outage_step(self.belief, self.poly, params, self.clock, self.model)
+        got = vhd_outage_step(self.belief, self.poly, params, self.elapsed, self.model)
         predicted = predict(self.belief, self.model)
         np.testing.assert_allclose(got.mean, predicted.mean, rtol=1e-3, atol=1e-9)
         np.testing.assert_allclose(got.cov, predicted.cov, rtol=1e-3)
@@ -166,7 +138,7 @@ class TestOutageStep:
         exact = GaussianBelief(
             make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6)
         )
-        got = vhd_outage_step(exact, self.poly, params, self.clock, self.model)
+        got = vhd_outage_step(exact, self.poly, params, self.elapsed, self.model)
         predicted = predict(exact, self.model)
         np.testing.assert_allclose(got.mean, predicted.mean, atol=1e-6)
 
@@ -176,12 +148,11 @@ class TestOutageStep:
         onset = track_to_outage(ScenarioConfig(), seed=1234)
         poly = fit_polynomial(onset.window, degree=2)
         params = AdaptiveConfidenceParams()
-        clock = OutageClock(outage_start=onset.window.end_time, dt=0.1).advanced()
         H = position_measurement_matrix()
 
         predicted = predict(onset.belief, onset.model)
-        post = vhd_outage_step(onset.belief, poly, params, clock, onset.model)
-        z = poly.position(clock.t_curr)
+        post = vhd_outage_step(onset.belief, poly, params, 0.1, onset.model)
+        z = poly.position(onset.window.end_time + 0.1)
         innovation = z - H @ predicted.mean
         moved = H @ post.mean - H @ predicted.mean
         frac = float(innovation @ moved) / float(innovation @ innovation)
@@ -208,8 +179,7 @@ class TestRunOutage:
         params = AdaptiveConfidenceParams()
         seq = run_outage(b, w, params, 1, model)
         poly = fit_polynomial(w, degree=2)
-        clock = OutageClock(outage_start=w.end_time, dt=0.1).advanced()
-        want = vhd_outage_step(b, poly, params, clock, model)
+        want = vhd_outage_step(b, poly, params, 0.1, model)
         np.testing.assert_array_equal(seq[0].mean, want.mean)
         np.testing.assert_array_equal(seq[0].cov, want.cov)
 
@@ -221,13 +191,11 @@ class TestRunOutage:
         seq = run_outage(b, w, params, 40, model)
 
         poly = fit_polynomial(w, degree=2)
-        clock = OutageClock(outage_start=w.end_time, dt=0.1)
         cur = b
-        for k in range(40):
-            clock = clock.advanced()
-            cur = vhd_outage_step(cur, poly, params, clock, model)
-            np.testing.assert_array_equal(seq[k].mean, cur.mean)
-            np.testing.assert_array_equal(seq[k].cov, cur.cov)
+        for k in range(1, 41):
+            cur = vhd_outage_step(cur, poly, params, k * 0.1, model)
+            np.testing.assert_array_equal(seq[k - 1].mean, cur.mean)
+            np.testing.assert_array_equal(seq[k - 1].cov, cur.cov)
 
     def test_straight_line_tracked_to_well_under_a_decimeter(self):
         # noise-free linear motion: polynomial and motion model are both
@@ -310,3 +278,15 @@ class TestDiagnostics:
             assert d.kl_opt <= d.kl_poly + 1e-12
             assert d.delta == pytest.approx(np.linalg.norm(d.z_poly - d.z_kl))
             assert d.kl_opt >= 0.0
+
+    def test_collecting_diagnostics_leaves_the_beliefs_unchanged(self):
+        onset = track_to_outage(ScenarioConfig(), seed=7)
+        params = AdaptiveConfidenceParams()
+        diags = []
+        traced = run_outage(onset.belief, onset.window, params, 50, onset.model, diagnostics=diags)
+        plain = run_outage(onset.belief, onset.window, params, 50, onset.model)
+        poly = fit_polynomial(onset.window, degree=2)
+        for k, (a, b, d) in enumerate(zip(traced, plain, diags), start=1):
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.cov, b.cov)
+            np.testing.assert_array_equal(d.z_poly, poly.position(poly.window_end + k * 0.1))

@@ -48,15 +48,14 @@ class TestTrajectoryConfig:
         assert not TrajectoryConfig(turn_duration=0.0).has_turn
 
     def test_phases_cover_the_run(self):
-        phases = TrajectoryConfig().phases(110.0)
-        assert phases == [
-            ("straight", 0.0, 45.0),
-            ("turning", 45.0, 55.0),
-            ("straight", 55.0, 110.0),
-        ]
+        # straight [0, 45 s), turning [45 s, 55 s), straight [55 s, 110 s]
+        turning = np.any(generate_truth(ScenarioConfig()).accelerations != 0.0, axis=1)
+        np.testing.assert_array_equal(np.flatnonzero(turning), np.arange(450, 550))
 
     def test_phases_without_turn(self):
-        assert TrajectoryConfig(turn_rate=0.0).phases(110.0) == [("straight", 0.0, 110.0)]
+        truth = generate_truth(ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=0.0)))
+        assert truth.times[-1] == pytest.approx(110.0)
+        assert np.all(truth.accelerations == 0.0)
 
     def test_negative_timing_rejected(self):
         with pytest.raises(ValueError, match="TrajectoryConfig invariant"):
@@ -105,14 +104,14 @@ class TestScenarioConfig:
 class TestGenerateTruth:
     def test_straight_cruise_covers_twenty_meters_in_ten_seconds(self):
         cfg = ScenarioConfig(current_speed=0.0, trajectory=TrajectoryConfig(turn_rate=0.0))
-        truth = generate_truth(cfg, seed=0)
+        truth = generate_truth(cfg)
         np.testing.assert_allclose(truth.states[100, [PX, PY]], [20.0, 0.0], rtol=1e-9, atol=1e-12)
         assert truth.states[100, VX] == 2.0
         assert truth.states[100, AX] == 0.0
 
     def test_turn_kinematic_identities(self):
         cfg = ScenarioConfig(current_speed=0.0)
-        truth = generate_truth(cfg, seed=0)
+        truth = generate_truth(cfg)
         start, end = 450, 550  # turn covers [45 s, 55 s) on the 0.1 s grid
 
         speeds = np.linalg.norm(truth.states[start:end, [VX, VY]], axis=1)
@@ -133,19 +132,19 @@ class TestGenerateTruth:
         np.testing.assert_allclose(chord, 2.0 * 20.0 * np.sin(0.5), rtol=1e-9)
 
     def test_no_acceleration_outside_turn(self):
-        truth = generate_truth(ScenarioConfig(), seed=0)
+        truth = generate_truth(ScenarioConfig())
         assert np.all(truth.accelerations[:450] == 0.0)
         assert np.all(truth.accelerations[550:] == 0.0)
 
     def test_deterministic_and_seed_free(self):
         cfg = ScenarioConfig()
-        a = generate_truth(cfg, seed=0)
-        b = generate_truth(cfg, seed=12345)
+        a = generate_truth(cfg)
+        b = generate_truth(cfg)
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_current_adds_pure_linear_drift(self):
-        with_current = generate_truth(ScenarioConfig(), seed=0)
-        without = generate_truth(ScenarioConfig(current_speed=0.0), seed=0)
+        with_current = generate_truth(ScenarioConfig())
+        without = generate_truth(ScenarioConfig(current_speed=0.0))
         drift = with_current.positions - without.positions
         cur = ScenarioConfig().current
         want = np.outer(with_current.times, [cur.current_x, cur.current_y])
@@ -157,7 +156,7 @@ class TestSimulateMeasurements:
         cfg = ScenarioConfig(
             sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0)
         )
-        truth = generate_truth(cfg, seed=5)
+        truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, seed=5)
         np.testing.assert_array_equal(meas.fix_values, truth.positions[meas.fix_steps])
         np.testing.assert_array_equal(meas.imu_accel, truth.accelerations)
@@ -165,7 +164,7 @@ class TestSimulateMeasurements:
 
     def test_outage_suppresses_fixes(self):
         cfg = ScenarioConfig()
-        truth = generate_truth(cfg, seed=5)
+        truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, seed=5)
         onset, end = cfg.onset_step, cfg.onset_step + cfg.outage_steps
         assert not np.any((meas.fix_steps >= onset) & (meas.fix_steps < end))
@@ -175,7 +174,7 @@ class TestSimulateMeasurements:
 
     def test_same_seed_is_bit_identical(self):
         cfg = ScenarioConfig()
-        truth = generate_truth(cfg, seed=9)
+        truth = generate_truth(cfg)
         a = simulate_measurements(truth, cfg, seed=9)
         b = simulate_measurements(truth, cfg, seed=9)
         np.testing.assert_array_equal(a.fix_values, b.fix_values)
@@ -185,7 +184,7 @@ class TestSimulateMeasurements:
 
     def test_bias_random_walk_variance_law(self):
         cfg = ScenarioConfig()
-        truth = generate_truth(cfg, 0)
+        truth = generate_truth(cfg)
         k = 600
         samples = np.array(
             [simulate_measurements(truth, cfg, seed).imu_bias[k] for seed in range(1000)]
@@ -196,14 +195,14 @@ class TestSimulateMeasurements:
 
     def test_bias_starts_at_zero(self):
         cfg = ScenarioConfig()
-        truth = generate_truth(cfg, 3)
+        truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, 3)
         np.testing.assert_array_equal(meas.imu_bias[0], [0.0, 0.0])
 
     def test_streams_do_not_interfere(self):
         # resizing or rescaling one stream must not change the others
         base = ScenarioConfig()
-        truth = generate_truth(base, 0)
+        truth = generate_truth(base)
         ref = simulate_measurements(truth, base, seed=42)
 
         fewer_fixes = ScenarioConfig(sensor=SensorConfig(fix_rate=0.5))
@@ -291,7 +290,7 @@ class TestRunScenario:
 
     def test_noise_streams_of_adjacent_seeds_are_uncorrelated(self):
         cfg = ScenarioConfig()
-        truth = generate_truth(cfg, 0)
+        truth = generate_truth(cfg)
         noise = []
         for seed in range(cfg.base_seed, cfg.base_seed + 50):
             meas = simulate_measurements(truth, cfg, seed)
