@@ -41,6 +41,10 @@ class TestBeliefValidation:
         P[2, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             GaussianBelief(np.zeros(6), P)
+
+    def test_target_distribution_validates_too(self):
+        # the KL target is a GaussianBelief too, so a bad target is caught
+        # at construction, before kl_optimal_virtual_measurement sees it
         with pytest.raises(ValueError, match="non-finite"):
             GaussianBelief(np.zeros(3), np.full((3, 3), np.nan))
 

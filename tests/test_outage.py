@@ -100,6 +100,26 @@ class TestAdaptiveNoise:
         )
 
 
+class TestVirtualMeasurement:
+    def test_fields_come_from_poly_and_schedule(self):
+        # step 100 of the outage: z is the polynomial at window_end + elapsed
+        # and R is the schedule at elapsed
+        model = ca_model(0.1, 0.5)
+        w = line_window()
+        poly = fit_polynomial(w, degree=2)
+        params = AdaptiveConfidenceParams()
+        belief = GaussianBelief(
+            make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6)
+        )
+        elapsed = 100 * 0.1
+        got = vhd_outage_step(belief, poly, params, elapsed, model)
+        z = poly.position(w.end_time + elapsed)
+        R = adaptive_noise(params, elapsed)
+        want = update(predict(belief, model), z, R, model.H)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.cov, want.cov)
+
+
 class TestOutageStep:
     def setup_method(self):
         self.model = ca_model(0.1, 0.5)
@@ -113,16 +133,14 @@ class TestOutageStep:
         self.elapsed = 0.1  # the first step of the outage
 
     def test_equals_predict_then_update(self):
-        # z comes from the polynomial at window_end + elapsed and R from the
-        # schedule at elapsed, for the first step and well into the outage
         params = AdaptiveConfidenceParams()
+        got = vhd_outage_step(self.belief, self.poly, params, self.elapsed, self.model)
         predicted = predict(self.belief, self.model)
-        for elapsed in (0.1, 10.0):
-            got = vhd_outage_step(self.belief, self.poly, params, elapsed, self.model)
-            z = self.poly.position(self.w.end_time + elapsed)
-            want = update(predicted, z, adaptive_noise(params, elapsed), self.model.H)
-            np.testing.assert_array_equal(got.mean, want.mean)
-            np.testing.assert_array_equal(got.cov, want.cov)
+        z = self.poly.position(self.w.end_time + self.elapsed)
+        R = adaptive_noise(params, self.elapsed)
+        want = update(predicted, z, R, self.model.H)
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.cov, want.cov)
 
     def test_huge_alpha_reduces_to_pure_predict(self):
         params = AdaptiveConfidenceParams(alpha=1e24)
