@@ -65,6 +65,16 @@ def _cholesky_or_raise(S: np.ndarray, what: str) -> np.ndarray:
         raise np.linalg.LinAlgError(f"{what} is singular or not positive definite") from exc
 
 
+def _kalman_gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """K = P H^T S^-1 with S = H P H^T + R, through a solve against S.
+
+    Raises numpy.linalg.LinAlgError when S is not positive definite.
+    """
+    S = _symmetrize(H @ cov @ H.T + R)
+    _cholesky_or_raise(S, "innovation covariance")
+    return np.linalg.solve(S, H @ cov).T
+
+
 def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> GaussianBelief:
     """Measurement update with measurement z ~ N(H s, R).
 
@@ -84,10 +94,7 @@ def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> Ga
     R = np.atleast_2d(np.asarray(R, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
 
-    S = _symmetrize(H @ b.cov @ H.T + R)
-    _cholesky_or_raise(S, "innovation covariance")
-    # K = P H^T S^-1, computed through a solve against the symmetric S.
-    K = np.linalg.solve(S, H @ b.cov).T
+    K = _kalman_gain(b.cov, R, H)
 
     innovation = z - H @ b.mean
     mean = b.mean + K @ innovation
@@ -183,9 +190,7 @@ def kl_optimal_virtual_measurement(
     R = np.atleast_2d(np.asarray(R, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
 
-    S = _symmetrize(H @ prior.cov @ H.T + R)
-    _cholesky_or_raise(S, "innovation covariance")
-    K = np.linalg.solve(S, H @ prior.cov).T
+    K = _kalman_gain(prior.cov, R, H)
 
     Lq = _cholesky_or_raise(target.cov, "target covariance")
     A = np.linalg.solve(Lq, K)

@@ -2,7 +2,7 @@
 
 The sliding window keeps the most recent state estimates at a fixed
 sampling cadence. During an outage the window is compressed into a small
-least-squares polynomial per position axis; that polynomial supplies both
+least-squares polynomial in both position axes; that polynomial supplies both
 the extrapolated positions and, through its derivatives, a smoothed full
 state at the window end.
 
@@ -85,44 +85,38 @@ class HistoryWindow:
 
 @dataclass(frozen=True, eq=False)
 class PolyModel:
-    """Per-axis position polynomials on a centered, scaled time basis.
+    """Position polynomial for both axes on a centered, scaled time basis.
 
-    Coefficients are in ascending order in tau = (t - t_ref) / t_scale.
-    `window_end` records the final timestamp of the fitted window, the
-    anchor point for extrapolation.
+    `coef` has shape (degree + 1, 2): row k holds the tau**k coefficients
+    of (p_x, p_y) in tau = (t - t_ref) / t_scale. `window_end` records the
+    final timestamp of the fitted window, the anchor point for
+    extrapolation.
     """
 
-    degree: int
-    coef_x: np.ndarray
-    coef_y: np.ndarray
+    coef: np.ndarray
     t_ref: float
     t_scale: float
     window_end: float
 
-    def _tau(self, t):
-        return (np.asarray(t, dtype=float) - self.t_ref) / self.t_scale
+    @property
+    def degree(self) -> int:
+        return self.coef.shape[0] - 1
+
+    def _derivative(self, t, order: int) -> np.ndarray:
+        """`order`-th time derivative of (p_x, p_y) at t; shape t.shape + (2,)."""
+        tau = (np.asarray(t, dtype=float) - self.t_ref) / self.t_scale
+        values = npoly.polyval(tau, npoly.polyder(self.coef, order)) / self.t_scale**order
+        return np.moveaxis(values, 0, -1)
 
     def position(self, t) -> np.ndarray:
         """Fitted/extrapolated (p_x, p_y) at time t (scalar or array)."""
-        tau = self._tau(t)
-        return np.stack(
-            [npoly.polyval(tau, self.coef_x), npoly.polyval(tau, self.coef_y)], axis=-1
-        )
+        return self._derivative(t, 0)
 
     def velocity(self, t) -> np.ndarray:
-        tau = self._tau(t)
-        dx = npoly.polyval(tau, npoly.polyder(self.coef_x)) / self.t_scale
-        dy = npoly.polyval(tau, npoly.polyder(self.coef_y)) / self.t_scale
-        return np.stack([dx, dy], axis=-1)
+        return self._derivative(t, 1)
 
     def acceleration(self, t) -> np.ndarray:
-        tau = self._tau(t)
-        if self.degree < 2:
-            zero = np.zeros_like(np.asarray(tau, dtype=float))
-            return np.stack([zero, zero], axis=-1)
-        ddx = npoly.polyval(tau, npoly.polyder(self.coef_x, 2)) / self.t_scale**2
-        ddy = npoly.polyval(tau, npoly.polyder(self.coef_y, 2)) / self.t_scale**2
-        return np.stack([ddx, ddy], axis=-1)
+        return self._derivative(t, 2)
 
     def state_at(self, t: float) -> np.ndarray:
         """Full 6-D state from the polynomial and its first two derivatives."""
@@ -163,16 +157,7 @@ def fit_polynomial(w: HistoryWindow, degree: int = 2) -> PolyModel:
     V = np.vander(tau, degree + 1, increasing=True)
     G = V.T @ V
     rhs = V.T @ w.positions
-    coefs = np.linalg.solve(G, rhs)
-
-    return PolyModel(
-        degree=degree,
-        coef_x=coefs[:, 0].copy(),
-        coef_y=coefs[:, 1].copy(),
-        t_ref=t_ref,
-        t_scale=t_scale,
-        window_end=float(times[-1]),
-    )
+    return PolyModel(np.linalg.solve(G, rhs), t_ref, t_scale, float(times[-1]))
 
 
 def residual_covariance(w: HistoryWindow, p: PolyModel) -> np.ndarray:
@@ -196,16 +181,17 @@ def residual_covariance(w: HistoryWindow, p: PolyModel) -> np.ndarray:
     return cov
 
 
-def lagrange_extrapolate(w: HistoryWindow, t: float, node_count: int = 8) -> np.ndarray:
+def lagrange_extrapolate(w: HistoryWindow, t, node_count: int = 8) -> np.ndarray:
     """Position at t from the interpolating polynomial through recent nodes.
 
     Takes the `node_count` most recent window samples and evaluates the
-    unique degree-(node_count - 1) polynomial through them. The
-    interpolant is computed by solving the node Vandermonde system on the
-    centered, scaled basis; by uniqueness this is the Lagrange
-    interpolating polynomial. Long extrapolation of many-node interpolants
-    amplifies node noise enormously; that divergence is the documented
-    behavior of this baseline, not a defect of the evaluation.
+    unique degree-(node_count - 1) polynomial through them at t (scalar
+    or array, as `PolyModel.position`). The interpolant is solved once
+    from the node Vandermonde system on the centered, scaled basis; by
+    uniqueness this is the Lagrange interpolating polynomial. Long
+    extrapolation of many-node interpolants amplifies node noise
+    enormously; that divergence is the documented behavior of this
+    baseline, not a defect of the evaluation.
     """
     if node_count < 2:
         raise ValueError(f"node_count must be >= 2, got {node_count}")
@@ -214,9 +200,5 @@ def lagrange_extrapolate(w: HistoryWindow, t: float, node_count: int = 8) -> np.
         raise ValueError("node timestamps must be distinct")
 
     t_ref, t_scale = _centered_basis(times)
-    tau = (times - t_ref) / t_scale
-    V = np.vander(tau, node_count, increasing=True)
-    coefs = np.linalg.solve(V, positions)
-
-    tq = (float(t) - t_ref) / t_scale
-    return np.array([npoly.polyval(tq, coefs[:, 0]), npoly.polyval(tq, coefs[:, 1])])
+    V = np.vander((times - t_ref) / t_scale, node_count, increasing=True)
+    return PolyModel(np.linalg.solve(V, positions), t_ref, t_scale, float(times[-1])).position(t)

@@ -39,7 +39,7 @@ from .kinematics import (
     position_measurement_matrix,
     propagate_truth,
 )
-from .outage import AdaptiveConfidenceParams, run_outage
+from .outage import AdaptiveConfidenceParams, adaptive_noise, run_outage
 
 PREDICTORS = ("ukf", "lagrange", "vhd")
 
@@ -180,6 +180,14 @@ class ScenarioConfig:
                 raise ValueError(
                     f"ScenarioConfig invariant: {name} must be a positive multiple of dt"
                 )
+        # The schedule grows with outage age, so its last step bounds it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                last_noise = adaptive_noise(self.vhd_params, self.outage_steps * self.dt)
+            except OverflowError:
+                last_noise = np.inf
+        if not np.all(np.isfinite(last_noise)):
+            raise ValueError("ScenarioConfig invariant: vhd noise must stay finite up to the last outage step")
 
     # -- derived step counts -------------------------------------------
 
@@ -443,7 +451,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     start = [b0.mean[[PX, PY]]]  # the shared branch point at index 0
     paths = {
         "ukf": np.array(start + [b.mean[[PX, PY]] for b in ukf_seq]),
-        "lagrange": np.array(start + [lagrange_extrapolate(window, t, cfg.lagrange_nodes) for t in times[1:]]),
+        "lagrange": np.vstack(start + [lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)]),
         "vhd": np.array(start + [b.mean[[PX, PY]] for b in vhd_seq]),
     }
     errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS}

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhd import ScenarioConfig
 from vhd.cli import (
@@ -334,6 +336,9 @@ class TestMain:
             "sim.sigma_jerk = -1",
             "sim.sigma_jerk = nan",
             "sim.duration = nan",
+            "vhd.alpha = 1e308",
+            "vhd.p = 1000",
+            "vhd.r_base = 1e308",
         ],
     )
     def test_config_that_cannot_run_exits_2_before_running(self, tmp_path, capsys, line):
@@ -343,6 +348,25 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1e308),
+        p=st.floats(1.0, 5000.0),
+        r_base=st.floats(1e-300, 1e308),
+    )
+    def test_any_schedule_runs_or_exits_2_before_running(self, tmp_path_factory, alpha, p, r_base):
+        tmp_path = tmp_path_factory.mktemp("schedule")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "sim.duration = 20\nsim.outage_start = 12\nsim.outage_duration = 5\n"
+            "sim.history_window = 10\ntraj.turn_start = 2\n"
+            f"vhd.alpha = {alpha!r}\nvhd.p = {p!r}\nvhd.r_base = {r_base!r}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"])
+        assert code == 0 or (code == 2 and not out.exists())
 
     def test_unwritable_out_dir_exits_3(self, tmp_path, capsys):
         cfg_path = tiny_cfg_file(tmp_path)

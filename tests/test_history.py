@@ -136,7 +136,7 @@ class TestFit:
             w = quad_window(times, noise=0.1, rng=rng)
             p = fit_polynomial(w, degree=2)
             tau_poly = np.array([-p.t_ref / p.t_scale, 1.0 / p.t_scale])
-            for gen, coef in ((QUAD_X, p.coef_x), (QUAD_Y, p.coef_y)):
+            for gen, coef in ((QUAD_X, p.coef[:, 0]), (QUAD_Y, p.coef[:, 1])):
                 back = np.zeros(3)
                 for k, c in enumerate(coef):
                     term = np.array([1.0])
@@ -145,6 +145,16 @@ class TestFit:
                     back[: len(term)] += c * term
                 worst = max(worst, np.abs(back - gen).max())
         assert worst < 0.05
+
+    @pytest.mark.parametrize(
+        "degree, derivative", [(0, "velocity"), (0, "acceleration"), (1, "acceleration")]
+    )
+    def test_derivatives_above_the_degree_are_zero(self, degree, derivative):
+        p = fit_polynomial(quad_window(np.arange(10.0)), degree=degree)
+        assert p.degree == degree and p.coef.shape == (degree + 1, 2)
+        evaluate = getattr(p, derivative)
+        np.testing.assert_array_equal(evaluate(4.5), np.zeros(2))
+        np.testing.assert_array_equal(evaluate(np.linspace(0.0, 20.0, 7)), np.zeros((7, 2)))
 
     def test_insufficient_samples_rejected(self):
         w = HistoryWindow(5).push(0.0, make_state()).push(1.0, make_state())
@@ -291,6 +301,14 @@ class TestLagrange:
         assert lag40 > 1e3 * ls40
         # horizon growth is explosive for the interpolant, mild for the fit
         assert lag40 / lag10 > 100.0 * (ls40 / ls10)
+
+    @pytest.mark.parametrize("node_count", [2, 5, 8, 12])
+    def test_array_of_times_equals_stacked_scalar_calls(self, node_count):
+        rng = np.random.default_rng(31)
+        w = quad_window(np.arange(20.0), noise=0.1, rng=rng)
+        times = w.end_time + 0.1 * np.arange(1, 401)
+        stacked = np.array([lagrange_extrapolate(w, t, node_count) for t in times])
+        np.testing.assert_array_equal(lagrange_extrapolate(w, times, node_count), stacked)
 
     def test_node_count_below_two_rejected(self):
         w = quad_window(np.arange(10.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from vhd import (
     ScenarioConfig,
@@ -262,6 +263,22 @@ class TestRunScenario:
         seq = open_loop_predict(onset.belief, onset.model, cfg.outage_steps)
         path = np.array([[b.mean[PX], b.mean[PY]] for b in seq])
         np.testing.assert_array_equal(rec.paths["ukf"][1:], path)
+
+    @pytest.mark.parametrize("cfg, seed", [(ScenarioConfig(), 1234), (SMALL, 77)])
+    def test_lagrange_path_equals_the_per_step_oracle(self, cfg, seed):
+        # the oracle re-solves the node interpolant at every outage step
+        rec = run_scenario(cfg, seed)
+        window = track_to_outage(cfg, seed).window
+        times, positions = window.recent(cfg.lagrange_nodes)
+        t_ref = 0.5 * (times[0] + times[-1])
+        t_scale = 0.5 * (times[-1] - times[0])
+        oracle = []
+        for t in rec.times[1:]:
+            V = np.vander((times - t_ref) / t_scale, cfg.lagrange_nodes, increasing=True)
+            coefs = np.linalg.solve(V, positions)
+            tq = (float(t) - t_ref) / t_scale
+            oracle.append([npoly.polyval(tq, coefs[:, 0]), npoly.polyval(tq, coefs[:, 1])])
+        np.testing.assert_array_equal(rec.paths["lagrange"][1:], oracle)
 
     def test_designated_run_monotonicity_contrast(self, default_records):
         # under the steady current the open-loop error can only keep
