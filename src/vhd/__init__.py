@@ -18,8 +18,8 @@ from .estimator import (
     update,
 )
 from .history import (
-    HistoryWindow,
     PolyModel,
+    Trajectory,
     fit_polynomial,
     lagrange_extrapolate,
     residual_covariance,
@@ -48,7 +48,6 @@ from .simkit import (
     RunRecord,
     ScenarioConfig,
     SensorConfig,
-    Trajectory,
     TrajectoryConfig,
     generate_truth,
     monte_carlo,
@@ -65,7 +64,6 @@ __all__ = [
     "CaModel",
     "Disturbance",
     "GaussianBelief",
-    "HistoryWindow",
     "KlArgminResult",
     "McResult",
     "MeasurementSet",

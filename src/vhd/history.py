@@ -1,10 +1,10 @@
-"""Trajectory history buffering, polynomial distillation, and extrapolation.
+"""Timestamped trajectories, polynomial distillation, and extrapolation.
 
-The sliding window keeps the most recent state estimates at a fixed
-sampling cadence. During an outage the window is compressed into a small
-least-squares polynomial in both position axes; that polynomial supplies both
-the extrapolated positions and, through its derivatives, a smoothed full
-state at the window end.
+The history window is a `Trajectory` of the filter's most recent state
+estimates at a fixed sampling cadence. During an outage the window is
+compressed into a small least-squares polynomial in both position axes;
+that polynomial supplies both the extrapolated positions and, through its
+derivatives, a smoothed full state at the window end.
 
 All fits run on a centered, scaled time basis tau = (t - t_ref) / t_scale
 with tau in [-1, 1] over the window, which keeps the normal equations and
@@ -21,65 +21,56 @@ from numpy.polynomial import polynomial as npoly
 from .kinematics import AX, AY, PX, PY, VX, VY, STATE_DIM
 
 
-class HistoryWindow:
-    """Bounded buffer of (timestamp, state estimate) samples.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Timestamped 6-D states: the true path on the step grid, or a window
+    of filter estimates.
 
-    Timestamps must be strictly increasing; once `capacity` samples are
-    held, pushing a new one evicts the oldest. The window is a
-    single-owner mutable structure; fitted models taken from it are
-    immutable and safe to share.
+    Timestamps must be strictly increasing and `states` must have shape
+    (len(times), 6); both are checked on construction.
     """
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._times: list[float] = []
-        self._states: list[np.ndarray] = []
+    times: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        states = np.asarray(self.states, dtype=float)
+        if times.ndim != 1:
+            raise ValueError(f"times must have shape (n,), got {times.shape}")
+        bad = np.flatnonzero(~(np.diff(times) > 0.0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"timestamps must be strictly increasing: got {times[k + 1]} after {times[k]}")
+        if states.shape != (times.shape[0], STATE_DIM):
+            raise ValueError(
+                f"states must have shape ({times.shape[0]}, {STATE_DIM}), got {states.shape}"
+            )
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
-        return len(self._times)
-
-    def push(self, t: float, s: np.ndarray) -> "HistoryWindow":
-        """Append a sample, evicting the oldest when over capacity."""
-        if self._times and t <= self._times[-1]:
-            raise ValueError(
-                f"timestamps must be strictly increasing: got {t} after {self._times[-1]}"
-            )
-        s = np.asarray(s, dtype=float)
-        if s.shape != (STATE_DIM,):
-            raise ValueError(f"state must have shape ({STATE_DIM},), got {s.shape}")
-        self._times.append(float(t))
-        self._states.append(s.copy())
-        if len(self._times) > self.capacity:
-            del self._times[0]
-            del self._states[0]
-        return self
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array(self._times)
-
-    @property
-    def states(self) -> np.ndarray:
-        """(n, 6) array of the buffered states; (0, 6) when empty."""
-        return np.array(self._states).reshape(-1, STATE_DIM)
+        return self.times.shape[0]
 
     @property
     def positions(self) -> np.ndarray:
-        """(n, 2) array of the buffered (p_x, p_y) samples."""
+        """(n, 2) array of the (p_x, p_y) samples."""
         return self.states[:, [PX, PY]]
 
     @property
+    def accelerations(self) -> np.ndarray:
+        return self.states[:, [AX, AY]]
+
+    @property
     def end_time(self) -> float:
-        if not self._times:
-            raise ValueError("window is empty")
-        return self._times[-1]
+        if len(self) == 0:
+            raise ValueError("trajectory is empty")
+        return float(self.times[-1])
 
     def recent(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Last `count` samples as (times, positions)."""
-        if count < 1 or count > len(self._times):
-            raise ValueError(f"cannot take {count} samples from a window of {len(self._times)}")
+        if count < 1 or count > len(self):
+            raise ValueError(f"cannot take {count} samples from a trajectory of {len(self)}")
         return self.times[-count:], self.positions[-count:]
 
 
@@ -138,8 +129,8 @@ def _centered_basis(times: np.ndarray) -> tuple[float, float]:
     return float(t_ref), float(t_scale)
 
 
-def fit_polynomial(w: HistoryWindow, degree: int = 2) -> PolyModel:
-    """Least-squares polynomial fit of the buffered positions.
+def fit_polynomial(w: Trajectory, degree: int = 2) -> PolyModel:
+    """Least-squares polynomial fit of the window positions.
 
     Each position axis is fitted independently with a degree-`degree`
     polynomial by solving the normal equations on the centered, scaled
@@ -160,7 +151,7 @@ def fit_polynomial(w: HistoryWindow, degree: int = 2) -> PolyModel:
     return PolyModel(np.linalg.solve(G, rhs), t_ref, t_scale, float(times[-1]))
 
 
-def residual_covariance(w: HistoryWindow, p: PolyModel) -> np.ndarray:
+def residual_covariance(w: Trajectory, p: PolyModel) -> np.ndarray:
     """Unbiased 2x2 covariance of the position fit residuals.
 
     Residuals are observed minus fitted positions over the whole window.
@@ -181,7 +172,7 @@ def residual_covariance(w: HistoryWindow, p: PolyModel) -> np.ndarray:
     return cov
 
 
-def lagrange_extrapolate(w: HistoryWindow, t, node_count: int = 8) -> np.ndarray:
+def lagrange_extrapolate(w: Trajectory, t, node_count: int = 8) -> np.ndarray:
     """Position at t from the interpolating polynomial through recent nodes.
 
     Takes the `node_count` most recent window samples and evaluates the

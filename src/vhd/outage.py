@@ -21,7 +21,7 @@ from .estimator import (
     predict,
     update,
 )
-from .history import HistoryWindow, PolyModel, fit_polynomial, residual_covariance
+from .history import PolyModel, Trajectory, fit_polynomial, residual_covariance
 from .kinematics import AX, AY, CaModel, VX, VY
 
 # Variance assigned to the velocity/acceleration diagonal of the history
@@ -117,7 +117,7 @@ class VirtualUpdateDiagnostic:
     kl_opt: float
 
 
-def _history_target_cov(w: HistoryWindow, poly: PolyModel) -> np.ndarray:
+def _history_target_cov(w: Trajectory, poly: PolyModel) -> np.ndarray:
     cov = np.zeros((6, 6))
     pos_block = residual_covariance(w, poly)
     cov[0, 0] = pos_block[0, 0]
@@ -132,7 +132,7 @@ def _fill_diagnostics(
     diagnostics: list,
     b: GaussianBelief,
     beliefs: list[GaussianBelief],
-    w: HistoryWindow,
+    w: Trajectory,
     poly: PolyModel,
     params: AdaptiveConfidenceParams,
     model: CaModel,
@@ -168,7 +168,7 @@ def _fill_diagnostics(
 
 def run_outage(
     b: GaussianBelief,
-    w: HistoryWindow,
+    w: Trajectory,
     params: AdaptiveConfidenceParams,
     T_steps: int,
     model: CaModel,

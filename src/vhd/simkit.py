@@ -19,13 +19,14 @@ execute serially or in parallel.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import GaussianBelief, open_loop_predict, predict, update
-from .history import HistoryWindow, lagrange_extrapolate
+from .history import Trajectory, lagrange_extrapolate
 from .kinematics import (
     AX,
     AY,
@@ -33,10 +34,10 @@ from .kinematics import (
     Disturbance,
     PX,
     PY,
+    STATE_DIM,
     accel_measurement_matrix,
     ca_model,
     make_state,
-    position_measurement_matrix,
     propagate_truth,
 )
 from .outage import AdaptiveConfidenceParams, adaptive_noise, run_outage
@@ -59,6 +60,8 @@ class SensorConfig:
 
     position_fix_noise : std dev of each fix coordinate, meters.
     accel_white_noise  : accelerometer white noise std dev, m/s^2.
+                         Both are squared into the filter's measurement
+                         covariances, so each square must be finite.
     accel_bias_walk    : std dev of each per-step bias increment, m/s^2.
     fix_rate           : position fixes per second outside the outage.
     imu_during_outage  : parsed and echoed, but no estimator reads it yet:
@@ -76,6 +79,10 @@ class SensorConfig:
         for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"SensorConfig invariant: {name} must be >= 0")
+        for name in ("position_fix_noise", "accel_white_noise"):
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise ValueError(f"SensorConfig invariant: {name} squared must be finite")
         if self.fix_rate <= 0.0:
             raise ValueError("SensorConfig invariant: fix_rate must be > 0")
 
@@ -228,22 +235,6 @@ class ScenarioConfig:
 # truth and sensors
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """True vehicle states on the step grid."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.states[:, [PX, PY]]
-
-    @property
-    def accelerations(self) -> np.ndarray:
-        return self.states[:, [AX, AY]]
-
-
 def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     """Simulate the true vehicle trajectory on the step grid.
 
@@ -364,7 +355,7 @@ class OnsetState:
     """Everything known at the moment the outage begins."""
 
     belief: GaussianBelief
-    window: HistoryWindow
+    window: Trajectory
     model: CaModel
     truth: Trajectory
     tracking_err: np.ndarray
@@ -375,45 +366,40 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
 
     Per step the filter predicts, assimilates the accelerometer reading
     (weighted by its white-noise covariance; the bias is unmodeled), then
-    assimilates the position fix when one arrives. Once per second the
-    post-update estimate is pushed into the history window, including at
-    the onset step itself, so the window's newest sample is the belief the
-    predictors branch from.
+    assimilates the position fix when one arrives. The history window is
+    the post-update estimates sampled once per second backward from the
+    onset step, so the window's newest sample is the belief the predictors
+    branch from.
     """
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     truth = generate_truth(cfg)
     meas = simulate_measurements(truth, cfg, seed)
 
-    H_pos = position_measurement_matrix()
     H_acc = accel_measurement_matrix()
     R_fix = np.diag([cfg.sensor.position_fix_noise**2] * 2)
     R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
 
     belief = GaussianBelief(truth.states[0].copy(), np.diag(_P0_DIAG))
-    window = HistoryWindow(cfg.window_capacity)
-    window.push(0.0, belief.mean)
-
     fix_row = {int(s): k for k, s in enumerate(meas.fix_steps)}
     onset = cfg.onset_step
-    tracking_err = np.zeros(onset + 1)
+    means = np.empty((onset + 1, STATE_DIM))
+    means[0] = belief.mean
 
     for i in range(1, onset + 1):
         belief = predict(belief, model)
         belief = update(belief, meas.imu_accel[i], R_imu, H_acc)
         if i in fix_row:
-            belief = update(belief, meas.fix_values[fix_row[i]], R_fix, H_pos)
-        if i % cfg.window_period_steps == 0:
-            window.push(i * cfg.dt, belief.mean)
-        tracking_err[i] = float(
-            np.hypot(belief.mean[PX] - truth.states[i, PX], belief.mean[PY] - truth.states[i, PY])
-        )
+            belief = update(belief, meas.fix_values[fix_row[i]], R_fix, model.H)
+        means[i] = belief.mean
 
+    samples = np.arange(onset, -1, -cfg.window_period_steps)[: cfg.window_capacity][::-1]
+    err = means[:, [PX, PY]] - truth.positions[: onset + 1]
     return OnsetState(
         belief=belief,
-        window=window,
+        window=Trajectory(samples * cfg.dt, means[samples]),
         model=model,
         truth=truth,
-        tracking_err=tracking_err,
+        tracking_err=np.hypot(err[:, 0], err[:, 1]),
     )
 
 

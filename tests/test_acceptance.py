@@ -18,8 +18,8 @@ import vhd
 from vhd import (
     AdaptiveConfidenceParams,
     GaussianBelief,
-    HistoryWindow,
     ScenarioConfig,
+    Trajectory,
     adaptive_noise,
     ca_model,
     fit_polynomial,
@@ -211,9 +211,7 @@ def test_criterion_6_polynomial_exactness(acceptance_report):
         degree = int(rng.integers(0, 3))
         cx = rng.uniform(-1, 1, size=degree + 1) * np.array([100.0, 5.0, 0.5])[: degree + 1]
         cy = rng.uniform(-1, 1, size=degree + 1) * np.array([100.0, 5.0, 0.5])[: degree + 1]
-        w = HistoryWindow(51)
-        for t in times:
-            w.push(t, make_state(p_x=npoly.polyval(t, cx), p_y=npoly.polyval(t, cy)))
+        w = Trajectory(times, [make_state(p_x=npoly.polyval(t, cx), p_y=npoly.polyval(t, cy)) for t in times])
         p = fit_polynomial(w, degree=2)
         t_end = times[-1] + 40.0
         want = np.array([npoly.polyval(t_end, cx), npoly.polyval(t_end, cy)])
@@ -225,9 +223,7 @@ def test_criterion_6_polynomial_exactness(acceptance_report):
         decay = 0.05 ** np.arange(nodes)
         cx = rng.uniform(-2, 2, size=nodes) * decay
         cy = rng.uniform(-2, 2, size=nodes) * decay
-        w = HistoryWindow(51)
-        for t in times:
-            w.push(t, make_state(p_x=npoly.polyval(t, cx), p_y=npoly.polyval(t, cy)))
+        w = Trajectory(times, [make_state(p_x=npoly.polyval(t, cx), p_y=npoly.polyval(t, cy)) for t in times])
         t_eval = times[-1] + 5.0
         want = np.array([npoly.polyval(t_eval, cx), npoly.polyval(t_eval, cy)])
         got = lagrange_extrapolate(w, t_eval, node_count=nodes)

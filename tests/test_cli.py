@@ -339,6 +339,8 @@ class TestMain:
             "vhd.alpha = 1e308",
             "vhd.p = 1000",
             "vhd.r_base = 1e308",
+            "sensor.position_fix_noise = 1e300",
+            "sensor.accel_white_noise = 1e300",
         ],
     )
     def test_config_that_cannot_run_exits_2_before_running(self, tmp_path, capsys, line):
@@ -362,6 +364,27 @@ class TestMain:
             "sim.duration = 20\nsim.outage_start = 12\nsim.outage_duration = 5\n"
             "sim.history_window = 10\ntraj.turn_start = 2\n"
             f"vhd.alpha = {alpha!r}\nvhd.p = {p!r}\nvhd.r_base = {r_base!r}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"])
+        assert code == 0 or (code == 2 and not out.exists())
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        position_fix_noise=st.floats(0.0, 1e308),
+        accel_white_noise=st.floats(0.0, 1e308),
+    )
+    def test_any_sensor_noise_runs_or_exits_2_before_running(
+        self, tmp_path_factory, position_fix_noise, accel_white_noise
+    ):
+        tmp_path = tmp_path_factory.mktemp("noise")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "sim.duration = 20\nsim.outage_start = 12\nsim.outage_duration = 5\n"
+            "sim.history_window = 10\ntraj.turn_start = 2\n"
+            f"sensor.position_fix_noise = {position_fix_noise!r}\n"
+            f"sensor.accel_white_noise = {accel_white_noise!r}\n",
             encoding="utf-8",
         )
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from vhd import (
-    HistoryWindow,
+    Trajectory,
     fit_polynomial,
     lagrange_extrapolate,
     make_state,
@@ -15,87 +15,62 @@ QUAD_X = np.array([3.0, 2.0, 0.5])
 QUAD_Y = np.array([-1.0, 0.5, -0.25])
 
 
-def quad_window(times, noise=None, rng=None, capacity=None):
+def position_window(times, px, py=0.0):
+    """Window of states at `times` holding only the positions (px, py)."""
+    times = np.asarray(times, dtype=float)
+    states = np.zeros((times.size, 6))
+    states[:, PX], states[:, PY] = px, py
+    return Trajectory(times, states)
+
+
+def quad_window(times, noise=None, rng=None):
     """Window sampled from the reference quadratics, optionally noisy."""
     px = npoly.polyval(times, QUAD_X)
     py = npoly.polyval(times, QUAD_Y)
     if noise is not None:
         px = px + rng.normal(scale=noise, size=times.shape)
         py = py + rng.normal(scale=noise, size=times.shape)
-    w = HistoryWindow(capacity if capacity is not None else len(times))
-    for t, x, y in zip(times, px, py):
-        w.push(t, make_state(p_x=x, p_y=y))
-    return w
+    return position_window(times, px, py)
 
 
 class TestWindow:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            HistoryWindow(0)
-
-    def test_push_appends_and_chains(self):
-        w = HistoryWindow(4)
-        assert len(w) == 0
-        w.push(0.0, make_state()).push(1.0, make_state(p_x=1.0))
-        assert len(w) == 2
-        np.testing.assert_array_equal(w.times, [0.0, 1.0])
-
-    def test_eviction_drops_oldest(self):
-        w = HistoryWindow(3)
-        for k in range(4):
-            w.push(float(k), make_state(p_x=float(k)))
-        assert len(w) == 3
-        np.testing.assert_array_equal(w.times, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(w.positions[:, 0], [1.0, 2.0, 3.0])
-
     def test_equal_timestamp_rejected(self):
-        w = HistoryWindow(3).push(1.0, make_state())
         with pytest.raises(ValueError, match="strictly increasing"):
-            w.push(1.0, make_state())
+            Trajectory([0.0, 1.0, 1.0], np.zeros((3, 6)))
 
     def test_decreasing_timestamp_rejected(self):
-        w = HistoryWindow(3).push(1.0, make_state())
         with pytest.raises(ValueError, match="strictly increasing"):
-            w.push(0.5, make_state())
+            Trajectory([0.0, 1.0, 0.5], np.zeros((3, 6)))
 
     def test_wrong_state_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            HistoryWindow(3).push(0.0, np.zeros(4))
-
-    def test_pushed_state_is_copied(self):
-        s = make_state(p_x=1.0)
-        w = HistoryWindow(3).push(0.0, s)
-        s[PX] = 99.0
-        assert w.positions[0, 0] == 1.0
+        for times, shape in (([0.0], (1, 4)), ([0.0], (2, 6)), ([0.0, 1.0], (6,)), ([[0.0]], (1, 6))):
+            with pytest.raises(ValueError, match="shape"):
+                Trajectory(times, np.zeros(shape))
 
     def test_positions_are_the_position_columns_of_states(self):
-        w = HistoryWindow(3)
+        w = Trajectory(np.zeros(0), np.zeros((0, 6)))
+        assert len(w) == 0
         assert w.states.shape == (0, 6)
         assert w.positions.shape == (0, 2)
-        w.push(0.0, make_state(p_x=1.0, v_x=2.0, p_y=4.0)).push(1.0, make_state(p_x=3.0, p_y=-1.0))
+        w = Trajectory([0.0, 1.0], [make_state(p_x=1.0, v_x=2.0, p_y=4.0), make_state(p_x=3.0, p_y=-1.0)])
+        assert len(w) == 2
         np.testing.assert_array_equal(w.positions, w.states[:, [PX, PY]])
         np.testing.assert_array_equal(w.positions, [[1.0, 4.0], [3.0, -1.0]])
 
     def test_end_time(self):
-        w = HistoryWindow(3)
         with pytest.raises(ValueError, match="empty"):
-            w.end_time
-        w.push(2.5, make_state())
-        assert w.end_time == 2.5
+            Trajectory(np.zeros(0), np.zeros((0, 6))).end_time
+        assert Trajectory([1.0, 2.5], np.zeros((2, 6))).end_time == 2.5
 
     def test_recent_slices_from_the_end(self):
-        w = HistoryWindow(5)
-        for k in range(5):
-            w.push(float(k), make_state(p_x=10.0 * k))
+        w = position_window(np.arange(5.0), 10.0 * np.arange(5))
         times, positions = w.recent(2)
         np.testing.assert_array_equal(times, [3.0, 4.0])
         np.testing.assert_array_equal(positions[:, 0], [30.0, 40.0])
 
     @pytest.mark.parametrize("count", [0, -1, 6])
     def test_recent_range_checked(self, count):
-        w = HistoryWindow(5)
-        for k in range(5):
-            w.push(float(k), make_state())
+        w = position_window(np.arange(5.0), 0.0)
         with pytest.raises(ValueError):
             w.recent(count)
 
@@ -118,9 +93,7 @@ class TestFit:
         np.testing.assert_allclose(p.acceleration(t), [1.0, -0.5], atol=1e-9)
 
     def test_constant_data_has_zero_derivatives(self):
-        w = HistoryWindow(20)
-        for k in range(20):
-            w.push(float(k), make_state(p_x=4.0, p_y=-2.0))
+        w = position_window(np.arange(20.0), 4.0, -2.0)
         p = fit_polynomial(w, degree=2)
         np.testing.assert_allclose(p.position(19.0), [4.0, -2.0], atol=1e-9)
         np.testing.assert_allclose(p.velocity(19.0), [0.0, 0.0], atol=1e-9)
@@ -157,17 +130,16 @@ class TestFit:
         np.testing.assert_array_equal(evaluate(np.linspace(0.0, 20.0, 7)), np.zeros((7, 2)))
 
     def test_insufficient_samples_rejected(self):
-        w = HistoryWindow(5).push(0.0, make_state()).push(1.0, make_state())
+        w = position_window([0.0, 1.0], 0.0)
         with pytest.raises(ValueError, match="at least 3 samples"):
             fit_polynomial(w, degree=2)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="degree"):
-            fit_polynomial(HistoryWindow(5).push(0.0, make_state()), degree=-1)
+            fit_polynomial(position_window([0.0], 0.0), degree=-1)
 
     def test_zero_time_span_rejected(self):
-        w = HistoryWindow(5)
-        w.push(0.0, make_state())
+        w = position_window([0.0], 0.0)
         with pytest.raises(ValueError, match="positive time interval"):
             fit_polynomial(w, degree=0)
 
@@ -202,10 +174,8 @@ class TestExtrapolate:
         np.testing.assert_allclose(p.position(p.window_end), [s[PX], s[PY]], atol=1e-12)
 
     def test_linear_slope_carries_forward(self):
-        w = HistoryWindow(20)
-        for k in range(20):
-            w.push(float(k), make_state(p_x=2.0 * k, p_y=5.0))
-        p = fit_polynomial(w, degree=1)
+        k = np.arange(20.0)
+        p = fit_polynomial(position_window(k, 2.0 * k, 5.0), degree=1)
         np.testing.assert_allclose(p.position(24.0), [2.0 * 19 + 10.0, 5.0], atol=1e-9)
 
     def test_exact_quadratic_extrapolates_exactly(self):
@@ -253,9 +223,8 @@ class TestResidualCovariance:
 
 class TestLagrange:
     def test_line_reproduced_for_any_horizon(self):
-        w = HistoryWindow(20)
-        for k in range(20):
-            w.push(float(k), make_state(p_x=2.0 * k + 1.0, p_y=-0.5 * k))
+        k = np.arange(20.0)
+        w = position_window(k, 2.0 * k + 1.0, -0.5 * k)
         for t in (19.0, 25.0, 59.0):
             np.testing.assert_allclose(
                 lagrange_extrapolate(w, t), [2.0 * t + 1.0, -0.5 * t], atol=1e-6
@@ -263,19 +232,15 @@ class TestLagrange:
 
     def test_last_node_value_reproduced(self):
         rng = np.random.default_rng(22)
-        w = HistoryWindow(12)
         vals = rng.normal(size=(12, 2))
-        for k in range(12):
-            w.push(float(k), make_state(p_x=vals[k, 0], p_y=vals[k, 1]))
+        w = position_window(np.arange(12.0), vals[:, 0], vals[:, 1])
         np.testing.assert_allclose(lagrange_extrapolate(w, 11.0), vals[-1], atol=1e-9)
 
     def test_degree_seven_polynomial_reproduced_by_eight_nodes(self):
         coef = np.array([1.0, -2.0, 0.3, 0.05, -0.01, 2e-3, -1e-4, 5e-6])
-        w = HistoryWindow(30)
         times = np.arange(30.0)
-        for t in times:
-            v = npoly.polyval(t, coef)
-            w.push(t, make_state(p_x=v, p_y=-v))
+        v = npoly.polyval(times, coef)
+        w = position_window(times, v, -v)
         for t in (29.0, 33.0, 40.0):
             want = npoly.polyval(t, coef)
             got = lagrange_extrapolate(w, t, node_count=8)
@@ -316,15 +281,14 @@ class TestLagrange:
             lagrange_extrapolate(w, 12.0, node_count=1)
 
     def test_duplicate_node_timestamps_rejected(self):
-        class BrokenWindow(HistoryWindow):
+        class BrokenWindow(Trajectory):
             def recent(self, count):
                 times, positions = super().recent(count)
                 times = times.copy()
                 times[0] = times[1]
                 return times, positions
 
-        w = BrokenWindow(10)
-        for k in range(10):
-            w.push(float(k), make_state(p_x=float(k)))
+        k = np.arange(10.0)
+        w = BrokenWindow(k, [make_state(p_x=x) for x in k])
         with pytest.raises(ValueError, match="distinct"):
             lagrange_extrapolate(w, 12.0, node_count=4)

@@ -4,8 +4,8 @@ import pytest
 from vhd import (
     AdaptiveConfidenceParams,
     GaussianBelief,
-    HistoryWindow,
     ScenarioConfig,
+    Trajectory,
     adaptive_noise,
     ca_model,
     fit_polynomial,
@@ -21,11 +21,8 @@ from vhd.kinematics import position_measurement_matrix
 
 
 def line_window(n=51, dt=1.0, vx=2.0, vy=0.5, x0=0.0, y0=1.0):
-    w = HistoryWindow(n)
-    for k in range(n):
-        t = k * dt
-        w.push(t, make_state(p_x=x0 + vx * t, v_x=vx, p_y=y0 + vy * t, v_y=vy))
-    return w
+    times = [k * dt for k in range(n)]
+    return Trajectory(times, [make_state(p_x=x0 + vx * t, v_x=vx, p_y=y0 + vy * t, v_y=vy) for t in times])
 
 
 class TestParams:

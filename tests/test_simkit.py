@@ -218,11 +218,13 @@ class TestSimulateMeasurements:
 
 class TestTrackToOutage:
     def test_window_is_full_and_current(self):
-        cfg = ScenarioConfig()
-        onset = track_to_outage(cfg, seed=1234)
-        assert len(onset.window) == cfg.window_capacity
-        assert onset.window.end_time == cfg.outage_start
-        np.testing.assert_array_equal(onset.window.states[-1], onset.belief.mean)
+        # a fractional-second onset still ends the window at the onset
+        for cfg in (ScenarioConfig(), ScenarioConfig(outage_start=60.5, duration=110.5)):
+            onset = track_to_outage(cfg, seed=1234)
+            assert len(onset.window) == cfg.window_capacity
+            assert onset.window.end_time == cfg.onset_step * cfg.dt
+            np.testing.assert_allclose(np.diff(onset.window.times), 1.0, rtol=1e-12)
+            np.testing.assert_array_equal(onset.window.states[-1], onset.belief.mean)
 
     def test_tracking_error_stays_small(self, default_records):
         onset_errors = np.array([rec.tracking_err[-1] for rec in default_records])
