@@ -52,6 +52,7 @@ from .simkit import (
     generate_truth,
     monte_carlo,
     rmse,
+    run_block,
     run_scenario,
     simulate_measurements,
     track_to_outage,
@@ -92,6 +93,7 @@ __all__ = [
     "propagate_truth",
     "residual_covariance",
     "rmse",
+    "run_block",
     "run_outage",
     "run_scenario",
     "simulate_measurements",

@@ -18,15 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .simkit import PREDICTORS, McResult, ScenarioConfig, monte_carlo
+from .simkit import PREDICTORS, ConfigError, McResult, ScenarioConfig, monte_carlo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ConfigError(Exception):
-    """A config file or config value the run cannot proceed with."""
 
 
 def _parse_bool(text: str) -> bool:

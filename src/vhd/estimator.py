@@ -51,11 +51,13 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
+def _predicted_cov(cov: np.ndarray, model: CaModel) -> np.ndarray:
+    return _symmetrize(model.F @ cov @ model.F.T + model.Q)
+
+
 def predict(b: GaussianBelief, model: CaModel) -> GaussianBelief:
     """Time update: mean' = F mean, cov' = F cov F^T + Q."""
-    mean = model.F @ b.mean
-    cov = _symmetrize(model.F @ b.cov @ model.F.T + model.Q)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(model.F @ b.mean, _predicted_cov(b.cov, model))
 
 
 def _cholesky_or_raise(S: np.ndarray, what: str) -> np.ndarray:
@@ -73,6 +75,12 @@ def _kalman_gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
     S = _symmetrize(H @ cov @ H.T + R)
     _cholesky_or_raise(S, "innovation covariance")
     return np.linalg.solve(S, H @ cov).T
+
+
+def _joseph_cov(cov: np.ndarray, K: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Posterior covariance (I - K H) P (I - K H)^T + K R K^T, symmetrized."""
+    A = np.eye(cov.shape[0]) - K @ H
+    return _symmetrize(A @ cov @ A.T + K @ R @ K.T)
 
 
 def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> GaussianBelief:
@@ -97,11 +105,7 @@ def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> Ga
     K = _kalman_gain(b.cov, R, H)
 
     innovation = z - H @ b.mean
-    mean = b.mean + K @ innovation
-
-    A = np.eye(b.dim) - K @ H
-    cov = _symmetrize(A @ b.cov @ A.T + K @ R @ K.T)
-    return GaussianBelief(mean, cov)
+    return GaussianBelief(b.mean + K @ innovation, _joseph_cov(b.cov, K, R, H))
 
 
 def open_loop_predict(b: GaussianBelief, model: CaModel, steps: int) -> list[GaussianBelief]:

@@ -15,6 +15,12 @@ estimates. At onset, three predictors branch from the same belief:
 Per-run randomness derives only from the run's seed, so runs are
 independent and a Monte Carlo aggregate is identical whether the runs
 execute serially or in parallel.
+
+The filter covariance, and so every Kalman gain, depends on the config and
+not on the data. `run_block` exploits that: it runs a block of seeds in
+lockstep on one covariance recurrence, and each of its records equals
+`run_scenario`'s for the same seed bit for bit. `run_scenario` is the
+straightforward per-run reference that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -25,8 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import GaussianBelief, open_loop_predict, predict, update
-from .history import Trajectory, lagrange_extrapolate
+from .estimator import (
+    GaussianBelief,
+    _joseph_cov,
+    _kalman_gain,
+    _predicted_cov,
+    open_loop_predict,
+    predict,
+    update,
+)
+from .history import Trajectory, fit_polynomial, lagrange_extrapolate
 from .kinematics import (
     AX,
     AY,
@@ -48,6 +62,10 @@ PREDICTORS = ("ukf", "lagrange", "vhd")
 _P0_DIAG = (1.0, 0.25, 0.04, 1.0, 0.25, 0.04)
 
 _GRID_TOL = 1e-9
+
+
+class ConfigError(Exception):
+    """A config file or config value the run cannot proceed with."""
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +238,21 @@ class ScenarioConfig:
 
     @property
     def window_capacity(self) -> int:
-        return round(self.history_window) + 1
+        """Samples in the history window: one per second of history_window,
+        but no more than the one-second samples that fit before the onset."""
+        return min(round(self.history_window) + 1, self.onset_step // self.window_period_steps + 1)
+
+    @property
+    def fix_steps(self) -> np.ndarray:
+        """Steps at which a position fix arrives.
+
+        One every fix period from the first period boundary after t = 0,
+        except inside the outage [onset_step, onset_step + outage_steps):
+        no fix arrives at the onset step itself.
+        """
+        period = self.fix_period_steps
+        steps = np.arange(period, self.n_steps + 1, period)
+        return steps[(steps < self.onset_step) | (steps >= self.onset_step + self.outage_steps)]
 
     @property
     def current(self) -> Disturbance:
@@ -311,8 +343,8 @@ class MeasurementSet:
 def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> MeasurementSet:
     """Generate the sensor streams for one run.
 
-    Position fixes arrive every fix period starting at the first period
-    boundary after t = 0 and are suppressed for steps inside
+    Position fixes arrive at `cfg.fix_steps`: every fix period starting at
+    the first period boundary after t = 0, suppressed for steps inside
     [outage_start, outage_start + outage_duration). The accelerometer
     reports every step with white noise plus a bias that accumulates an
     independent Gaussian increment per step (zero bias at step 0).
@@ -327,11 +359,7 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> 
     ss = np.random.SeedSequence(entropy=seed)
     fix_rng, white_rng, bias_rng = (np.random.default_rng(c) for c in ss.spawn(3))
 
-    period = cfg.fix_period_steps
-    onset, end = cfg.onset_step, cfg.onset_step + cfg.outage_steps
-    fix_steps = np.array(
-        [i for i in range(period, n1, period) if not (onset <= i < end)], dtype=int
-    )
+    fix_steps = cfg.fix_steps
     fix_noise = fix_rng.normal(0.0, sensor.position_fix_noise, size=(fix_steps.size, 2))
     fix_values = truth.positions[fix_steps] + fix_noise
 
@@ -453,6 +481,124 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
 
 
 # ----------------------------------------------------------------------
+# block of runs in lockstep
+# ----------------------------------------------------------------------
+
+def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
+    if not np.isfinite(values).all():
+        at = "" if step is None else f" at step {step}"
+        raise ConfigError(f"the filter {what} is not finite{at}: the config's values overflow the filter")
+    return values
+
+
+def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, seeds: list[int]):
+    """Tracking phase of `run_block`, as in track_to_outage.
+
+    Returns the onset covariance and, per run, the onset mean, the history
+    window and the tracking error. The means of every step and the
+    measurement streams are dropped on return, before the outage begins.
+    """
+    F, H = model.F, model.H
+    H_acc = accel_measurement_matrix()
+    R_fix = np.diag([cfg.sensor.position_fix_noise**2] * 2)
+    R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
+    meas = [simulate_measurements(truth, cfg, s) for s in seeds]
+    onset = cfg.onset_step
+    fix_row = {int(s): k for k, s in enumerate(cfg.fix_steps)}
+
+    cov = np.diag(_P0_DIAG)
+    means = [truth.states[0].copy() for _ in seeds]
+    tracked = np.empty((len(seeds), onset + 1, STATE_DIM))
+    tracked[:, 0] = means
+    for i in range(1, onset + 1):
+        cov = _finite(_predicted_cov(cov, model), "covariance", i)
+        K = _kalman_gain(cov, R_imu, H_acc)
+        cov = _finite(_joseph_cov(cov, K, R_imu, H_acc), "covariance", i)
+        means = [m + K @ (ms.imu_accel[i] - H_acc @ m) for m, ms in zip([F @ m for m in means], meas)]
+        if i in fix_row:
+            K = _kalman_gain(cov, R_fix, H)
+            cov = _finite(_joseph_cov(cov, K, R_fix, H), "covariance", i)
+            means = [m + K @ (ms.fix_values[fix_row[i]] - H @ m) for m, ms in zip(means, meas)]
+        tracked[:, i] = means
+    _finite(tracked, "means")
+
+    samples = np.arange(onset, -1, -cfg.window_period_steps)[: cfg.window_capacity][::-1]
+    windows = [Trajectory(samples * cfg.dt, run[samples]) for run in tracked]
+    errors = [run[:, [PX, PY]] - truth.positions[: onset + 1] for run in tracked]
+    return cov, means, windows, [np.hypot(err[:, 0], err[:, 1]) for err in errors]
+
+
+def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
+    """Run a block of seeds in lockstep; record k equals run_scenario(cfg, seeds[k]).
+
+    The truth is generated once and each seed gets its own measurements.
+    Each step runs one covariance recurrence, so each gain is computed once
+    and applied to every run's mean with the expressions `predict` and
+    `update` use (`F @ m`, `m + K @ (z - H @ m)`), one 1-D mean at a time:
+    a matrix product over all runs at once rounds differently in the last
+    bit, and the polynomial extrapolations amplify that. The window fit and
+    the Lagrange interpolant stay per run.
+
+    `GaussianBelief` checks every belief of the reference for finiteness;
+    here each covariance is checked as it is computed and the means once
+    per phase, and a config that overflows the filter raises ConfigError.
+    """
+    seeds = [int(s) for s in seeds]
+    model = ca_model(cfg.dt, cfg.sigma_jerk)
+    truth = generate_truth(cfg)
+    cov, means, windows, tracking_err = _track_block(cfg, model, truth, seeds)
+
+    # Outage, as in open_loop_predict and run_outage.
+    F, H = model.F, model.H
+    onset, T, dt = cfg.onset_step, cfg.outage_steps, cfg.dt
+    elapsed = np.arange(1, T + 1) * dt
+    virtual = []
+    for window in windows:
+        poly = fit_polynomial(window, cfg.poly_degree)
+        virtual.append(poly.position(poly.window_end + elapsed))
+    ukf_cov = vhd_cov = cov
+    ukf_means = vhd_means = means
+    ukf = np.empty((len(seeds), T + 1, STATE_DIM))
+    vhd = np.empty((len(seeds), T + 1, STATE_DIM))
+    ukf[:, 0] = vhd[:, 0] = means
+    for k in range(1, T + 1):
+        ukf_cov = _finite(_predicted_cov(ukf_cov, model), "covariance", onset + k)
+        vhd_cov = _finite(_predicted_cov(vhd_cov, model), "covariance", onset + k)
+        R = adaptive_noise(cfg.vhd_params, k * dt)
+        K = _kalman_gain(vhd_cov, R, H)
+        vhd_cov = _finite(_joseph_cov(vhd_cov, K, R, H), "covariance", onset + k)
+        ukf_means = [F @ m for m in ukf_means]
+        vhd_means = [m + K @ (z[k - 1] - H @ m) for m, z in zip([F @ m for m in vhd_means], virtual)]
+        ukf[:, k] = ukf_means
+        vhd[:, k] = vhd_means
+    _finite(ukf, "means")
+    _finite(vhd, "means")
+
+    times = cfg.outage_start + np.arange(T + 1) * dt
+    truth_xy = truth.positions[onset : onset + T + 1]
+    records = []
+    for r, seed in enumerate(seeds):
+        paths = {
+            "ukf": ukf[r][:, [PX, PY]],
+            "lagrange": np.vstack(
+                [ukf[r][:1, [PX, PY]], lagrange_extrapolate(windows[r], times[1:], cfg.lagrange_nodes)]
+            ),
+            "vhd": vhd[r][:, [PX, PY]],
+        }
+        records.append(
+            RunRecord(
+                seed=seed,
+                times=times,
+                truth_xy=truth_xy,
+                paths=paths,
+                errors={name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS},
+                tracking_err=tracking_err[r],
+            )
+        )
+    return records
+
+
+# ----------------------------------------------------------------------
 # Monte Carlo
 # ----------------------------------------------------------------------
 
@@ -484,22 +630,32 @@ class McResult:
     designated_run: RunRecord
 
 
+def _run_seeds(cfg: ScenarioConfig, jobs: int) -> list[RunRecord]:
+    """Records of seeds base_seed .. base_seed + mc_runs - 1, in seed order.
+
+    With jobs > 1 the seeds are cut into up to `jobs` contiguous blocks of
+    near-equal size, one per pool worker.
+    """
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.mc_runs)
+    n = min(jobs, len(seeds))
+    if n == 1:
+        return run_block(cfg, seeds)
+    blocks = [seeds[len(seeds) * b // n : len(seeds) * (b + 1) // n] for b in range(n)]
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        return [rec for block in pool.map(run_block, [cfg] * n, blocks) for rec in block]
+
+
 def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     """Run mc_runs seeded scenarios and aggregate their error series.
 
-    Seeds are base_seed .. base_seed + mc_runs - 1. With jobs > 1 the runs
-    execute in a process pool; records are collected in seed order, so the
+    Seeds are base_seed .. base_seed + mc_runs - 1, run in lockstep by
+    `run_block`. With jobs > 1 each worker of a process pool runs one
+    contiguous block of seeds; records are collected in seed order, so the
     aggregate is identical to the serial one.
     """
-    seeds = [cfg.base_seed + k for k in range(cfg.mc_runs)]
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or cfg.mc_runs == 1:
-        records = [run_scenario(cfg, s) for s in seeds]
-    else:
-        chunksize = max(1, len(seeds) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_scenario, [cfg] * len(seeds), seeds, chunksize=chunksize))
+    records = _run_seeds(cfg, jobs)
 
     stacked = {
         name: np.stack([rec.errors[name] for rec in records]) for name in PREDICTORS

@@ -341,6 +341,12 @@ class TestMain:
             "vhd.r_base = 1e308",
             "sensor.position_fix_noise = 1e300",
             "sensor.accel_white_noise = 1e300",
+            "sim.sigma_jerk = 1e151",
+            pytest.param(
+                "sim.history_window = 50.6\nsim.outage_start = 50.6\nsim.duration = 100\n"
+                "traj.turn_start = 20\nvhd.poly_degree = 51",
+                id="vhd.poly_degree = 51 with 51 samples before a 50.6 s onset",
+            ),
         ],
     )
     def test_config_that_cannot_run_exits_2_before_running(self, tmp_path, capsys, line):

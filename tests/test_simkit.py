@@ -10,12 +10,13 @@ from vhd import (
     monte_carlo,
     open_loop_predict,
     rmse,
+    run_block,
     run_scenario,
     simulate_measurements,
     track_to_outage,
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY
-from vhd.simkit import PREDICTORS
+from vhd.simkit import PREDICTORS, ConfigError, _run_seeds
 
 SMALL = ScenarioConfig(
     duration=40.0,
@@ -100,6 +101,19 @@ class TestScenarioConfig:
     def test_turn_must_precede_outage(self):
         with pytest.raises(ValueError, match="turn must begin before"):
             ScenarioConfig(trajectory=TrajectoryConfig(turn_start=60.0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ScenarioConfig(), ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)), ScenarioConfig(outage_start=60.5)],
+    )
+    def test_fix_steps_follow_the_per_step_rule(self, cfg):
+        # the rule as a loop over steps: a fix at every period boundary,
+        # none from the onset step up to the end of the outage
+        period = cfg.fix_period_steps
+        onset, end = cfg.onset_step, cfg.onset_step + cfg.outage_steps
+        want = [i for i in range(period, cfg.n_steps + 1, period) if not (onset <= i < end)]
+        np.testing.assert_array_equal(cfg.fix_steps, want)
+        assert cfg.fix_steps.dtype == np.array(want, dtype=int).dtype
 
 
 class TestGenerateTruth:
@@ -319,6 +333,54 @@ class TestRunScenario:
             abs(np.corrcoef(noise[i], noise[i + 1])[0, 1]) for i in range(len(noise) - 1)
         ]
         assert np.mean(pair_corrs) < 0.1
+
+
+# Configs whose engine records must equal run_scenario's bit for bit.
+ENGINE_CONFIGS = {
+    "default": ScenarioConfig(),
+    "small": SMALL,
+    "fractional onset": ScenarioConfig(outage_start=60.5),
+    "fix_rate 2": ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
+    "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
+    "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
+}
+
+
+def assert_records_equal(got, want):
+    assert got.seed == want.seed
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.truth_xy, want.truth_xy)
+    np.testing.assert_array_equal(got.tracking_err, want.tracking_err)
+    for name in PREDICTORS:
+        np.testing.assert_array_equal(got.paths[name], want.paths[name])
+        np.testing.assert_array_equal(got.errors[name], want.errors[name])
+
+
+class TestRunBlock:
+    @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+    def test_records_equal_run_scenario(self, name):
+        cfg = ENGINE_CONFIGS[name]
+        seeds = [1234, 7, 4242]
+        for seed, rec in zip(seeds, run_block(cfg, seeds)):
+            assert_records_equal(rec, run_scenario(cfg, seed))
+
+    def test_row_is_independent_of_the_batch_size(self):
+        seeds = range(SMALL.base_seed, SMALL.base_seed + 12)
+        full = run_block(SMALL, seeds)
+        for size in (1, 7):
+            for got, want in zip(run_block(SMALL, seeds[:size]), full):
+                assert_records_equal(got, want)
+
+    def test_pool_seed_blocks_equal_serial_rows(self):
+        seeds = range(SMALL.base_seed, SMALL.base_seed + SMALL.mc_runs)
+        pooled = _run_seeds(SMALL, jobs=3)
+        assert [rec.seed for rec in pooled] == list(seeds)
+        for got, want in zip(pooled, run_block(SMALL, seeds)):
+            assert_records_equal(got, want)
+
+    def test_filter_overflow_raises_config_error(self):
+        with pytest.raises(ConfigError, match="not finite"):
+            run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
 
 
 class TestMonteCarlo:
