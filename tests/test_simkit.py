@@ -361,14 +361,19 @@ class TestRunBlock:
     def test_records_equal_run_scenario(self, name):
         cfg = ENGINE_CONFIGS[name]
         seeds = [1234, 7, 4242]
-        for seed, rec in zip(seeds, run_block(cfg, seeds)):
+        records = run_block(cfg, seeds)
+        assert len(records) == len(seeds)
+        for seed, rec in zip(seeds, records):
             assert_records_equal(rec, run_scenario(cfg, seed))
 
     def test_row_is_independent_of_the_batch_size(self):
         seeds = range(SMALL.base_seed, SMALL.base_seed + 12)
         full = run_block(SMALL, seeds)
+        assert len(full) == 12
         for size in (1, 7):
-            for got, want in zip(run_block(SMALL, seeds[:size]), full):
+            block = run_block(SMALL, seeds[:size])
+            assert len(block) == size
+            for got, want in zip(block, full):
                 assert_records_equal(got, want)
 
     def test_pool_seed_blocks_equal_serial_rows(self):
