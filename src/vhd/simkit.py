@@ -179,11 +179,6 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig invariant: poly_degree must be >= 0")
         if self.lagrange_nodes < 2:
             raise ValueError("ScenarioConfig invariant: lagrange_nodes must be >= 2")
-        capacity = self.window_capacity
-        if self.poly_degree + 1 > capacity:
-            raise ValueError(f"ScenarioConfig invariant: poly_degree + 1 must be <= window capacity {capacity}")
-        if self.lagrange_nodes > capacity:
-            raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
         if not self.sigma_jerk >= 0.0:
             raise ValueError("ScenarioConfig invariant: sigma_jerk must be >= 0")
         if self.current_speed < 0.0:
@@ -205,6 +200,12 @@ class ScenarioConfig:
                 raise ValueError(
                     f"ScenarioConfig invariant: {name} must be a positive multiple of dt"
                 )
+        # The capacity divides by the window sample period, checked just above.
+        capacity = self.window_capacity
+        if self.poly_degree + 1 > capacity:
+            raise ValueError(f"ScenarioConfig invariant: poly_degree + 1 must be <= window capacity {capacity}")
+        if self.lagrange_nodes > capacity:
+            raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
         # The schedule grows with outage age, so its last step bounds it.
         with np.errstate(over="ignore", invalid="ignore"):
             try:

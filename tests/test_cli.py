@@ -342,6 +342,7 @@ class TestMain:
             "sensor.position_fix_noise = 1e300",
             "sensor.accel_white_noise = 1e300",
             "sim.sigma_jerk = 1e151",
+            "sim.dt = 3",
             pytest.param(
                 "sim.history_window = 50.6\nsim.outage_start = 50.6\nsim.duration = 100\n"
                 "traj.turn_start = 20\nvhd.poly_degree = 51",

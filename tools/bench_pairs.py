@@ -1,17 +1,18 @@
 """Run the benchmark on two checkouts in alternating pairs and record both.
 
     python3 tools/bench_pairs.py --base DIR --workload NAME [--seed N ...]
-                                 [--pairs P] [--seconds S] [--trace 0|1]
+                                 [--pairs P] [--trace 0|1]
 
 DIR is a checkout of the commit to compare against (for example one
 unpacked with ``git archive``); the other side is the checkout holding this
 script. For each seed, pair k runs ``perfbench/run.py`` in the base first
 when k is even and in this checkout first when k is odd, with the same
-arguments on both sides. The two JSON lines that run.py prints last (its
-info and its result) are stored as they are, under the side that printed
-them. With ``--trace 0`` a summary gives, per seed and side, the median and
-quartiles of every end-to-end metric named in BENCHMARK.json, and how many
-pairs this checkout won on each. The record is written to
+arguments on both sides; the run length is run.py's own. The two JSON
+lines that run.py prints last (its info and its result) are stored as
+they are, under the side that printed them. With ``--trace 0`` a summary
+gives, per seed and side, the median and quartiles of every end-to-end
+metric named in BENCHMARK.json, and how many pairs this checkout won on
+each. The record is written to
 ``BENCH_<workload>.json`` at the root of this checkout, or to ``--out``.
 """
 
@@ -28,9 +29,12 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800.0
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+def bench_args(workload: str, seed, trace: int) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    argv = [sys.executable, *bench_args(workload, seed, trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -71,7 +75,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, nargs="+", default=[1234])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
@@ -84,7 +87,7 @@ def main() -> int:
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
-                run = run_bench(sides[side], args.workload, seed, args.seconds, args.trace)
+                run = run_bench(sides[side], args.workload, seed, args.trace)
                 runs.append({"seed": seed, "pair": pair, "side": side, "first": order[0], **run})
                 metrics = run["result"]["metrics"]
                 print(f"seed {seed} pair {pair} {side}: "
@@ -92,8 +95,7 @@ def main() -> int:
 
     record = {
         "workload": args.workload,
-        "command": f"perfbench/run.py --workload {args.workload} --seed SEED "
-                   f"--seconds {args.seconds:g} --trace {args.trace}",
+        "command": " ".join(bench_args(args.workload, "SEED", args.trace)),
         "sides": {"base": "the commit compared against", "change": "this checkout"},
         "runs": runs,
     }
