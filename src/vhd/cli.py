@@ -25,15 +25,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -60,7 +51,6 @@ _SCHEMA = {
     "sensor.accel_white_noise": ("sensor", "accel_white_noise", _finite_float, "finite float"),
     "sensor.accel_bias_walk": ("sensor", "accel_bias_walk", _finite_float, "finite float"),
     "sensor.fix_rate": ("sensor", "fix_rate", _finite_float, "finite float"),
-    "sensor.imu_during_outage": ("sensor", "imu_during_outage", _parse_bool, "bool"),
     "vhd.r_base": ("vhd_params", "r_base", _finite_float, "finite float"),
     "vhd.alpha": ("vhd_params", "alpha", _finite_float, "finite float"),
     "vhd.p": ("vhd_params", "p", _finite_float, "finite float"),
@@ -138,8 +128,6 @@ def config_values(cfg: ScenarioConfig) -> dict[str, object]:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -160,7 +148,6 @@ def resolved_config_text(cfg: ScenarioConfig) -> str:
 class OutputBundle:
     """Paths of everything run_command wrote, plus the aggregate result."""
 
-    out_dir: Path
     paths: dict[str, Path]
     result: McResult
 
@@ -179,7 +166,7 @@ def _fmt(value: float) -> str:
 def _summary_text(cfg: ScenarioConfig, result: McResult, predictors) -> str:
     lines = [
         "outage prediction summary",
-        f"  runs: {result.mc_runs}   base seed: {result.base_seed}   "
+        f"  runs: {cfg.mc_runs}   base seed: {cfg.base_seed}   "
         f"outage: {_fmt(cfg.outage_start)} s + {_fmt(cfg.outage_duration)} s   dt: {_fmt(cfg.dt)} s",
         f"  aggregation: {_AGGREGATION_NOTE}",
         "",
@@ -210,8 +197,8 @@ def _summary_json(cfg: ScenarioConfig, result: McResult, predictors) -> str:
         metrics[name] = entry
     payload = {
         "aggregation": _AGGREGATION_NOTE,
-        "mc_runs": result.mc_runs,
-        "base_seed": result.base_seed,
+        "mc_runs": cfg.mc_runs,
+        "base_seed": cfg.base_seed,
         "predictors": metrics,
         "config": {k: (v if not isinstance(v, float) else sig(v)) for k, v in config_values(cfg).items()},
     }
@@ -278,7 +265,7 @@ def run_command(
     if not quiet:
         sys.stdout.write(contents["summary_text"][1])
 
-    return OutputBundle(out_dir=out_dir, paths=paths, result=result)
+    return OutputBundle(paths=paths, result=result)
 
 
 # ----------------------------------------------------------------------

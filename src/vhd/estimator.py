@@ -42,13 +42,12 @@ class GaussianBelief:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    # Halve before adding: P + P.T overflows for entries above half the
+    # float range even when their mean does not.
+    h = 0.5 * P
+    return h + h.T
 
 
 def _predicted_cov(cov: np.ndarray, model: CaModel) -> np.ndarray:

@@ -82,16 +82,12 @@ class SensorConfig:
                          covariances, so each square must be finite.
     accel_bias_walk    : std dev of each per-step bias increment, m/s^2.
     fix_rate           : position fixes per second outside the outage.
-    imu_during_outage  : parsed and echoed, but no estimator reads it yet:
-                         the outage is a total blackout of external data
-                         whatever its value.
     """
 
     position_fix_noise: float = 1.0
     accel_white_noise: float = 0.05
     accel_bias_walk: float = 0.005
     fix_rate: float = 1.0
-    imu_during_outage: bool = False
 
     def __post_init__(self):
         for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
@@ -327,15 +323,14 @@ def generate_truth(cfg: ScenarioConfig) -> Trajectory:
 class MeasurementSet:
     """Sensor outputs for one run.
 
-    fix_steps  : step indices at which a position fix arrives.
-    fix_values : (len(fix_steps), 2) noisy position fixes.
+    fix_values : (len(cfg.fix_steps), 2) noisy position fixes, one per
+                 fix step of the run's config.
     imu_accel  : (n_steps + 1, 2) accelerometer readings on the full grid
                  (true acceleration + accumulated bias + white noise).
     imu_bias   : (n_steps + 1, 2) the underlying bias random walk, kept
                  for diagnostics.
     """
 
-    fix_steps: np.ndarray
     fix_values: np.ndarray
     imu_accel: np.ndarray
     imu_bias: np.ndarray
@@ -370,9 +365,7 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> 
     bias = np.cumsum(increments, axis=0)
     imu_accel = truth.accelerations + bias + white
 
-    return MeasurementSet(
-        fix_steps=fix_steps, fix_values=fix_values, imu_accel=imu_accel, imu_bias=bias
-    )
+    return MeasurementSet(fix_values=fix_values, imu_accel=imu_accel, imu_bias=bias)
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +402,7 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
 
     belief = GaussianBelief(truth.states[0].copy(), np.diag(_P0_DIAG))
-    fix_row = {int(s): k for k, s in enumerate(meas.fix_steps)}
+    fix_row = {int(s): k for k, s in enumerate(cfg.fix_steps)}
     onset = cfg.onset_step
     means = np.empty((onset + 1, STATE_DIM))
     means[0] = belief.mean
@@ -511,16 +504,17 @@ def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, seeds: 
     means = [truth.states[0].copy() for _ in seeds]
     tracked = np.empty((len(seeds), onset + 1, STATE_DIM))
     tracked[:, 0] = means
-    for i in range(1, onset + 1):
-        cov = _finite(_predicted_cov(cov, model), "covariance", i)
-        K = _kalman_gain(cov, R_imu, H_acc)
-        cov = _finite(_joseph_cov(cov, K, R_imu, H_acc), "covariance", i)
-        means = [m + K @ (ms.imu_accel[i] - H_acc @ m) for m, ms in zip([F @ m for m in means], meas)]
-        if i in fix_row:
-            K = _kalman_gain(cov, R_fix, H)
-            cov = _finite(_joseph_cov(cov, K, R_fix, H), "covariance", i)
-            means = [m + K @ (ms.fix_values[fix_row[i]] - H @ m) for m, ms in zip(means, meas)]
-        tracked[:, i] = means
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, onset + 1):
+            cov = _finite(_predicted_cov(cov, model), "covariance", i)
+            K = _kalman_gain(cov, R_imu, H_acc)
+            cov = _finite(_joseph_cov(cov, K, R_imu, H_acc), "covariance", i)
+            means = [m + K @ (ms.imu_accel[i] - H_acc @ m) for m, ms in zip([F @ m for m in means], meas)]
+            if i in fix_row:
+                K = _kalman_gain(cov, R_fix, H)
+                cov = _finite(_joseph_cov(cov, K, R_fix, H), "covariance", i)
+                means = [m + K @ (ms.fix_values[fix_row[i]] - H @ m) for m, ms in zip(means, meas)]
+            tracked[:, i] = means
     _finite(tracked, "means")
 
     samples = np.arange(onset, -1, -cfg.window_period_steps)[: cfg.window_capacity][::-1]
@@ -543,6 +537,8 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     `GaussianBelief` checks every belief of the reference for finiteness;
     here each covariance is checked as it is computed and the means once
     per phase, and a config that overflows the filter raises ConfigError.
+    The recurrences run with numpy's overflow warnings off, so that error
+    is all an overflowing config reports.
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
@@ -562,16 +558,17 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     ukf = np.empty((len(seeds), T + 1, STATE_DIM))
     vhd = np.empty((len(seeds), T + 1, STATE_DIM))
     ukf[:, 0] = vhd[:, 0] = means
-    for k in range(1, T + 1):
-        ukf_cov = _finite(_predicted_cov(ukf_cov, model), "covariance", onset + k)
-        vhd_cov = _finite(_predicted_cov(vhd_cov, model), "covariance", onset + k)
-        R = adaptive_noise(cfg.vhd_params, k * dt)
-        K = _kalman_gain(vhd_cov, R, H)
-        vhd_cov = _finite(_joseph_cov(vhd_cov, K, R, H), "covariance", onset + k)
-        ukf_means = [F @ m for m in ukf_means]
-        vhd_means = [m + K @ (z[k - 1] - H @ m) for m, z in zip([F @ m for m in vhd_means], virtual)]
-        ukf[:, k] = ukf_means
-        vhd[:, k] = vhd_means
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, T + 1):
+            ukf_cov = _finite(_predicted_cov(ukf_cov, model), "covariance", onset + k)
+            vhd_cov = _finite(_predicted_cov(vhd_cov, model), "covariance", onset + k)
+            R = adaptive_noise(cfg.vhd_params, k * dt)
+            K = _kalman_gain(vhd_cov, R, H)
+            vhd_cov = _finite(_joseph_cov(vhd_cov, K, R, H), "covariance", onset + k)
+            ukf_means = [F @ m for m in ukf_means]
+            vhd_means = [m + K @ (z[k - 1] - H @ m) for m, z in zip([F @ m for m in vhd_means], virtual)]
+            ukf[:, k] = ukf_means
+            vhd[:, k] = vhd_means
     _finite(ukf, "means")
     _finite(vhd, "means")
 
@@ -626,8 +623,6 @@ class McResult:
     rmse_m: dict[str, float]
     terminal_mean_m: dict[str, float]
     reduction_vs_ukf_pct: dict[str, float]
-    mc_runs: int
-    base_seed: int
     designated_run: RunRecord
 
 
@@ -676,7 +671,5 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
         rmse_m=rmse_m,
         terminal_mean_m=terminal,
         reduction_vs_ukf_pct=reduction,
-        mc_runs=cfg.mc_runs,
-        base_seed=cfg.base_seed,
         designated_run=records[0],
     )

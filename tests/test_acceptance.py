@@ -50,7 +50,7 @@ def record(report, num, label, ok, detail):
     report.append(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def test_criterion_1_outage_error_separation(default_mc, acceptance_report):
+def test_criterion_1_outage_error_separation(default_mc, default_cfg, acceptance_report):
     res = default_mc.result
     ukf, lag, vhd = res.rmse_m["ukf"], res.rmse_m["lagrange"], res.rmse_m["vhd"]
     reduction = res.reduction_vs_ukf_pct["vhd"]
@@ -64,7 +64,7 @@ def test_criterion_1_outage_error_separation(default_mc, acceptance_report):
         "reduction": reduction >= 70.0,
     }
     detail = (
-        f"{res.mc_runs} runs in {default_mc.seconds:.1f} s; RMSE ukf {ukf:.1f} m, "
+        f"{default_cfg.mc_runs} runs in {default_mc.seconds:.1f} s; RMSE ukf {ukf:.1f} m, "
         f"lagrange {lag:.3g} m (tail increasing: {checks['lagrange divergent']}), "
         f"vhd {vhd:.2f} m; reduction {reduction:.1f}%"
     )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -173,19 +175,17 @@ class TestSimulateMeasurements:
         )
         truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, seed=5)
-        np.testing.assert_array_equal(meas.fix_values, truth.positions[meas.fix_steps])
+        np.testing.assert_array_equal(meas.fix_values, truth.positions[cfg.fix_steps])
         np.testing.assert_array_equal(meas.imu_accel, truth.accelerations)
         np.testing.assert_array_equal(meas.imu_bias, 0.0)
 
     def test_outage_suppresses_fixes(self):
         cfg = ScenarioConfig()
-        truth = generate_truth(cfg)
-        meas = simulate_measurements(truth, cfg, seed=5)
         onset, end = cfg.onset_step, cfg.onset_step + cfg.outage_steps
-        assert not np.any((meas.fix_steps >= onset) & (meas.fix_steps < end))
-        assert end in meas.fix_steps  # service resumes at the first post-outage boundary
-        assert np.all(meas.fix_steps % cfg.fix_period_steps == 0)
-        assert meas.fix_steps[0] == cfg.fix_period_steps
+        assert not np.any((cfg.fix_steps >= onset) & (cfg.fix_steps < end))
+        assert end in cfg.fix_steps  # service resumes at the first post-outage boundary
+        assert np.all(cfg.fix_steps % cfg.fix_period_steps == 0)
+        assert cfg.fix_steps[0] == cfg.fix_period_steps
 
     def test_same_seed_is_bit_identical(self):
         cfg = ScenarioConfig()
@@ -327,7 +327,7 @@ class TestRunScenario:
         noise = []
         for seed in range(cfg.base_seed, cfg.base_seed + 50):
             meas = simulate_measurements(truth, cfg, seed)
-            noise.append((meas.fix_values - truth.positions[meas.fix_steps]).ravel())
+            noise.append((meas.fix_values - truth.positions[cfg.fix_steps]).ravel())
         noise = np.array(noise)
         pair_corrs = [
             abs(np.corrcoef(noise[i], noise[i + 1])[0, 1]) for i in range(len(noise) - 1)
@@ -383,6 +383,16 @@ class TestRunBlock:
         for got, want in zip(pooled, run_block(SMALL, seeds)):
             assert_records_equal(got, want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("noise", [9.5e153, 1.3e154])
+    @pytest.mark.parametrize("name", ["position_fix_noise", "accel_white_noise"])
+    def test_noise_above_half_the_float_range_squared_does_not_overflow(self, name, noise):
+        # The squared noise enters the innovation covariance above half the
+        # float range; symmetrizing it must not overflow on the reference path.
+        cfg = dataclasses.replace(SMALL, sensor=SensorConfig(**{name: noise}))
+        rec = run_scenario(cfg, SMALL.base_seed)
+        assert_records_equal(run_block(cfg, [SMALL.base_seed])[0], rec)
+
     def test_filter_overflow_raises_config_error(self):
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
@@ -436,8 +446,8 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="jobs"):
             monte_carlo(SMALL, jobs=0)
 
-    def test_designated_run_is_the_base_seed(self, default_mc):
-        assert default_mc.result.designated_run.seed == default_mc.result.base_seed
+    def test_designated_run_is_the_base_seed(self, default_mc, default_cfg):
+        assert default_mc.result.designated_run.seed == default_cfg.base_seed
 
 
 class TestRmse:
