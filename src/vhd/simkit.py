@@ -91,7 +91,8 @@ class SensorConfig:
 
     def __post_init__(self):
         for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
-            if getattr(self, name) < 0.0:
+            # copysign also rejects -0.0, which numpy refuses as a scale
+            if math.copysign(1.0, getattr(self, name)) < 0.0:
                 raise ValueError(f"SensorConfig invariant: {name} must be >= 0")
         for name in ("position_fix_noise", "accel_white_noise"):
             value = getattr(self, name)
@@ -175,8 +176,12 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig invariant: poly_degree must be >= 0")
         if self.lagrange_nodes < 2:
             raise ValueError("ScenarioConfig invariant: lagrange_nodes must be >= 2")
+        if self.base_seed < 0:
+            raise ValueError("ScenarioConfig invariant: base_seed must be >= 0")
         if not self.sigma_jerk >= 0.0:
             raise ValueError("ScenarioConfig invariant: sigma_jerk must be >= 0")
+        if not math.isfinite(self.sigma_jerk * self.sigma_jerk):
+            raise ValueError("ScenarioConfig invariant: sigma_jerk squared must be finite")
         if self.current_speed < 0.0:
             raise ValueError("ScenarioConfig invariant: current_speed must be >= 0")
         if self.trajectory.has_turn and self.trajectory.turn_start >= self.outage_start:
@@ -214,10 +219,6 @@ class ScenarioConfig:
     # -- derived step counts -------------------------------------------
 
     @property
-    def n_steps(self) -> int:
-        return round(self.duration / self.dt)
-
-    @property
     def onset_step(self) -> int:
         return round(self.outage_start / self.dt)
 
@@ -241,15 +242,17 @@ class ScenarioConfig:
 
     @property
     def fix_steps(self) -> np.ndarray:
-        """Steps at which a position fix arrives.
-
-        One every fix period from the first period boundary after t = 0,
-        except inside the outage [onset_step, onset_step + outage_steps):
-        no fix arrives at the onset step itself.
-        """
+        """Steps at which a position fix arrives: one every fix period from
+        the first period boundary after t = 0 up to, not at, the onset step.
+        Nothing after the onset is simulated."""
         period = self.fix_period_steps
-        steps = np.arange(period, self.n_steps + 1, period)
-        return steps[(steps < self.onset_step) | (steps >= self.onset_step + self.outage_steps)]
+        return np.arange(period, self.onset_step, period)
+
+    @property
+    def window_steps(self) -> np.ndarray:
+        """Steps of the history window: one per window period backward from
+        the onset step, at most window_capacity of them, oldest first."""
+        return np.arange(self.onset_step, -1, -self.window_period_steps)[: self.window_capacity][::-1]
 
     @property
     def current(self) -> Disturbance:
@@ -265,7 +268,7 @@ class ScenarioConfig:
 # ----------------------------------------------------------------------
 
 def generate_truth(cfg: ScenarioConfig) -> Trajectory:
-    """Simulate the true vehicle trajectory on the step grid.
+    """Simulate the true vehicle trajectory up to the end of the outage.
 
     Straight segments advance through the CA model plus current drift
     (propagate_truth); the turn advances along the exact circular arc with
@@ -274,7 +277,7 @@ def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     """
     traj = cfg.trajectory
     dt = cfg.dt
-    n = cfg.n_steps
+    n = cfg.onset_step + cfg.outage_steps
     current = cfg.current
     model = ca_model(dt, 0.0)
 
@@ -325,9 +328,9 @@ class MeasurementSet:
 
     fix_values : (len(cfg.fix_steps), 2) noisy position fixes, one per
                  fix step of the run's config.
-    imu_accel  : (n_steps + 1, 2) accelerometer readings on the full grid
+    imu_accel  : (onset_step + 1, 2) accelerometer readings up to the onset
                  (true acceleration + accumulated bias + white noise).
-    imu_bias   : (n_steps + 1, 2) the underlying bias random walk, kept
+    imu_bias   : (onset_step + 1, 2) the underlying bias random walk, kept
                  for diagnostics.
     """
 
@@ -337,19 +340,19 @@ class MeasurementSet:
 
 
 def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> MeasurementSet:
-    """Generate the sensor streams for one run.
+    """Generate the sensor streams for one run, from t = 0 to the onset.
 
     Position fixes arrive at `cfg.fix_steps`: every fix period starting at
-    the first period boundary after t = 0, suppressed for steps inside
-    [outage_start, outage_start + outage_duration). The accelerometer
-    reports every step with white noise plus a bias that accumulates an
-    independent Gaussian increment per step (zero bias at step 0).
+    the first period boundary after t = 0, up to the onset. The
+    accelerometer reports every step with white noise plus a bias that
+    accumulates an independent Gaussian increment per step (zero bias at
+    step 0).
 
     The three noise streams draw from independent child generators spawned
     from `seed`, so the realization of one stream does not depend on the
     sizing of another.
     """
-    n1 = truth.states.shape[0]
+    n1 = cfg.onset_step + 1
     sensor = cfg.sensor
 
     ss = np.random.SeedSequence(entropy=seed)
@@ -363,7 +366,7 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> 
     increments = bias_rng.normal(0.0, sensor.accel_bias_walk, size=(n1, 2))
     increments[0] = 0.0
     bias = np.cumsum(increments, axis=0)
-    imu_accel = truth.accelerations + bias + white
+    imu_accel = truth.accelerations[:n1] + bias + white
 
     return MeasurementSet(fix_values=fix_values, imu_accel=imu_accel, imu_bias=bias)
 
@@ -414,7 +417,7 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
             belief = update(belief, meas.fix_values[fix_row[i]], R_fix, model.H)
         means[i] = belief.mean
 
-    samples = np.arange(onset, -1, -cfg.window_period_steps)[: cfg.window_capacity][::-1]
+    samples = cfg.window_steps
     err = means[:, [PX, PY]] - truth.positions[: onset + 1]
     return OnsetState(
         belief=belief,
@@ -442,36 +445,27 @@ class RunRecord:
     tracking_err: np.ndarray
 
 
+def _record(cfg: ScenarioConfig, seed: int, truth: Trajectory, window: Trajectory,
+            ukf: np.ndarray, vhd: np.ndarray, tracking_err: np.ndarray) -> RunRecord:
+    """One run's record from its (T + 1, 6) ukf and vhd means, whose row 0
+    is the onset belief; that row also opens the Lagrange path."""
+    times = cfg.outage_start + np.arange(cfg.outage_steps + 1) * cfg.dt
+    truth_xy = truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
+    lagrange = np.vstack([ukf[:1, [PX, PY]], lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)])
+    paths = {"ukf": ukf[:, [PX, PY]], "lagrange": lagrange, "vhd": vhd[:, [PX, PY]]}
+    errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS}
+    return RunRecord(seed=seed, times=times, truth_xy=truth_xy, paths=paths, errors=errors,
+                     tracking_err=tracking_err)
+
+
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     """Track to onset, then branch the three predictors over the outage."""
     onset_state = track_to_outage(cfg, seed)
-    model = onset_state.model
-    window = onset_state.window
-    b0 = onset_state.belief
-
-    T = cfg.outage_steps
-    onset = cfg.onset_step
-    times = cfg.outage_start + np.arange(T + 1) * cfg.dt
-    truth_xy = onset_state.truth.positions[onset : onset + T + 1]
-
-    ukf_seq = open_loop_predict(b0, model, T)
-    vhd_seq = run_outage(b0, window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
-    start = [b0.mean[[PX, PY]]]  # the shared branch point at index 0
-    paths = {
-        "ukf": np.array(start + [b.mean[[PX, PY]] for b in ukf_seq]),
-        "lagrange": np.vstack(start + [lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)]),
-        "vhd": np.array(start + [b.mean[[PX, PY]] for b in vhd_seq]),
-    }
-    errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS}
-
-    return RunRecord(
-        seed=seed,
-        times=times,
-        truth_xy=truth_xy,
-        paths=paths,
-        errors=errors,
-        tracking_err=onset_state.tracking_err,
-    )
+    b0, model, window, T = onset_state.belief, onset_state.model, onset_state.window, cfg.outage_steps
+    ukf = [b0] + open_loop_predict(b0, model, T)
+    vhd = [b0] + run_outage(b0, window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
+    return _record(cfg, seed, onset_state.truth, window, np.array([b.mean for b in ukf]),
+                   np.array([b.mean for b in vhd]), onset_state.tracking_err)
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +477,15 @@ def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarra
         at = "" if step is None else f" at step {step}"
         raise ConfigError(f"the filter {what} is not finite{at}: the config's values overflow the filter")
     return values
+
+
+def _gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray, step: int) -> np.ndarray:
+    # The covariance depends on the config alone, so a singular one is the
+    # config's fault, as an overflowing one is.
+    try:
+        return _kalman_gain(cov, R, H)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"the filter {exc} at step {step}") from None
 
 
 def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, seeds: list[int]):
@@ -504,25 +507,25 @@ def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, seeds: 
     means = [truth.states[0].copy() for _ in seeds]
     tracked = np.empty((len(seeds), onset + 1, STATE_DIM))
     tracked[:, 0] = means
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, onset + 1):
-            cov = _finite(_predicted_cov(cov, model), "covariance", i)
-            K = _kalman_gain(cov, R_imu, H_acc)
-            cov = _finite(_joseph_cov(cov, K, R_imu, H_acc), "covariance", i)
-            means = [m + K @ (ms.imu_accel[i] - H_acc @ m) for m, ms in zip([F @ m for m in means], meas)]
-            if i in fix_row:
-                K = _kalman_gain(cov, R_fix, H)
-                cov = _finite(_joseph_cov(cov, K, R_fix, H), "covariance", i)
-                means = [m + K @ (ms.fix_values[fix_row[i]] - H @ m) for m, ms in zip(means, meas)]
-            tracked[:, i] = means
+    for i in range(1, onset + 1):
+        cov = _finite(_predicted_cov(cov, model), "covariance", i)
+        K = _gain(cov, R_imu, H_acc, i)
+        cov = _finite(_joseph_cov(cov, K, R_imu, H_acc), "covariance", i)
+        means = [m + K @ (ms.imu_accel[i] - H_acc @ m) for m, ms in zip([F @ m for m in means], meas)]
+        if i in fix_row:
+            K = _gain(cov, R_fix, H, i)
+            cov = _finite(_joseph_cov(cov, K, R_fix, H), "covariance", i)
+            means = [m + K @ (ms.fix_values[fix_row[i]] - H @ m) for m, ms in zip(means, meas)]
+        tracked[:, i] = means
     _finite(tracked, "means")
 
-    samples = np.arange(onset, -1, -cfg.window_period_steps)[: cfg.window_capacity][::-1]
+    samples = cfg.window_steps
     windows = [Trajectory(samples * cfg.dt, run[samples]) for run in tracked]
     errors = [run[:, [PX, PY]] - truth.positions[: onset + 1] for run in tracked]
     return cov, means, windows, [np.hypot(err[:, 0], err[:, 1]) for err in errors]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     """Run a block of seeds in lockstep; record k equals run_scenario(cfg, seeds[k]).
 
@@ -536,9 +539,10 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
 
     `GaussianBelief` checks every belief of the reference for finiteness;
     here each covariance is checked as it is computed and the means once
-    per phase, and a config that overflows the filter raises ConfigError.
-    The recurrences run with numpy's overflow warnings off, so that error
-    is all an overflowing config reports.
+    per phase, and a config that overflows the filter, or makes its
+    innovation covariance singular, raises ConfigError. The whole block
+    runs with numpy's overflow and invalid-value warnings off, so that
+    error is all such a config reports.
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
@@ -558,42 +562,22 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     ukf = np.empty((len(seeds), T + 1, STATE_DIM))
     vhd = np.empty((len(seeds), T + 1, STATE_DIM))
     ukf[:, 0] = vhd[:, 0] = means
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, T + 1):
-            ukf_cov = _finite(_predicted_cov(ukf_cov, model), "covariance", onset + k)
-            vhd_cov = _finite(_predicted_cov(vhd_cov, model), "covariance", onset + k)
-            R = adaptive_noise(cfg.vhd_params, k * dt)
-            K = _kalman_gain(vhd_cov, R, H)
-            vhd_cov = _finite(_joseph_cov(vhd_cov, K, R, H), "covariance", onset + k)
-            ukf_means = [F @ m for m in ukf_means]
-            vhd_means = [m + K @ (z[k - 1] - H @ m) for m, z in zip([F @ m for m in vhd_means], virtual)]
-            ukf[:, k] = ukf_means
-            vhd[:, k] = vhd_means
+    for k in range(1, T + 1):
+        ukf_cov = _finite(_predicted_cov(ukf_cov, model), "covariance", onset + k)
+        vhd_cov = _finite(_predicted_cov(vhd_cov, model), "covariance", onset + k)
+        R = adaptive_noise(cfg.vhd_params, k * dt)
+        K = _gain(vhd_cov, R, H, onset + k)
+        vhd_cov = _finite(_joseph_cov(vhd_cov, K, R, H), "covariance", onset + k)
+        ukf_means = [F @ m for m in ukf_means]
+        vhd_means = [m + K @ (z[k - 1] - H @ m) for m, z in zip([F @ m for m in vhd_means], virtual)]
+        ukf[:, k] = ukf_means
+        vhd[:, k] = vhd_means
     _finite(ukf, "means")
     _finite(vhd, "means")
 
-    times = cfg.outage_start + np.arange(T + 1) * dt
-    truth_xy = truth.positions[onset : onset + T + 1]
-    records = []
-    for r, seed in enumerate(seeds):
-        paths = {
-            "ukf": ukf[r][:, [PX, PY]],
-            "lagrange": np.vstack(
-                [ukf[r][:1, [PX, PY]], lagrange_extrapolate(windows[r], times[1:], cfg.lagrange_nodes)]
-            ),
-            "vhd": vhd[r][:, [PX, PY]],
-        }
-        records.append(
-            RunRecord(
-                seed=seed,
-                times=times,
-                truth_xy=truth_xy,
-                paths=paths,
-                errors={name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS},
-                tracking_err=tracking_err[r],
-            )
-        )
-    return records
+    return [
+        _record(cfg, seed, truth, windows[r], ukf[r], vhd[r], tracking_err[r]) for r, seed in enumerate(seeds)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -659,10 +643,11 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     mean_err = {name: stacked[name].mean(axis=0) for name in PREDICTORS}
     rmse_m = {name: rmse(stacked[name]) for name in PREDICTORS}
     terminal = {name: float(stacked[name][:, -1].mean()) for name in PREDICTORS}
+    # A zero baseline RMSE has no reduction; the writers print "--" for it.
     reduction = {
         name: 100.0 * (1.0 - rmse_m[name] / rmse_m["ukf"])
         for name in PREDICTORS
-        if name != "ukf"
+        if name != "ukf" and rmse_m["ukf"] > 0.0
     }
 
     return McResult(

@@ -264,8 +264,8 @@ EFFECT_VALUES = {
 
 DURATION_HAS_NO_EFFECT = pytest.mark.xfail(
     strict=True,
-    reason="the steps after the outage ends are simulated and then discarded; "
-    "the key stays while the benchmark writes it into every workload config",
+    reason="nothing after the outage is simulated, so the key only bounds the outage; "
+    "it stays while the benchmark writes it into every workload config",
 )
 
 
@@ -343,6 +343,29 @@ class TestMain:
         assert "unknown key 'sensor.imu_during_outage'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_running(self, tmp_path, capsys):
+        cfg_path = tiny_cfg_file(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--seed", "-1", "--out-dir", str(out), "--quiet"]) == 2
+        assert "base_seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_ukf_rmse_runs_without_reductions(self, tmp_path, capsys):
+        # No current, no sensor noise and no turn: the open-loop path is
+        # exact, so there is no ukf RMSE to reduce.
+        cfg_path = tiny_cfg_file(
+            tmp_path,
+            "current.speed = 0\nsensor.position_fix_noise = 0\nsensor.accel_white_noise = 0\n"
+            "sensor.accel_bias_walk = 0\ntraj.turn_rate = 0\n",
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["predictors"]["ukf"]["rmse_m"] == 0.0
+        assert not any("reduction_vs_ukf_pct" in entry for entry in payload["predictors"].values())
+        for row in capsys.readouterr().out.splitlines()[-2:]:
+            assert row.split()[-1] == "--"
+
     def test_unknown_predictor_exits_2(self, tmp_path, capsys):
         cfg_path = tiny_cfg_file(tmp_path)
         assert main(
@@ -369,6 +392,19 @@ class TestMain:
             "sensor.accel_white_noise = 1e300",
             "sim.sigma_jerk = 1e151",
             "sim.dt = 3",
+            "sim.base_seed = -1",
+            "sim.sigma_jerk = 1e160",
+            "sensor.position_fix_noise = -0.0",
+            "sensor.accel_white_noise = -0.0",
+            "sensor.accel_bias_walk = -0.0",
+            "traj.cruise_speed = 3e306",
+            "current.speed = 1e307",
+            "traj.turn_rate = 2.2250738585e-313",
+            "sensor.accel_bias_walk = 7e307",
+            pytest.param(
+                "sim.sigma_jerk = 0\nsensor.accel_white_noise = 0",
+                id="sim.sigma_jerk = 0 with sensor.accel_white_noise = 0",
+            ),
             pytest.param(
                 "sim.history_window = 50.6\nsim.outage_start = 50.6\nsim.duration = 100\n"
                 "traj.turn_start = 20\nvhd.poly_degree = 51",

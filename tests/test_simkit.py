@@ -30,6 +30,9 @@ SMALL = ScenarioConfig(
     trajectory=TrajectoryConfig(turn_start=10.0, turn_duration=5.0),
 )
 
+# Configs for the per-step rule tests of the step grid.
+GRID_CONFIGS = [ScenarioConfig(), ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)), ScenarioConfig(outage_start=60.5)]
+
 
 class TestSensorConfig:
     def test_negative_noise_rejected(self):
@@ -52,13 +55,13 @@ class TestTrajectoryConfig:
         assert not TrajectoryConfig(turn_duration=0.0).has_turn
 
     def test_phases_cover_the_run(self):
-        # straight [0, 45 s), turning [45 s, 55 s), straight [55 s, 110 s]
+        # straight [0, 45 s), turning [45 s, 55 s), straight [55 s, 100 s]
         turning = np.any(generate_truth(ScenarioConfig()).accelerations != 0.0, axis=1)
         np.testing.assert_array_equal(np.flatnonzero(turning), np.arange(450, 550))
 
     def test_phases_without_turn(self):
         truth = generate_truth(ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=0.0)))
-        assert truth.times[-1] == pytest.approx(110.0)
+        assert truth.times[-1] == pytest.approx(100.0)  # the outage end
         assert np.all(truth.accelerations == 0.0)
 
     def test_negative_timing_rejected(self):
@@ -69,7 +72,6 @@ class TestTrajectoryConfig:
 class TestScenarioConfig:
     def test_default_step_grid(self):
         cfg = ScenarioConfig()
-        assert cfg.n_steps == 1100
         assert cfg.onset_step == 600
         assert cfg.outage_steps == 400
         assert cfg.fix_period_steps == 10
@@ -104,18 +106,23 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="turn must begin before"):
             ScenarioConfig(trajectory=TrajectoryConfig(turn_start=60.0))
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [ScenarioConfig(), ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)), ScenarioConfig(outage_start=60.5)],
-    )
+    @pytest.mark.parametrize("cfg", GRID_CONFIGS)
     def test_fix_steps_follow_the_per_step_rule(self, cfg):
-        # the rule as a loop over steps: a fix at every period boundary,
-        # none from the onset step up to the end of the outage
+        # the rule as a loop over steps: a fix at every period boundary
+        # before the onset step, none at it
         period = cfg.fix_period_steps
-        onset, end = cfg.onset_step, cfg.onset_step + cfg.outage_steps
-        want = [i for i in range(period, cfg.n_steps + 1, period) if not (onset <= i < end)]
+        want = [i for i in range(1, cfg.onset_step) if i % period == 0]
         np.testing.assert_array_equal(cfg.fix_steps, want)
         assert cfg.fix_steps.dtype == np.array(want, dtype=int).dtype
+
+    @pytest.mark.parametrize("cfg", GRID_CONFIGS)
+    def test_window_steps_follow_the_per_step_rule(self, cfg):
+        # the rule as a loop over steps: every window period back from the
+        # onset step, the newest window_capacity of them, oldest first
+        onset, period = cfg.onset_step, cfg.window_period_steps
+        want = [i for i in range(onset + 1) if (onset - i) % period == 0][-cfg.window_capacity :]
+        np.testing.assert_array_equal(cfg.window_steps, want)
+        assert cfg.window_steps[-1] == onset
 
 
 class TestGenerateTruth:
@@ -176,14 +183,29 @@ class TestSimulateMeasurements:
         truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, seed=5)
         np.testing.assert_array_equal(meas.fix_values, truth.positions[cfg.fix_steps])
-        np.testing.assert_array_equal(meas.imu_accel, truth.accelerations)
+        np.testing.assert_array_equal(meas.imu_accel, truth.accelerations[: cfg.onset_step + 1])
         np.testing.assert_array_equal(meas.imu_bias, 0.0)
+
+    def test_streams_end_at_the_onset_and_truth_at_the_outage_end(self):
+        cfg = ScenarioConfig()
+        truth = generate_truth(cfg)
+        meas = simulate_measurements(truth, cfg, seed=5)
+        assert truth.states.shape == (cfg.onset_step + cfg.outage_steps + 1, 6)
+        assert meas.imu_accel.shape == meas.imu_bias.shape == (cfg.onset_step + 1, 2)
+        assert meas.fix_values.shape == (len(cfg.fix_steps), 2)
+        # a longer run only lengthens the grid after the outage, which is
+        # not simulated
+        longer = dataclasses.replace(cfg, duration=200.0)
+        truth_longer = generate_truth(longer)
+        np.testing.assert_array_equal(truth_longer.states, truth.states)
+        meas_longer = simulate_measurements(truth_longer, longer, seed=5)
+        for name in ("fix_values", "imu_accel", "imu_bias"):
+            np.testing.assert_array_equal(getattr(meas_longer, name), getattr(meas, name))
 
     def test_outage_suppresses_fixes(self):
         cfg = ScenarioConfig()
         onset, end = cfg.onset_step, cfg.onset_step + cfg.outage_steps
         assert not np.any((cfg.fix_steps >= onset) & (cfg.fix_steps < end))
-        assert end in cfg.fix_steps  # service resumes at the first post-outage boundary
         assert np.all(cfg.fix_steps % cfg.fix_period_steps == 0)
         assert cfg.fix_steps[0] == cfg.fix_period_steps
 
@@ -441,6 +463,17 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(serial.mean_err[name], parallel.mean_err[name])
             assert serial.rmse_m[name] == parallel.rmse_m[name]
             assert serial.terminal_mean_m[name] == parallel.terminal_mean_m[name]
+
+    def test_zero_ukf_rmse_has_no_reduction(self):
+        exact = dataclasses.replace(
+            SMALL,
+            current_speed=0.0,
+            sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0),
+            trajectory=TrajectoryConfig(turn_rate=0.0),
+        )
+        result = monte_carlo(exact)
+        assert result.rmse_m["ukf"] == 0.0
+        assert result.reduction_vs_ukf_pct == {}
 
     def test_bad_job_count_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
