@@ -245,7 +245,9 @@ class ScenarioConfig:
         """Steps at which a position fix arrives: one every fix period from
         the first period boundary after t = 0 up to, not at, the onset step.
         Nothing after the onset is simulated."""
-        period = self.fix_period_steps
+        # A period past the onset means no fix; capping it keeps the steps
+        # int64 when the period itself does not fit.
+        period = min(self.fix_period_steps, self.onset_step)
         return np.arange(period, self.onset_step, period)
 
     @property
@@ -386,46 +388,54 @@ class OnsetState:
     tracking_err: np.ndarray
 
 
-def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
-    """Run the tracking filter from t = 0 to the outage onset.
-
-    Per step the filter predicts, assimilates the accelerometer reading
-    (weighted by its white-noise covariance; the bias is unmodeled), then
-    assimilates the position fix when one arrives. The history window is
-    the post-update estimates sampled once per second backward from the
-    onset step, so the window's newest sample is the belief the predictors
-    branch from.
+def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixes: np.ndarray):
+    """The tracking schedule: each step 1 .. onset_step with its ordered
+    updates (z, R, H), the accelerometer reading `imu[step]` (weighted by
+    its white-noise covariance; the bias is unmodeled), then on a fix step
+    the position fix `fixes[row]`. The engine passes the streams of a
+    block stacked with the run axis second, so each z holds one row per run.
     """
-    model = ca_model(cfg.dt, cfg.sigma_jerk)
-    truth = generate_truth(cfg)
-    meas = simulate_measurements(truth, cfg, seed)
-
-    H_acc = accel_measurement_matrix()
-    R_fix = np.diag([cfg.sensor.position_fix_noise**2] * 2)
-    R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
-
-    belief = GaussianBelief(truth.states[0].copy(), np.diag(_P0_DIAG))
+    acc = (np.diag([cfg.sensor.accel_white_noise**2] * 2), accel_measurement_matrix())
+    fix = (np.diag([cfg.sensor.position_fix_noise**2] * 2), model.H)
     fix_row = {int(s): k for k, s in enumerate(cfg.fix_steps)}
-    onset = cfg.onset_step
-    means = np.empty((onset + 1, STATE_DIM))
-    means[0] = belief.mean
-
-    for i in range(1, onset + 1):
-        belief = predict(belief, model)
-        belief = update(belief, meas.imu_accel[i], R_imu, H_acc)
+    for i in range(1, cfg.onset_step + 1):
+        updates = [(imu[i], *acc)]
         if i in fix_row:
-            belief = update(belief, meas.fix_values[fix_row[i]], R_fix, model.H)
-        means[i] = belief.mean
+            updates.append((fixes[fix_row[i]], *fix))
+        yield i, updates
 
+
+def _onset_state(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, means: np.ndarray,
+                 cov: np.ndarray) -> OnsetState:
+    """One run's onset state from its (onset_step + 1, 6) tracked means; the
+    window's newest sample, at the onset step, is the onset belief's mean."""
     samples = cfg.window_steps
-    err = means[:, [PX, PY]] - truth.positions[: onset + 1]
+    err = means[:, [PX, PY]] - truth.positions[: cfg.onset_step + 1]
     return OnsetState(
-        belief=belief,
+        belief=GaussianBelief(means[-1].copy(), cov),
         window=Trajectory(samples * cfg.dt, means[samples]),
         model=model,
         truth=truth,
         tracking_err=np.hypot(err[:, 0], err[:, 1]),
     )
+
+
+def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
+    """Run the tracking filter from t = 0 to the outage onset: per step,
+    `predict`, then `update` with each update of the tracking schedule."""
+    model = ca_model(cfg.dt, cfg.sigma_jerk)
+    truth = generate_truth(cfg)
+    meas = simulate_measurements(truth, cfg, seed)
+
+    belief = GaussianBelief(truth.states[0].copy(), np.diag(_P0_DIAG))
+    means = np.empty((cfg.onset_step + 1, STATE_DIM))
+    means[0] = belief.mean
+    for i, updates in _tracking_updates(cfg, model, meas.imu_accel, meas.fix_values):
+        belief = predict(belief, model)
+        for z, R, H in updates:
+            belief = update(belief, z, R, H)
+        means[i] = belief.mean
+    return _onset_state(cfg, model, truth, means, belief.cov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,27 +455,26 @@ class RunRecord:
     tracking_err: np.ndarray
 
 
-def _record(cfg: ScenarioConfig, seed: int, truth: Trajectory, window: Trajectory,
-            ukf: np.ndarray, vhd: np.ndarray, tracking_err: np.ndarray) -> RunRecord:
-    """One run's record from its (T + 1, 6) ukf and vhd means, whose row 0
-    is the onset belief; that row also opens the Lagrange path."""
+def _record(cfg: ScenarioConfig, seed: int, onset: OnsetState, ukf: np.ndarray, vhd: np.ndarray) -> RunRecord:
+    """One run's record from its onset state and its (T + 1, 6) ukf and vhd
+    means, whose row 0 is the onset belief; that row also opens the
+    Lagrange path."""
     times = cfg.outage_start + np.arange(cfg.outage_steps + 1) * cfg.dt
-    truth_xy = truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
-    lagrange = np.vstack([ukf[:1, [PX, PY]], lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)])
+    truth_xy = onset.truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
+    lagrange = np.vstack([ukf[:1, [PX, PY]], lagrange_extrapolate(onset.window, times[1:], cfg.lagrange_nodes)])
     paths = {"ukf": ukf[:, [PX, PY]], "lagrange": lagrange, "vhd": vhd[:, [PX, PY]]}
     errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS}
     return RunRecord(seed=seed, times=times, truth_xy=truth_xy, paths=paths, errors=errors,
-                     tracking_err=tracking_err)
+                     tracking_err=onset.tracking_err)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     """Track to onset, then branch the three predictors over the outage."""
-    onset_state = track_to_outage(cfg, seed)
-    b0, model, window, T = onset_state.belief, onset_state.model, onset_state.window, cfg.outage_steps
+    onset = track_to_outage(cfg, seed)
+    b0, model, T = onset.belief, onset.model, cfg.outage_steps
     ukf = [b0] + open_loop_predict(b0, model, T)
-    vhd = [b0] + run_outage(b0, window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
-    return _record(cfg, seed, onset_state.truth, window, np.array([b.mean for b in ukf]),
-                   np.array([b.mean for b in vhd]), onset_state.tracking_err)
+    vhd = [b0] + run_outage(b0, onset.window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
+    return _record(cfg, seed, onset, np.array([b.mean for b in ukf]), np.array([b.mean for b in vhd]))
 
 
 # ----------------------------------------------------------------------
@@ -479,50 +488,43 @@ def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarra
     return values
 
 
-def _gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray, step: int) -> np.ndarray:
-    # The covariance depends on the config alone, so a singular one is the
-    # config's fault, as an overflowing one is.
-    try:
-        return _kalman_gain(cov, R, H)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"the filter {exc} at step {step}") from None
+def _filter_step(cov: np.ndarray, means: list[np.ndarray], model: CaModel, step: int, updates=()):
+    """The engine's `predict`, then one `update` per (z, R, H) whose z holds
+    one row per run: each covariance is computed and checked once, and each
+    gain is applied to every run's mean. Returns the covariance and means."""
+    cov = _finite(_predicted_cov(cov, model), "covariance", step)
+    means = [model.F @ m for m in means]
+    for z, R, H in updates:
+        # The covariance depends on the config alone, so a singular one is
+        # the config's fault, as an overflowing one is.
+        try:
+            K = _kalman_gain(cov, R, H)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"the filter {exc} at step {step}") from None
+        cov = _finite(_joseph_cov(cov, K, R, H), "covariance", step)
+        means = [m + K @ (zr - H @ m) for m, zr in zip(means, z)]
+    return cov, means
 
 
-def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, seeds: list[int]):
-    """Tracking phase of `run_block`, as in track_to_outage.
-
-    Returns the onset covariance and, per run, the onset mean, the history
-    window and the tracking error. The means of every step and the
-    measurement streams are dropped on return, before the outage begins.
-    """
-    F, H = model.F, model.H
-    H_acc = accel_measurement_matrix()
-    R_fix = np.diag([cfg.sensor.position_fix_noise**2] * 2)
-    R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
+def _track_block(cfg: ScenarioConfig, seeds: list[int]) -> list[OnsetState]:
+    """Tracking phase of `run_block`: each seed's onset state, equal to
+    track_to_outage's. The means of every step and the measurement streams
+    are dropped on return, before the outage begins."""
+    model = ca_model(cfg.dt, cfg.sigma_jerk)
+    truth = generate_truth(cfg)
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
-    onset = cfg.onset_step
-    fix_row = {int(s): k for k, s in enumerate(cfg.fix_steps)}
+    imu = np.stack([ms.imu_accel for ms in meas], axis=1)
+    fixes = np.stack([ms.fix_values for ms in meas], axis=1)
 
     cov = np.diag(_P0_DIAG)
     means = [truth.states[0].copy() for _ in seeds]
-    tracked = np.empty((len(seeds), onset + 1, STATE_DIM))
+    tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM))
     tracked[:, 0] = means
-    for i in range(1, onset + 1):
-        cov = _finite(_predicted_cov(cov, model), "covariance", i)
-        K = _gain(cov, R_imu, H_acc, i)
-        cov = _finite(_joseph_cov(cov, K, R_imu, H_acc), "covariance", i)
-        means = [m + K @ (ms.imu_accel[i] - H_acc @ m) for m, ms in zip([F @ m for m in means], meas)]
-        if i in fix_row:
-            K = _gain(cov, R_fix, H, i)
-            cov = _finite(_joseph_cov(cov, K, R_fix, H), "covariance", i)
-            means = [m + K @ (ms.fix_values[fix_row[i]] - H @ m) for m, ms in zip(means, meas)]
+    for i, updates in _tracking_updates(cfg, model, imu, fixes):
+        cov, means = _filter_step(cov, means, model, i, updates)
         tracked[:, i] = means
     _finite(tracked, "means")
-
-    samples = cfg.window_steps
-    windows = [Trajectory(samples * cfg.dt, run[samples]) for run in tracked]
-    errors = [run[:, [PX, PY]] - truth.positions[: onset + 1] for run in tracked]
-    return cov, means, windows, [np.hypot(err[:, 0], err[:, 1]) for err in errors]
+    return [_onset_state(cfg, model, truth, run, cov) for run in tracked]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -545,39 +547,29 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     error is all such a config reports.
     """
     seeds = [int(s) for s in seeds]
-    model = ca_model(cfg.dt, cfg.sigma_jerk)
-    truth = generate_truth(cfg)
-    cov, means, windows, tracking_err = _track_block(cfg, model, truth, seeds)
+    onsets = _track_block(cfg, seeds)
 
     # Outage, as in open_loop_predict and run_outage.
-    F, H = model.F, model.H
+    model = onsets[0].model
     onset, T, dt = cfg.onset_step, cfg.outage_steps, cfg.dt
     elapsed = np.arange(1, T + 1) * dt
-    virtual = []
-    for window in windows:
-        poly = fit_polynomial(window, cfg.poly_degree)
-        virtual.append(poly.position(poly.window_end + elapsed))
-    ukf_cov = vhd_cov = cov
-    ukf_means = vhd_means = means
+    polys = [fit_polynomial(state.window, cfg.poly_degree) for state in onsets]
+    virtual = np.stack([poly.position(poly.window_end + elapsed) for poly in polys], axis=1)
+    ukf_cov = vhd_cov = onsets[0].belief.cov
+    ukf_means = vhd_means = [state.belief.mean for state in onsets]
     ukf = np.empty((len(seeds), T + 1, STATE_DIM))
     vhd = np.empty((len(seeds), T + 1, STATE_DIM))
-    ukf[:, 0] = vhd[:, 0] = means
+    ukf[:, 0] = vhd[:, 0] = ukf_means
     for k in range(1, T + 1):
-        ukf_cov = _finite(_predicted_cov(ukf_cov, model), "covariance", onset + k)
-        vhd_cov = _finite(_predicted_cov(vhd_cov, model), "covariance", onset + k)
+        ukf_cov, ukf_means = _filter_step(ukf_cov, ukf_means, model, onset + k)
         R = adaptive_noise(cfg.vhd_params, k * dt)
-        K = _gain(vhd_cov, R, H, onset + k)
-        vhd_cov = _finite(_joseph_cov(vhd_cov, K, R, H), "covariance", onset + k)
-        ukf_means = [F @ m for m in ukf_means]
-        vhd_means = [m + K @ (z[k - 1] - H @ m) for m, z in zip([F @ m for m in vhd_means], virtual)]
+        vhd_cov, vhd_means = _filter_step(vhd_cov, vhd_means, model, onset + k, [(virtual[k - 1], R, model.H)])
         ukf[:, k] = ukf_means
         vhd[:, k] = vhd_means
     _finite(ukf, "means")
     _finite(vhd, "means")
 
-    return [
-        _record(cfg, seed, truth, windows[r], ukf[r], vhd[r], tracking_err[r]) for r, seed in enumerate(seeds)
-    ]
+    return [_record(cfg, seed, state, ukf[r], vhd[r]) for r, (seed, state) in enumerate(zip(seeds, onsets))]
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +623,8 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     Seeds are base_seed .. base_seed + mc_runs - 1, run in lockstep by
     `run_block`. With jobs > 1 each worker of a process pool runs one
     contiguous block of seeds; records are collected in seed order, so the
-    aggregate is identical to the serial one.
+    aggregate is identical to the serial one. Errors that overflow a metric
+    raise ConfigError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -640,9 +633,15 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     stacked = {
         name: np.stack([rec.errors[name] for rec in records]) for name in PREDICTORS
     }
-    mean_err = {name: stacked[name].mean(axis=0) for name in PREDICTORS}
-    rmse_m = {name: rmse(stacked[name]) for name in PREDICTORS}
-    terminal = {name: float(stacked[name][:, -1].mean()) for name in PREDICTORS}
+    # Errors that overflow the metrics are the config's fault, as a filter
+    # that overflows is; they would make summary.json invalid JSON.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_err = {name: stacked[name].mean(axis=0) for name in PREDICTORS}
+        rmse_m = {name: rmse(stacked[name]) for name in PREDICTORS}
+        terminal = {name: float(stacked[name][:, -1].mean()) for name in PREDICTORS}
+    for name in PREDICTORS:
+        if not np.isfinite(np.append(mean_err[name], [rmse_m[name], terminal[name]])).all():
+            raise ConfigError(f"the {name} error metrics are not finite: the config's values overflow them")
     # A zero baseline RMSE has no reduction; the writers print "--" for it.
     reduction = {
         name: 100.0 * (1.0 - rmse_m[name] / rmse_m["ukf"])

@@ -366,6 +366,19 @@ class TestMain:
         for row in capsys.readouterr().out.splitlines()[-2:]:
             assert row.split()[-1] == "--"
 
+    def test_fix_period_past_the_onset_means_no_fixes(self, tmp_path):
+        # a fix period of 1e301 steps does not fit in int64; like 1000 s,
+        # it ends after the 60 s onset, so neither run gets a fix
+        outputs = []
+        for rate in ("1e-300", "0.001"):
+            cfg_path = tmp_path / f"rate_{rate}.cfg"
+            cfg_path.write_text(f"sensor.fix_rate = {rate}\n", encoding="utf-8")
+            out = tmp_path / f"out_{rate}"
+            assert main(["--config", str(cfg_path), "--runs", "2", "--out-dir", str(out), "--quiet"]) == 0
+            names = ("summary.txt", "error_series.csv", "trajectory.csv")
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
     def test_unknown_predictor_exits_2(self, tmp_path, capsys):
         cfg_path = tiny_cfg_file(tmp_path)
         assert main(
@@ -401,6 +414,8 @@ class TestMain:
             "current.speed = 1e307",
             "traj.turn_rate = 2.2250738585e-313",
             "sensor.accel_bias_walk = 7e307",
+            "current.speed = 1e153",
+            "traj.cruise_speed = 1e200",
             pytest.param(
                 "sim.sigma_jerk = 0\nsensor.accel_white_noise = 0",
                 id="sim.sigma_jerk = 0 with sensor.accel_white_noise = 0",

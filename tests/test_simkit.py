@@ -17,8 +17,8 @@ from vhd import (
     simulate_measurements,
     track_to_outage,
 )
-from vhd.kinematics import AX, AY, PX, PY, VX, VY
-from vhd.simkit import PREDICTORS, ConfigError, _run_seeds
+from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model
+from vhd.simkit import PREDICTORS, ConfigError, _run_seeds, _tracking_updates
 
 SMALL = ScenarioConfig(
     duration=40.0,
@@ -30,8 +30,14 @@ SMALL = ScenarioConfig(
     trajectory=TrajectoryConfig(turn_start=10.0, turn_duration=5.0),
 )
 
-# Configs for the per-step rule tests of the step grid.
-GRID_CONFIGS = [ScenarioConfig(), ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)), ScenarioConfig(outage_start=60.5)]
+# Configs for the per-step rule tests of the step grid; the last one's fix
+# period (1e301 steps) lies past the onset and does not fit in int64.
+GRID_CONFIGS = [
+    ScenarioConfig(),
+    ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
+    ScenarioConfig(outage_start=60.5),
+    ScenarioConfig(sensor=SensorConfig(fix_rate=1e-300)),
+]
 
 
 class TestSensorConfig:
@@ -265,6 +271,27 @@ class TestTrackToOutage:
     def test_tracking_error_stays_small(self, default_records):
         onset_errors = np.array([rec.tracking_err[-1] for rec in default_records])
         assert onset_errors.mean() < 2.0
+
+    @pytest.mark.parametrize("cfg", GRID_CONFIGS)
+    def test_tracking_updates_follow_the_per_step_rule(self, cfg):
+        # the rule as a loop over steps: the accelerometer reading on every
+        # step, then a position fix on the fix steps
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        fix_steps = list(cfg.fix_steps)
+        imu = np.arange(2.0 * (cfg.onset_step + 1)).reshape(-1, 2)
+        fixes = -1.0 - np.arange(2.0 * len(fix_steps)).reshape(-1, 2)
+        R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
+        R_fix = np.diag([cfg.sensor.position_fix_noise**2] * 2)
+        schedule = list(_tracking_updates(cfg, model, imu, fixes))
+        assert [i for i, _ in schedule] == list(range(1, cfg.onset_step + 1))
+        for i, updates in schedule:
+            want = [(imu[i], R_imu, accel_measurement_matrix())]
+            if i in fix_steps:
+                want.append((fixes[fix_steps.index(i)], R_fix, model.H))
+            assert len(updates) == len(want)
+            for got, expected in zip(updates, want):
+                for a, b in zip(got, expected):
+                    np.testing.assert_array_equal(a, b)
 
     def test_tracking_error_series_shape(self):
         cfg = ScenarioConfig()
