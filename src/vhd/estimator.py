@@ -8,6 +8,7 @@ explicit symmetrization), which keeps long prediction chains well behaved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -76,9 +77,16 @@ def _kalman_gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
     return np.linalg.solve(S, H @ cov).T
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _joseph_cov(cov: np.ndarray, K: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Posterior covariance (I - K H) P (I - K H)^T + K R K^T, symmetrized."""
-    A = np.eye(cov.shape[0]) - K @ H
+    A = _identity(cov.shape[0]) - K @ H
     return _symmetrize(A @ cov @ A.T + K @ R @ K.T)
 
 

@@ -18,14 +18,16 @@ execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `run_block` exploits that: it runs a block of seeds in
-lockstep on one covariance recurrence, and each of its records equals
-`run_scenario`'s for the same seed bit for bit. `run_scenario` is the
-straightforward per-run reference that the tests compare it against.
+lockstep on one covariance recurrence and one stack of means, and each of
+its records equals `run_scenario`'s for the same seed bit for bit.
+`run_scenario` is the straightforward per-run reference that the tests
+compare it against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -393,7 +395,8 @@ def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixe
     updates (z, R, H), the accelerometer reading `imu[step]` (weighted by
     its white-noise covariance; the bias is unmodeled), then on a fix step
     the position fix `fixes[row]`. The engine passes the streams of a
-    block stacked with the run axis second, so each z holds one row per run.
+    block stacked with the run axis second and a trailing axis, so each z
+    holds one column per run.
     """
     acc = (np.diag([cfg.sensor.accel_white_noise**2] * 2), accel_measurement_matrix())
     fix = (np.diag([cfg.sensor.position_fix_noise**2] * 2), model.H)
@@ -488,13 +491,13 @@ def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarra
     return values
 
 
-def _filter_step(cov: np.ndarray, means: list[np.ndarray], model: CaModel, step: int, updates=()):
-    """The engine's `predict`, then one `update` per (z, R, H) whose z holds
-    one row per run: each covariance is computed and checked once, and each
-    gain is applied to every run's mean. Returns the covariance and means."""
+def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates=()):
+    """The covariance half of `predict`, then of one `update` per (z, R, H):
+    each covariance is computed and checked once. Returns the covariance
+    and the gain of each update."""
     cov = _finite(_predicted_cov(cov, model), "covariance", step)
-    means = [model.F @ m for m in means]
-    for z, R, H in updates:
+    gains = []
+    for _, R, H in updates:
         # The covariance depends on the config alone, so a singular one is
         # the config's fault, as an overflowing one is.
         try:
@@ -502,27 +505,54 @@ def _filter_step(cov: np.ndarray, means: list[np.ndarray], model: CaModel, step:
         except np.linalg.LinAlgError as exc:
             raise ConfigError(f"the filter {exc} at step {step}") from None
         cov = _finite(_joseph_cov(cov, K, R, H), "covariance", step)
-        means = [m + K @ (zr - H @ m) for m, zr in zip(means, z)]
-    return cov, means
+        gains.append(K)
+    return cov, gains
+
+
+def _mean_step(means: np.ndarray, model: CaModel, updates=(), gains=()) -> np.ndarray:
+    """The mean half of `predict` and `update`, with their expressions, for
+    (runs, 6, 1) means and (runs, 2, 1) z: one column per run. The stacked
+    matmul rounds each column as `F @ m` rounds a 1-D mean."""
+    means = model.F @ means
+    for (z, _, H), K in zip(updates, gains):
+        means = means + K @ (z - H @ means)
+    return means
 
 
 def _track_block(cfg: ScenarioConfig, seeds: list[int]) -> list[OnsetState]:
     """Tracking phase of `run_block`: each seed's onset state, equal to
     track_to_outage's. The means of every step and the measurement streams
-    are dropped on return, before the outage begins."""
+    are dropped on return, before the outage begins.
+
+    The schedule repeats every fix period, and the covariance recurrence is
+    deterministic in the previous covariance and the step's updates. So once
+    the covariance after a step equals the one a period earlier, a step whose
+    updates match that earlier step's takes its covariance and gains; any
+    other step (an onset on a fix boundary has no fix) is computed."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     truth = generate_truth(cfg)
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
-    imu = np.stack([ms.imu_accel for ms in meas], axis=1)
-    fixes = np.stack([ms.fix_values for ms in meas], axis=1)
+    imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
+    fixes = np.stack([ms.fix_values for ms in meas], axis=1)[..., None]
 
+    # (covariance, gains) after each step of the last schedule period: the
+    # fix period, or one step when no fix arrives before the onset.
+    fix_steps = cfg.fix_steps
+    period = deque(maxlen=int(fix_steps[0]) if fix_steps.size else 1)
+    cycled = False
     cov = np.diag(_P0_DIAG)
-    means = [truth.states[0].copy() for _ in seeds]
+    means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
     tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM))
-    tracked[:, 0] = means
+    tracked[:, 0] = means[..., 0]
     for i, updates in _tracking_updates(cfg, model, imu, fixes):
-        cov, means = _filter_step(cov, means, model, i, updates)
-        tracked[:, i] = means
+        if cycled and len(period[0][1]) == len(updates):
+            cov, gains = period[0]
+        else:
+            cov, gains = _covariance_step(cov, model, i, updates)
+            cycled = len(period) == period.maxlen and np.array_equal(cov, period[0][0])
+        period.append((cov, gains))
+        means = _mean_step(means, model, updates, gains)
+        tracked[:, i] = means[..., 0]
     _finite(tracked, "means")
     return [_onset_state(cfg, model, truth, run, cov) for run in tracked]
 
@@ -533,10 +563,12 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
 
     The truth is generated once and each seed gets its own measurements.
     Each step runs one covariance recurrence, so each gain is computed once
-    and applied to every run's mean with the expressions `predict` and
-    `update` use (`F @ m`, `m + K @ (z - H @ m)`), one 1-D mean at a time:
-    a matrix product over all runs at once rounds differently in the last
-    bit, and the polynomial extrapolations amplify that. The window fit and
+    and applied to all the block's means at once, held as one (runs, 6, 1)
+    stack of columns: the stacked matmul in `F @ m` and `m + K @ (z - H @ m)`
+    rounds each column as `predict` and `update` round a 1-D mean
+    (`einsum` or `M @ F.T` would not, and the polynomial extrapolations
+    amplify that). Once the tracking covariance repeats after one fix
+    period, `_track_block` replays that period's gains. The window fit and
     the Lagrange interpolant stay per run.
 
     `GaussianBelief` checks every belief of the reference for finiteness;
@@ -554,18 +586,20 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     onset, T, dt = cfg.onset_step, cfg.outage_steps, cfg.dt
     elapsed = np.arange(1, T + 1) * dt
     polys = [fit_polynomial(state.window, cfg.poly_degree) for state in onsets]
-    virtual = np.stack([poly.position(poly.window_end + elapsed) for poly in polys], axis=1)
+    virtual = np.stack([poly.position(poly.window_end + elapsed) for poly in polys], axis=1)[..., None]
     ukf_cov = vhd_cov = onsets[0].belief.cov
-    ukf_means = vhd_means = [state.belief.mean for state in onsets]
+    ukf_means = vhd_means = np.array([state.belief.mean for state in onsets])[..., None]
     ukf = np.empty((len(seeds), T + 1, STATE_DIM))
     vhd = np.empty((len(seeds), T + 1, STATE_DIM))
-    ukf[:, 0] = vhd[:, 0] = ukf_means
+    ukf[:, 0] = vhd[:, 0] = ukf_means[..., 0]
     for k in range(1, T + 1):
-        ukf_cov, ukf_means = _filter_step(ukf_cov, ukf_means, model, onset + k)
-        R = adaptive_noise(cfg.vhd_params, k * dt)
-        vhd_cov, vhd_means = _filter_step(vhd_cov, vhd_means, model, onset + k, [(virtual[k - 1], R, model.H)])
-        ukf[:, k] = ukf_means
-        vhd[:, k] = vhd_means
+        ukf_cov, _ = _covariance_step(ukf_cov, model, onset + k)
+        ukf_means = _mean_step(ukf_means, model)
+        updates = [(virtual[k - 1], adaptive_noise(cfg.vhd_params, k * dt), model.H)]
+        vhd_cov, gains = _covariance_step(vhd_cov, model, onset + k, updates)
+        vhd_means = _mean_step(vhd_means, model, updates, gains)
+        ukf[:, k] = ukf_means[..., 0]
+        vhd[:, k] = vhd_means[..., 0]
     _finite(ukf, "means")
     _finite(vhd, "means")
 

@@ -18,6 +18,7 @@ from vhd import (
     track_to_outage,
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model
+from vhd import simkit
 from vhd.simkit import PREDICTORS, ConfigError, _run_seeds, _tracking_updates
 
 SMALL = ScenarioConfig(
@@ -392,6 +393,13 @@ ENGINE_CONFIGS = {
     "fix_rate 2": ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
     "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
     "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
+    # The tracking covariance repeats from step 754 on, so these onsets
+    # come after the replayed cycle: on a fix boundary (with no fix at the
+    # onset step) and off it.
+    "onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0),
+    "onset 100.5 s": ScenarioConfig(outage_start=100.5, duration=140.5),
+    # Without process noise the covariance keeps shrinking and never repeats.
+    "sigma_jerk 0, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sigma_jerk=0.0),
 }
 
 
@@ -414,6 +422,20 @@ class TestRunBlock:
         assert len(records) == len(seeds)
         for seed, rec in zip(seeds, records):
             assert_records_equal(rec, run_scenario(cfg, seed))
+
+    def test_converged_tracking_gains_are_replayed(self, monkeypatch):
+        cfg = ENGINE_CONFIGS["onset 100 s"]
+        calls = []
+        gain = simkit._kalman_gain
+
+        def counted_gain(*args):
+            calls.append(args)
+            return gain(*args)
+
+        monkeypatch.setattr(simkit, "_kalman_gain", counted_gain)
+        simkit._track_block(cfg, [1234])
+        # Computing every step takes one gain per step plus one per fix.
+        assert len(calls) < cfg.onset_step
 
     def test_row_is_independent_of_the_batch_size(self):
         seeds = range(SMALL.base_seed, SMALL.base_seed + 12)
