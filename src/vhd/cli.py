@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .simkit import PREDICTORS, ConfigError, McResult, ScenarioConfig, monte_carlo
 
 EXIT_OK = 0
@@ -34,8 +32,6 @@ def _finite_float(text: str) -> float:
 
 # key -> (ScenarioConfig section, field, converter, pretty type name); the
 # section "" is ScenarioConfig itself. Order fixed for the resolved echo.
-# vhd.r_base is the one key whose field differs from its value: the scalar
-# s stands for the isotropic 2x2 covariance diag(s, s).
 _SCHEMA = {
     "sim.duration": ("", "duration", _finite_float, "finite float"),
     "sim.dt": ("", "dt", _finite_float, "finite float"),
@@ -96,8 +92,7 @@ def _build_config(values: dict[str, object]) -> ScenarioConfig:
     sections: dict[str, dict[str, object]] = {}
     for key, (section, name, _, _) in _SCHEMA.items():
         if key in values:
-            value = values[key]
-            sections.setdefault(section, {})[name] = np.diag([value, value]) if name == "r_base" else value
+            sections.setdefault(section, {})[name] = values[key]
     defaults = ScenarioConfig()
     top = sections.pop("", {})
     try:
@@ -120,11 +115,10 @@ def load_config(path) -> ScenarioConfig:
 
 def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     """The flat key/value view of a resolved config, in schema order."""
-    values = {}
-    for key, (section, name, _, _) in _SCHEMA.items():
-        value = getattr(getattr(cfg, section) if section else cfg, name)
-        values[key] = float(value[0, 0]) if name == "r_base" else value
-    return values
+    return {
+        key: getattr(getattr(cfg, section) if section else cfg, name)
+        for key, (section, name, _, _) in _SCHEMA.items()
+    }
 
 
 def _format_value(value) -> str:

@@ -10,12 +10,14 @@ extrapolation ages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import (
     GaussianBelief,
+    _identity,
     gaussian_kl,
     kl_optimal_virtual_measurement,
     predict,
@@ -30,19 +32,15 @@ from .kinematics import AX, AY, CaModel, VX, VY
 _TARGET_SOFT_VARIANCE = 1e6
 
 
-def _default_r_base() -> np.ndarray:
-    return np.diag([0.5, 0.5])
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AdaptiveConfidenceParams:
     """Schedule parameters for the virtual-measurement noise.
 
     Attributes
     ----------
-    r_base : (2, 2) ndarray
-        Noise covariance at the moment the outage starts. Symmetric
-        positive definite.
+    r_base : float
+        Variance of each virtual-fix coordinate at the moment the outage
+        starts, m^2; 0 < r_base < inf. The noise covariance is r_base * I.
     alpha : float
         Attenuation factor, >= 0. Larger values hand weight back to the
         motion model sooner.
@@ -50,35 +48,31 @@ class AdaptiveConfidenceParams:
         Growth exponent, >= 1.
     """
 
-    r_base: np.ndarray = field(default_factory=_default_r_base)
+    r_base: float = 0.5
     alpha: float = 0.01
     p: float = 2.0
 
     def __post_init__(self):
-        r = np.atleast_2d(np.asarray(self.r_base, dtype=float))
-        if r.shape != (2, 2):
-            raise ValueError(f"AdaptiveConfidenceParams invariant: r_base must be 2x2, got {r.shape}")
-        if not np.all(np.isfinite(r)) or abs(r[0, 1] - r[1, 0]) > 1e-12 * max(1.0, float(np.abs(r).max())):
-            raise ValueError("AdaptiveConfidenceParams invariant: r_base must be finite and symmetric")
-        if np.any(np.linalg.eigvalsh(r) <= 0.0):
-            raise ValueError("AdaptiveConfidenceParams invariant: r_base must be positive definite")
+        if not 0.0 < self.r_base < math.inf:
+            raise ValueError(
+                f"AdaptiveConfidenceParams invariant: r_base must be > 0 and finite, got {self.r_base}"
+            )
         if self.alpha < 0.0:
             raise ValueError(f"AdaptiveConfidenceParams invariant: alpha must be >= 0, got {self.alpha}")
         if self.p < 1.0:
             raise ValueError(f"AdaptiveConfidenceParams invariant: p must be >= 1, got {self.p}")
-        object.__setattr__(self, "r_base", r)
 
 
 def adaptive_noise(params: AdaptiveConfidenceParams, elapsed: float) -> np.ndarray:
     """Virtual-measurement noise covariance after `elapsed` seconds.
 
-    Returns r_base * (1 + alpha * elapsed**p), a scalar inflation of the
-    base covariance; equals r_base exactly at elapsed = 0 and is monotone
-    non-decreasing in elapsed.
+    Returns R(elapsed) * I with R(elapsed) = r_base * (1 + alpha * elapsed**p);
+    equals r_base * I exactly at elapsed = 0 and is monotone non-decreasing
+    in elapsed.
     """
     if elapsed < 0.0:
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return params.r_base * (1.0 + params.alpha * elapsed**params.p)
+    return params.r_base * (1.0 + params.alpha * elapsed**params.p) * _identity(2)
 
 
 def vhd_outage_step(

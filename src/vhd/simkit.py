@@ -65,6 +65,10 @@ _P0_DIAG = (1.0, 0.25, 0.04, 1.0, 0.25, 0.04)
 
 _GRID_TOL = 1e-9
 
+# Most steps a run may simulate (onset_step + outage_steps): about 1000x the
+# longest benchmark run, and far below a grid whose truth cannot be allocated.
+_MAX_STEPS = 10**7
+
 
 class ConfigError(Exception):
     """A config file or config value the run cannot proceed with."""
@@ -199,10 +203,14 @@ class ScenarioConfig:
             ("outage_start", self.outage_start / self.dt),
             ("outage_duration", self.outage_duration / self.dt),
         ):
-            if abs(value - round(value)) > 1e-6 or round(value) < 1:
+            if not math.isfinite(value) or abs(value - round(value)) > 1e-6 or round(value) < 1:
                 raise ValueError(
                     f"ScenarioConfig invariant: {name} must be a positive multiple of dt"
                 )
+        if self.onset_step + self.outage_steps > _MAX_STEPS:
+            raise ValueError(
+                f"ScenarioConfig invariant: (outage_start + outage_duration) / dt must be <= {_MAX_STEPS}"
+            )
         # The capacity divides by the window sample period, checked just above.
         capacity = self.window_capacity
         if self.poly_degree + 1 > capacity:

@@ -91,7 +91,7 @@ def test_criterion_3_schedule_limit_regimes(default_cfg, acceptance_report):
     # regime A: the noise schedule blows up within one step, so the
     # virtual updates must become no-ops and match pure prediction
     params_a = AdaptiveConfidenceParams(alpha=1e24)
-    factor = adaptive_noise(params_a, default_cfg.dt)[0, 0] / params_a.r_base[0, 0]
+    factor = adaptive_noise(params_a, default_cfg.dt)[0, 0] / params_a.r_base
     seq_a = run_outage(onset.belief, onset.window, params_a, T, onset.model)
     ref = open_loop_predict(onset.belief, onset.model, T)
     diff_a = max(
@@ -100,7 +100,7 @@ def test_criterion_3_schedule_limit_regimes(default_cfg, acceptance_report):
     )
 
     # regime B: flat tiny noise pins the state to the fitted polynomial
-    params_b = AdaptiveConfidenceParams(r_base=1e-6 * np.eye(2), alpha=0.0)
+    params_b = AdaptiveConfidenceParams(r_base=1e-6, alpha=0.0)
     seq_b = run_outage(onset.belief, onset.window, params_b, T, onset.model)
     poly = fit_polynomial(onset.window, degree=default_cfg.poly_degree)
     onset_t = onset.window.end_time
@@ -246,7 +246,7 @@ def test_criterion_7_adaptive_noise_law(acceptance_report):
     at_forty = adaptive_noise(params, 40.0)
     sweep = np.array([np.diag(adaptive_noise(params, e)) for e in np.linspace(0.0, 60.0, 601)])
     exact_zero = bool(np.array_equal(at_zero, np.diag([0.5, 0.5])))
-    exact_forty = bool(np.array_equal(at_forty, 17.0 * params.r_base))
+    exact_forty = bool(np.array_equal(at_forty, 17.0 * params.r_base * np.eye(2)))
     monotone = bool(np.all(np.diff(sweep, axis=0) >= 0.0))
     ok = exact_zero and exact_forty and monotone
     detail = (

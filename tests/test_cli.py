@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhd import ScenarioConfig
+from vhd import AdaptiveConfidenceParams, ScenarioConfig, adaptive_noise
 from vhd.cli import (
     _SCHEMA,
     ConfigError,
+    _format_value,
     config_values,
     load_config,
     main,
@@ -108,7 +111,9 @@ class TestConfigParsing:
     def test_scalar_r_base_becomes_isotropic_matrix(self, tmp_path):
         path = tmp_path / "r.cfg"
         path.write_text("vhd.r_base = 2.5\n", encoding="utf-8")
-        np.testing.assert_array_equal(load_config(path).vhd_params.r_base, np.diag([2.5, 2.5]))
+        params = load_config(path).vhd_params
+        assert params.r_base == 2.5
+        np.testing.assert_array_equal(adaptive_noise(params, 0.0), np.diag([2.5, 2.5]))
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -150,6 +155,16 @@ class TestConfigParsing:
         echo = tmp_path / "echo.cfg"
         echo.write_text(resolved_config_text(loaded), encoding="utf-8")
         assert config_values(load_config(echo)) == NON_DEFAULT
+        assert load_config(echo) == loaded
+
+    def test_configs_compare_by_value(self):
+        assert ScenarioConfig() == ScenarioConfig()
+        assert ScenarioConfig(vhd_params=AdaptiveConfidenceParams(r_base=1.5)) != ScenarioConfig()
+
+    def test_readme_config_table_is_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
+        assert rows == [(key, _format_value(value)) for key, value in config_values(ScenarioConfig()).items()]
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +440,14 @@ class TestMain:
                 "traj.turn_start = 20\nvhd.poly_degree = 51",
                 id="vhd.poly_degree = 51 with 51 samples before a 50.6 s onset",
             ),
+            "sim.dt = 1e-300",
+            "sim.dt = 1e-12",
+            pytest.param(
+                "sim.outage_start = 1e12\nsim.duration = 2e12",
+                id="sim.outage_start = 1e12 with sim.duration = 2e12",
+            ),
+            "sim.dt = 1e-310",
+            "sim.duration = 1e308",
         ],
     )
     def test_config_that_cannot_run_exits_2_before_running(self, tmp_path, capsys, line):
