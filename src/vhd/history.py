@@ -27,7 +27,7 @@ class Trajectory:
     of filter estimates.
 
     Timestamps must be strictly increasing and `states` must have shape
-    (len(times), 6); both are checked on construction.
+    (len(times), 6), or (runs, len(times), 6) for a block; both are checked.
     """
 
     times: np.ndarray
@@ -42,10 +42,8 @@ class Trajectory:
         if bad.size:
             k = bad[0]
             raise ValueError(f"timestamps must be strictly increasing: got {times[k + 1]} after {times[k]}")
-        if states.shape != (times.shape[0], STATE_DIM):
-            raise ValueError(
-                f"states must have shape ({times.shape[0]}, {STATE_DIM}), got {states.shape}"
-            )
+        if states.shape[-2:] != (times.shape[0], STATE_DIM):
+            raise ValueError(f"states must have shape (..., {times.shape[0]}, {STATE_DIM}), got {states.shape}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -54,12 +52,12 @@ class Trajectory:
 
     @property
     def positions(self) -> np.ndarray:
-        """(n, 2) array of the (p_x, p_y) samples."""
-        return self.states[:, [PX, PY]]
+        """(..., n, 2) array of the (p_x, p_y) samples."""
+        return self.states[..., [PX, PY]]
 
     @property
     def accelerations(self) -> np.ndarray:
-        return self.states[:, [AX, AY]]
+        return self.states[..., [AX, AY]]
 
     @property
     def end_time(self) -> float:
@@ -71,17 +69,17 @@ class Trajectory:
         """Last `count` samples as (times, positions)."""
         if count < 1 or count > len(self):
             raise ValueError(f"cannot take {count} samples from a trajectory of {len(self)}")
-        return self.times[-count:], self.positions[-count:]
+        return self.times[-count:], self.positions[..., -count:, :]
 
 
 @dataclass(frozen=True, eq=False)
 class PolyModel:
     """Position polynomial for both axes on a centered, scaled time basis.
 
-    `coef` has shape (degree + 1, 2): row k holds the tau**k coefficients
-    of (p_x, p_y) in tau = (t - t_ref) / t_scale. `window_end` records the
-    final timestamp of the fitted window, the anchor point for
-    extrapolation.
+    `coef` has shape (degree + 1, 2), or (runs, degree + 1, 2) for a block
+    fitted on shared times: row k holds the tau**k coefficients of
+    (p_x, p_y) in tau = (t - t_ref) / t_scale. `window_end` records the
+    final timestamp of the fitted window, the anchor for extrapolation.
     """
 
     coef: np.ndarray
@@ -91,13 +89,13 @@ class PolyModel:
 
     @property
     def degree(self) -> int:
-        return self.coef.shape[0] - 1
+        return self.coef.shape[-2] - 1
 
     def _derivative(self, t, order: int) -> np.ndarray:
-        """`order`-th time derivative of (p_x, p_y) at t; shape t.shape + (2,)."""
+        """`order`-th time derivative of (p_x, p_y) at t; shape (..., *t.shape, 2)."""
         tau = (np.asarray(t, dtype=float) - self.t_ref) / self.t_scale
-        values = npoly.polyval(tau, npoly.polyder(self.coef, order)) / self.t_scale**order
-        return np.moveaxis(values, 0, -1)
+        values = npoly.polyval(tau, npoly.polyder(np.moveaxis(self.coef, -2, 0), order)) / self.t_scale**order
+        return np.moveaxis(values, self.coef.ndim - 2, -1)
 
     def position(self, t) -> np.ndarray:
         """Fitted/extrapolated (p_x, p_y) at time t (scalar or array)."""
@@ -132,9 +130,9 @@ def _centered_basis(times: np.ndarray) -> tuple[float, float]:
 def fit_polynomial(w: Trajectory, degree: int = 2) -> PolyModel:
     """Least-squares polynomial fit of the window positions.
 
-    Each position axis is fitted independently with a degree-`degree`
-    polynomial by solving the normal equations on the centered, scaled
-    basis. Requires at least degree + 1 samples.
+    Each position axis of each run is fitted independently with a
+    degree-`degree` polynomial by solving the normal equations on the
+    centered, scaled basis. Requires at least degree + 1 samples.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
@@ -177,12 +175,12 @@ def lagrange_extrapolate(w: Trajectory, t, node_count: int = 8) -> np.ndarray:
 
     Takes the `node_count` most recent window samples and evaluates the
     unique degree-(node_count - 1) polynomial through them at t (scalar
-    or array, as `PolyModel.position`). The interpolant is solved once
-    from the node Vandermonde system on the centered, scaled basis; by
-    uniqueness this is the Lagrange interpolating polynomial. Long
-    extrapolation of many-node interpolants amplifies node noise
-    enormously; that divergence is the documented behavior of this
-    baseline, not a defect of the evaluation.
+    or array, as `PolyModel.position`), per run of a block window. The
+    interpolant is solved once from the node Vandermonde system on the
+    centered, scaled basis; by uniqueness this is the Lagrange
+    interpolating polynomial. Long extrapolation of many-node interpolants
+    amplifies node noise enormously; that divergence is the documented
+    behavior of this baseline, not a defect of the evaluation.
     """
     if node_count < 2:
         raise ValueError(f"node_count must be >= 2, got {node_count}")

@@ -195,10 +195,12 @@ class ScenarioConfig:
                 "ScenarioConfig invariant: the turn must begin before the outage"
             )
         # The step grid must line up with the fix cadence, the 1 s window
-        # sampling, and the configured interval boundaries.
+        # sampling, and the configured interval boundaries; a fix_rate * dt
+        # that underflows to 0 is an infinite fix period.
+        fix_product = self.sensor.fix_rate * self.dt
         for name, value in (
             ("window sample period", 1.0 / self.dt),
-            ("fix period", 1.0 / (self.sensor.fix_rate * self.dt)),
+            ("fix period", 1.0 / fix_product if fix_product else math.inf),
             ("duration", self.duration / self.dt),
             ("outage_start", self.outage_start / self.dt),
             ("outage_duration", self.outage_duration / self.dt),
@@ -211,6 +213,9 @@ class ScenarioConfig:
             raise ValueError(
                 f"ScenarioConfig invariant: (outage_start + outage_duration) / dt must be <= {_MAX_STEPS}"
             )
+        # generate_truth rounds the turn's end to a step, as it rounds its start.
+        if not math.isfinite(self.trajectory.turn_end / self.dt):
+            raise ValueError("ScenarioConfig invariant: (turn_start + turn_duration) / dt must be finite")
         # The capacity divides by the window sample period, checked just above.
         capacity = self.window_capacity
         if self.poly_degree + 1 > capacity:
@@ -393,9 +398,9 @@ class OnsetState:
 
     belief: GaussianBelief
     window: Trajectory
+    tracking_err: np.ndarray
     model: CaModel
     truth: Trajectory
-    tracking_err: np.ndarray
 
 
 def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixes: np.ndarray):
@@ -416,19 +421,14 @@ def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixe
         yield i, updates
 
 
-def _onset_state(cfg: ScenarioConfig, model: CaModel, truth: Trajectory, means: np.ndarray,
-                 cov: np.ndarray) -> OnsetState:
-    """One run's onset state from its (onset_step + 1, 6) tracked means; the
-    window's newest sample, at the onset step, is the onset belief's mean."""
+def _window(cfg: ScenarioConfig, truth: Trajectory, means: np.ndarray) -> tuple[Trajectory, np.ndarray]:
+    """The history window, which ends at the onset mean, and the tracking error
+    of one run's (onset_step + 1, 6) tracked means or a block's (runs, ...).
+    `np.take` lays each run's samples out as one run's are, so a block's fit
+    rounds as each run's would."""
     samples = cfg.window_steps
-    err = means[:, [PX, PY]] - truth.positions[: cfg.onset_step + 1]
-    return OnsetState(
-        belief=GaussianBelief(means[-1].copy(), cov),
-        window=Trajectory(samples * cfg.dt, means[samples]),
-        model=model,
-        truth=truth,
-        tracking_err=np.hypot(err[:, 0], err[:, 1]),
-    )
+    err = means[..., [PX, PY]] - truth.positions[: cfg.onset_step + 1]
+    return Trajectory(samples * cfg.dt, np.take(means, samples, axis=-2)), np.hypot(err[..., 0], err[..., 1])
 
 
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
@@ -446,7 +446,7 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
         for z, R, H in updates:
             belief = update(belief, z, R, H)
         means[i] = belief.mean
-    return _onset_state(cfg, model, truth, means, belief.cov)
+    return OnsetState(belief, *_window(cfg, truth, means), model, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,17 +466,19 @@ class RunRecord:
     tracking_err: np.ndarray
 
 
-def _record(cfg: ScenarioConfig, seed: int, onset: OnsetState, ukf: np.ndarray, vhd: np.ndarray) -> RunRecord:
-    """One run's record from its onset state and its (T + 1, 6) ukf and vhd
-    means, whose row 0 is the onset belief; that row also opens the
-    Lagrange path."""
+def _records(cfg: ScenarioConfig, seeds: list[int], truth: Trajectory, window: Trajectory,
+             tracking_err: np.ndarray, ukf: np.ndarray, vhd: np.ndarray) -> list[RunRecord]:
+    """A block's records, as views into its arrays. Row 0 of the (runs, T + 1, 6)
+    ukf and vhd means is the onset belief; it also opens the Lagrange path."""
     times = cfg.outage_start + np.arange(cfg.outage_steps + 1) * cfg.dt
-    truth_xy = onset.truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
-    lagrange = np.vstack([ukf[:1, [PX, PY]], lagrange_extrapolate(onset.window, times[1:], cfg.lagrange_nodes)])
-    paths = {"ukf": ukf[:, [PX, PY]], "lagrange": lagrange, "vhd": vhd[:, [PX, PY]]}
-    errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=1) for name in PREDICTORS}
-    return RunRecord(seed=seed, times=times, truth_xy=truth_xy, paths=paths, errors=errors,
-                     tracking_err=onset.tracking_err)
+    truth_xy = truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
+    ukf, vhd = ukf[..., [PX, PY]], vhd[..., [PX, PY]]
+    lagrange = lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)
+    paths = {"ukf": ukf, "lagrange": np.concatenate([ukf[:, :1], lagrange], axis=1), "vhd": vhd}
+    errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=-1) for name in PREDICTORS}
+    return [RunRecord(seed, times, truth_xy, {name: paths[name][r] for name in PREDICTORS},
+                      {name: errors[name][r] for name in PREDICTORS}, tracking_err[r])
+            for r, seed in enumerate(seeds)]
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
@@ -485,7 +487,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     ukf = [b0] + open_loop_predict(b0, model, T)
     vhd = [b0] + run_outage(b0, onset.window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
-    return _record(cfg, seed, onset, np.array([b.mean for b in ukf]), np.array([b.mean for b in vhd]))
+    window = Trajectory(onset.window.times, onset.window.states[None])  # a block of one
+    means = [np.array([[b.mean for b in beliefs]]) for beliefs in (ukf, vhd)]
+    return _records(cfg, [seed], onset.truth, window, onset.tracking_err[None], *means)[0]
 
 
 # ----------------------------------------------------------------------
@@ -527,18 +531,17 @@ def _mean_step(means: np.ndarray, model: CaModel, updates=(), gains=()) -> np.nd
     return means
 
 
-def _track_block(cfg: ScenarioConfig, seeds: list[int]) -> list[OnsetState]:
-    """Tracking phase of `run_block`: each seed's onset state, equal to
-    track_to_outage's. The means of every step and the measurement streams
-    are dropped on return, before the outage begins.
+def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory,
+                 seeds: list[int]) -> tuple[Trajectory, np.ndarray, np.ndarray]:
+    """Tracking phase of `run_block`: the block's window, tracking errors and
+    onset covariance, each run's equal to track_to_outage's. The means of
+    every step and the measurement streams are dropped on return.
 
     The schedule repeats every fix period, and the covariance recurrence is
     deterministic in the previous covariance and the step's updates. So once
     the covariance after a step equals the one a period earlier, a step whose
     updates match that earlier step's takes its covariance and gains; any
     other step (an onset on a fix boundary has no fix) is computed."""
-    model = ca_model(cfg.dt, cfg.sigma_jerk)
-    truth = generate_truth(cfg)
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
     imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
     fixes = np.stack([ms.fix_values for ms in meas], axis=1)[..., None]
@@ -562,7 +565,7 @@ def _track_block(cfg: ScenarioConfig, seeds: list[int]) -> list[OnsetState]:
         means = _mean_step(means, model, updates, gains)
         tracked[:, i] = means[..., 0]
     _finite(tracked, "means")
-    return [_onset_state(cfg, model, truth, run, cov) for run in tracked]
+    return (*_window(cfg, truth, tracked), cov)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -577,7 +580,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     (`einsum` or `M @ F.T` would not, and the polynomial extrapolations
     amplify that). Once the tracking covariance repeats after one fix
     period, `_track_block` replays that period's gains. The window fit and
-    the Lagrange interpolant stay per run.
+    the Lagrange interpolant are each one broadcast solve for the block.
 
     `GaussianBelief` checks every belief of the reference for finiteness;
     here each covariance is checked as it is computed and the means once
@@ -587,18 +590,18 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     error is all such a config reports.
     """
     seeds = [int(s) for s in seeds]
-    onsets = _track_block(cfg, seeds)
+    model = ca_model(cfg.dt, cfg.sigma_jerk)
+    truth = generate_truth(cfg)
+    window, tracking_err, cov = _track_block(cfg, model, truth, seeds)
 
     # Outage, as in open_loop_predict and run_outage.
-    model = onsets[0].model
     onset, T, dt = cfg.onset_step, cfg.outage_steps, cfg.dt
-    elapsed = np.arange(1, T + 1) * dt
-    polys = [fit_polynomial(state.window, cfg.poly_degree) for state in onsets]
-    virtual = np.stack([poly.position(poly.window_end + elapsed) for poly in polys], axis=1)[..., None]
-    ukf_cov = vhd_cov = onsets[0].belief.cov
-    ukf_means = vhd_means = np.array([state.belief.mean for state in onsets])[..., None]
-    ukf = np.empty((len(seeds), T + 1, STATE_DIM))
-    vhd = np.empty((len(seeds), T + 1, STATE_DIM))
+    poly = fit_polynomial(window, cfg.poly_degree)
+    # (T, runs, 2, 1): the virtual fixes of each outage step, one column per run
+    virtual = np.moveaxis(poly.position(poly.window_end + np.arange(1, T + 1) * dt), 1, 0)[..., None]
+    ukf_cov = vhd_cov = cov
+    ukf_means = vhd_means = window.states[:, -1, :, None]
+    ukf, vhd = np.empty((2, len(seeds), T + 1, STATE_DIM))
     ukf[:, 0] = vhd[:, 0] = ukf_means[..., 0]
     for k in range(1, T + 1):
         ukf_cov, _ = _covariance_step(ukf_cov, model, onset + k)
@@ -610,8 +613,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
         vhd[:, k] = vhd_means[..., 0]
     _finite(ukf, "means")
     _finite(vhd, "means")
-
-    return [_record(cfg, seed, state, ukf[r], vhd[r]) for r, (seed, state) in enumerate(zip(seeds, onsets))]
+    return _records(cfg, seeds, truth, window, tracking_err, ukf, vhd)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from vhd import McResult, ScenarioConfig, monte_carlo, run_scenario
+from vhd import McResult, ScenarioConfig, monte_carlo, run_block
 
 settings.register_profile(
     "suite",
@@ -41,11 +41,9 @@ def default_mc(default_cfg) -> TimedBatch:
 
 @pytest.fixture(scope="session")
 def default_records(default_cfg):
-    """Per-run records for the default seed range, for per-run statistics."""
-    return [
-        run_scenario(default_cfg, default_cfg.base_seed + k)
-        for k in range(default_cfg.mc_runs)
-    ]
+    """Per-run records for the default seed range, for per-run statistics.
+    The lockstep engine builds them; TestRunBlock ties it to run_scenario."""
+    return run_block(default_cfg, range(default_cfg.base_seed, default_cfg.base_seed + default_cfg.mc_runs))
 
 
 _acceptance_lines: list[str] = []

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vhd import AdaptiveConfidenceParams, ScenarioConfig, adaptive_noise
@@ -47,6 +47,13 @@ NON_DEFAULT = {
     "traj.turn_duration": 8.0,
     "traj.initial_heading": 0.5,
 }
+
+# Values at the edges of the float range, and ints around the default
+# window capacity (51 samples), for the any-config property.
+EDGE_FLOATS = [sign * v for v in (0.0, 5e-324, 1e-310, 1e154, 1e308) for sign in (1.0, -1.0)]
+CAPACITY = ScenarioConfig().window_capacity
+EDGE_INTS = [*range(-1, 3), *range(CAPACITY - 2, CAPACITY + 3)]
+EDGE_VALUES = {key: st.sampled_from(EDGE_INTS if _SCHEMA[key][2] is int else EDGE_FLOATS) for key in _SCHEMA}
 
 TINY = """
 sim.duration = 40
@@ -448,6 +455,8 @@ class TestMain:
             ),
             "sim.dt = 1e-310",
             "sim.duration = 1e308",
+            "sensor.fix_rate = 5e-324",
+            "traj.turn_duration = 1e308",
         ],
     )
     def test_config_that_cannot_run_exits_2_before_running(self, tmp_path, capsys, line):
@@ -494,6 +503,23 @@ class TestMain:
             f"sensor.accel_white_noise = {accel_white_noise!r}\n",
             encoding="utf-8",
         )
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"])
+        assert code == 0 or (code == 2 and not out.exists())
+
+    @given(values=st.fixed_dictionaries({}, optional=EDGE_VALUES))
+    @example(values={"sensor.fix_rate": 5e-324})
+    @example(values={"traj.turn_duration": 1e308})
+    def test_any_config_runs_or_exits_2_before_running(self, tmp_path_factory, values):
+        tmp_path = tmp_path_factory.mktemp("any")
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()), encoding="utf-8")
+        try:
+            cfg = load_config(cfg_path)
+        except ConfigError:
+            pass
+        else:
+            assume(cfg.onset_step + cfg.outage_steps <= 5000)
         out = tmp_path / "out"
         code = main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"])
         assert code == 0 or (code == 2 and not out.exists())

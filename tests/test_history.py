@@ -292,3 +292,49 @@ class TestLagrange:
         w = BrokenWindow(k, [make_state(p_x=x) for x in k])
         with pytest.raises(ValueError, match="distinct"):
             lagrange_extrapolate(w, 12.0, node_count=4)
+
+
+class TestBlockWindow:
+    """A block of runs sharing one window's times: the engine's window is
+    `np.take` over a (runs, steps, 6) array of tracked means, and each run's
+    fit and interpolant must equal its own window's bit for bit."""
+
+    @staticmethod
+    def windows(runs=5, steps=601, period=10, capacity=51):
+        tracked = np.cumsum(np.random.default_rng(3).normal(size=(runs, steps, 6)), axis=1)
+        samples = np.arange(steps - 1, -1, -period)[:capacity][::-1]
+        times = 0.1 * samples
+        block = Trajectory(times, np.take(tracked, samples, axis=-2))
+        return block, [Trajectory(times, run[samples]) for run in tracked]
+
+    def test_block_shapes(self):
+        block, runs = self.windows()
+        assert len(block) == 51
+        assert block.positions.shape == (len(runs), 51, 2)
+        times, positions = block.recent(8)
+        assert times.shape == (8,)
+        np.testing.assert_array_equal(positions, np.stack([w.recent(8)[1] for w in runs]))
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(block.times, block.states[..., :4])
+
+    @pytest.mark.parametrize("degree", [0, 2, 5])
+    def test_fit_equals_the_per_run_fits(self, degree):
+        block, runs = self.windows()
+        poly = fit_polynomial(block, degree)
+        assert poly.coef.shape == (len(runs), degree + 1, 2)
+        assert poly.degree == degree
+        t = block.end_time + 0.1 * np.arange(1, 401)
+        for r, w in enumerate(runs):
+            one = fit_polynomial(w, degree)
+            np.testing.assert_array_equal(poly.coef[r], one.coef)
+            for name in ("position", "velocity", "acceleration"):
+                np.testing.assert_array_equal(getattr(poly, name)(t)[r], getattr(one, name)(t))
+
+    @pytest.mark.parametrize("node_count", [2, 8, 12])
+    def test_lagrange_equals_the_per_run_paths(self, node_count):
+        block, runs = self.windows()
+        t = block.end_time + 0.1 * np.arange(1, 401)
+        paths = lagrange_extrapolate(block, t, node_count)
+        assert paths.shape == (len(runs), t.size, 2)
+        for r, w in enumerate(runs):
+            np.testing.assert_array_equal(paths[r], lagrange_extrapolate(w, t, node_count))

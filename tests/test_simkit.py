@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -433,9 +434,21 @@ class TestRunBlock:
             return gain(*args)
 
         monkeypatch.setattr(simkit, "_kalman_gain", counted_gain)
-        simkit._track_block(cfg, [1234])
+        simkit._track_block(cfg, ca_model(cfg.dt, cfg.sigma_jerk), generate_truth(cfg), [1234])
         # Computing every step takes one gain per step plus one per fix.
         assert len(calls) < cfg.onset_step
+
+    def test_a_block_is_fitted_and_recorded_once(self, monkeypatch):
+        names = ("generate_truth", "fit_polynomial", "lagrange_extrapolate", "_window", "_records")
+        counts = collections.Counter()
+        for name in names:
+            def counted(*args, _name=name, _call=getattr(simkit, name)):
+                counts[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(simkit, name, counted)
+        assert len(run_block(SMALL, range(12))) == 12
+        assert counts == dict.fromkeys(names, 1)
 
     def test_row_is_independent_of_the_batch_size(self):
         seeds = range(SMALL.base_seed, SMALL.base_seed + 12)
