@@ -199,27 +199,21 @@ def _summary_json(cfg: ScenarioConfig, result: McResult, predictors) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _error_series_csv(result: McResult, predictors) -> str:
-    header = ["time_s"] + [f"{name}_mean_err_m" for name in predictors]
-    rows = [",".join(header)]
-    for k, t in enumerate(result.times):
-        cells = [_fmt(t)] + [_fmt(result.mean_err[name][k]) for name in predictors]
-        rows.append(",".join(cells))
+def _csv(columns: dict[str, object]) -> str:
+    rows = [",".join(columns)] + [",".join(map(_fmt, row)) for row in zip(*columns.values())]
     return "\n".join(rows) + "\n"
+
+
+def _error_series_csv(result: McResult, predictors) -> str:
+    return _csv({"time_s": result.times} | {f"{name}_mean_err_m": result.mean_err[name] for name in predictors})
 
 
 def _trajectory_csv(result: McResult, predictors) -> str:
     rec = result.designated_run
-    header = ["time_s", "truth_x", "truth_y"]
+    columns = {"time_s": rec.times, "truth_x": rec.truth_xy[:, 0], "truth_y": rec.truth_xy[:, 1]}
     for name in predictors:
-        header += [f"{name}_x", f"{name}_y"]
-    rows = [",".join(header)]
-    for k, t in enumerate(rec.times):
-        cells = [_fmt(t), _fmt(rec.truth_xy[k, 0]), _fmt(rec.truth_xy[k, 1])]
-        for name in predictors:
-            cells += [_fmt(rec.paths[name][k, 0]), _fmt(rec.paths[name][k, 1])]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+        columns[f"{name}_x"], columns[f"{name}_y"] = rec.paths[name].T
+    return _csv(columns)
 
 
 def run_command(

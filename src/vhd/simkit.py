@@ -17,9 +17,9 @@ independent and a Monte Carlo aggregate is identical whether the runs
 execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
-not on the data. `run_block` exploits that: it runs a block of seeds in
-lockstep on one covariance recurrence and one stack of means, and each of
-its records equals `run_scenario`'s for the same seed bit for bit.
+not on the data. `run_block` computes every gain once, before any draw,
+then runs a block of seeds in lockstep as one stack of means; each of its
+records equals `run_scenario`'s for the same seed bit for bit.
 `run_scenario` is the straightforward per-run reference that the tests
 compare it against.
 """
@@ -531,89 +531,94 @@ def _mean_step(means: np.ndarray, model: CaModel, updates=(), gains=()) -> np.nd
     return means
 
 
-def _track_block(cfg: ScenarioConfig, model: CaModel, truth: Trajectory,
-                 seeds: list[int]) -> tuple[Trajectory, np.ndarray, np.ndarray]:
-    """Tracking phase of `run_block`: the block's window, tracking errors and
-    onset covariance, each run's equal to track_to_outage's. The means of
-    every step and the measurement streams are dropped on return.
+def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.ndarray]], np.ndarray]:
+    """Every gain of a run, from the config alone: the list of tracking gains
+    of each step 1 .. onset_step, and the (T, 6, 2) `vhd` gains of the outage.
+    Each covariance is checked as it is computed; the `ukf` one is stepped
+    only for that check.
 
     The schedule repeats every fix period, and the covariance recurrence is
     deterministic in the previous covariance and the step's updates. So once
     the covariance after a step equals the one a period earlier, a step whose
-    updates match that earlier step's takes its covariance and gains; any
-    other step (an onset on a fix boundary has no fix) is computed."""
-    meas = [simulate_measurements(truth, cfg, s) for s in seeds]
-    imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
-    fixes = np.stack([ms.fix_values for ms in meas], axis=1)[..., None]
-
+    updates match that earlier step's takes its covariance and gains (the
+    same list); any other step (an onset on a fix boundary has no fix) is
+    computed."""
+    # _tracking_updates reads only R and H here: a zero-width stream stands in.
+    streams = np.empty((cfg.onset_step + 1, 0))
     # (covariance, gains) after each step of the last schedule period: the
     # fix period, or one step when no fix arrives before the onset.
     fix_steps = cfg.fix_steps
     period = deque(maxlen=int(fix_steps[0]) if fix_steps.size else 1)
     cycled = False
     cov = np.diag(_P0_DIAG)
-    means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
-    tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM))
-    tracked[:, 0] = means[..., 0]
-    for i, updates in _tracking_updates(cfg, model, imu, fixes):
+    tracking = []
+    for i, updates in _tracking_updates(cfg, model, streams, streams):
         if cycled and len(period[0][1]) == len(updates):
             cov, gains = period[0]
         else:
             cov, gains = _covariance_step(cov, model, i, updates)
             cycled = len(period) == period.maxlen and np.array_equal(cov, period[0][0])
         period.append((cov, gains))
-        means = _mean_step(means, model, updates, gains)
-        tracked[:, i] = means[..., 0]
-    _finite(tracked, "means")
-    return (*_window(cfg, truth, tracked), cov)
+        tracking.append(gains)
+
+    # Outage, as in open_loop_predict and run_outage.
+    ukf_cov = vhd_cov = cov
+    vhd = np.empty((cfg.outage_steps, STATE_DIM, 2))
+    for k in range(1, cfg.outage_steps + 1):
+        ukf_cov, _ = _covariance_step(ukf_cov, model, cfg.onset_step + k)
+        updates = [(None, adaptive_noise(cfg.vhd_params, k * cfg.dt), model.H)]
+        vhd_cov, (vhd[k - 1],) = _covariance_step(vhd_cov, model, cfg.onset_step + k, updates)
+    return tracking, vhd
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
     """Run a block of seeds in lockstep; record k equals run_scenario(cfg, seeds[k]).
 
-    The truth is generated once and each seed gets its own measurements.
-    Each step runs one covariance recurrence, so each gain is computed once
-    and applied to all the block's means at once, held as one (runs, 6, 1)
-    stack of columns: the stacked matmul in `F @ m` and `m + K @ (z - H @ m)`
-    rounds each column as `predict` and `update` round a 1-D mean
-    (`einsum` or `M @ F.T` would not, and the polynomial extrapolations
-    amplify that). Once the tracking covariance repeats after one fix
-    period, `_track_block` replays that period's gains. The window fit and
-    the Lagrange interpolant are each one broadcast solve for the block.
+    `_gain_schedule` computes each gain once, before anything is drawn. Then
+    the truth is generated once, each seed gets its own measurements, and
+    each run is a linear recurrence on its mean. The block's means advance
+    at once, as one (runs, 6, 1) stack of columns: the stacked matmul in
+    `F @ m` and `m + K @ (z - H @ m)` rounds each column as `predict` and
+    `update` round a 1-D mean (`einsum` or `M @ F.T` would not, and the
+    polynomial extrapolations amplify that). The window fit and the Lagrange
+    interpolant are each one broadcast solve for the block.
 
     `GaussianBelief` checks every belief of the reference for finiteness;
     here each covariance is checked as it is computed and the means once
     per phase, and a config that overflows the filter, or makes its
-    innovation covariance singular, raises ConfigError. The whole block
-    runs with numpy's overflow and invalid-value warnings off, so that
-    error is all such a config reports.
+    innovation covariance singular, raises ConfigError, before any draw if
+    the covariance is at fault. The whole block runs with numpy's overflow
+    and invalid-value warnings off, so that error is all such a config
+    reports.
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
+    tracking_gains, vhd_gains = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
-    window, tracking_err, cov = _track_block(cfg, model, truth, seeds)
+    meas = [simulate_measurements(truth, cfg, s) for s in seeds]
+    imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
+    fixes = np.stack([ms.fix_values for ms in meas], axis=1)[..., None]
+    tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM, 1))
+    tracked[:, 0] = means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
+    for (i, updates), gains in zip(_tracking_updates(cfg, model, imu, fixes), tracking_gains):
+        tracked[:, i] = means = _mean_step(means, model, updates, gains)
+    window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
+    del meas, imu, fixes, tracked, tracking_gains
 
     # Outage, as in open_loop_predict and run_outage.
-    onset, T, dt = cfg.onset_step, cfg.outage_steps, cfg.dt
+    T = cfg.outage_steps
     poly = fit_polynomial(window, cfg.poly_degree)
     # (T, runs, 2, 1): the virtual fixes of each outage step, one column per run
-    virtual = np.moveaxis(poly.position(poly.window_end + np.arange(1, T + 1) * dt), 1, 0)[..., None]
-    ukf_cov = vhd_cov = cov
-    ukf_means = vhd_means = window.states[:, -1, :, None]
-    ukf, vhd = np.empty((2, len(seeds), T + 1, STATE_DIM))
-    ukf[:, 0] = vhd[:, 0] = ukf_means[..., 0]
-    for k in range(1, T + 1):
-        ukf_cov, _ = _covariance_step(ukf_cov, model, onset + k)
-        ukf_means = _mean_step(ukf_means, model)
-        updates = [(virtual[k - 1], adaptive_noise(cfg.vhd_params, k * dt), model.H)]
-        vhd_cov, gains = _covariance_step(vhd_cov, model, onset + k, updates)
-        vhd_means = _mean_step(vhd_means, model, updates, gains)
-        ukf[:, k] = ukf_means[..., 0]
-        vhd[:, k] = vhd_means[..., 0]
+    virtual = np.moveaxis(poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt), 1, 0)[..., None]
+    ukf, vhd = np.empty((2, len(seeds), T + 1, STATE_DIM, 1))
+    ukf[:, 0] = vhd[:, 0] = ukf_means = vhd_means = window.states[:, -1, :, None]
+    for k, z, K in zip(range(1, T + 1), virtual, vhd_gains):
+        ukf[:, k] = ukf_means = _mean_step(ukf_means, model)
+        vhd[:, k] = vhd_means = _mean_step(vhd_means, model, [(z, None, model.H)], [K])
     _finite(ukf, "means")
     _finite(vhd, "means")
-    return _records(cfg, seeds, truth, window, tracking_err, ukf, vhd)
+    return _records(cfg, seeds, truth, window, tracking_err, ukf[..., 0], vhd[..., 0])
 
 
 # ----------------------------------------------------------------------

@@ -434,9 +434,10 @@ class TestRunBlock:
             return gain(*args)
 
         monkeypatch.setattr(simkit, "_kalman_gain", counted_gain)
-        simkit._track_block(cfg, ca_model(cfg.dt, cfg.sigma_jerk), generate_truth(cfg), [1234])
-        # Computing every step takes one gain per step plus one per fix.
-        assert len(calls) < cfg.onset_step
+        simkit._gain_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        # Computing every tracking step takes one gain per step plus one per
+        # fix; the outage takes one vhd gain per step.
+        assert len(calls) - cfg.outage_steps < cfg.onset_step
 
     def test_a_block_is_fitted_and_recorded_once(self, monkeypatch):
         names = ("generate_truth", "fit_polynomial", "lagrange_extrapolate", "_window", "_records")
@@ -478,6 +479,15 @@ class TestRunBlock:
         assert_records_equal(run_block(cfg, [SMALL.base_seed])[0], rec)
 
     def test_filter_overflow_raises_config_error(self):
+        with pytest.raises(ConfigError, match="not finite"):
+            run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
+
+    def test_filter_overflow_raises_before_any_draw(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("the truth or a sensor stream was drawn")
+
+        monkeypatch.setattr(simkit, "generate_truth", drawn)
+        monkeypatch.setattr(simkit, "simulate_measurements", drawn)
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
 
