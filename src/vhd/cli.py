@@ -121,16 +121,10 @@ def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     }
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def resolved_config_text(cfg: ScenarioConfig) -> str:
     """Round-trippable echo of every parameter the run will use."""
     lines = ["# resolved configuration (all values explicit)"]
-    lines += [f"{key} = {_format_value(val)}" for key, val in config_values(cfg).items()]
+    lines += [f"{key} = {val}" for key, val in config_values(cfg).items()]
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +199,8 @@ def _csv(columns: dict[str, object]) -> str:
 
 
 def _error_series_csv(result: McResult, predictors) -> str:
-    return _csv({"time_s": result.times} | {f"{name}_mean_err_m": result.mean_err[name] for name in predictors})
+    times = result.designated_run.times
+    return _csv({"time_s": times} | {f"{name}_mean_err_m": result.mean_err[name] for name in predictors})
 
 
 def _trajectory_csv(result: McResult, predictors) -> str:

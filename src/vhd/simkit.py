@@ -18,8 +18,8 @@ execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `run_block` computes every gain once, before any draw,
-then runs a block of seeds in lockstep as one stack of means; each of its
-records equals `run_scenario`'s for the same seed bit for bit.
+then runs a block of seeds in lockstep as one stack of means; each run of
+its record equals `run_scenario`'s for the same seed bit for bit.
 `run_scenario` is the straightforward per-run reference that the tests
 compare it against.
 """
@@ -451,34 +451,41 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Outage-window results of a single seeded run.
+    """Outage-window results of a single seeded run, or of a block of runs.
 
     All sequences share the outage timestamps; index 0 is the shared
     branch point at onset, where every predictor coincides with the
-    filter's last belief.
+    filter's last belief. For a block, `seed` is a (runs,) array and
+    `paths`, `errors` and `tracking_err` have a leading run axis, as
+    `Trajectory.states` does; `times` and `truth_xy` are shared.
     """
 
-    seed: int
+    seed: int | np.ndarray
     times: np.ndarray
     truth_xy: np.ndarray
     paths: dict[str, np.ndarray]
     errors: dict[str, np.ndarray]
     tracking_err: np.ndarray
 
+    def run(self, k: int) -> RunRecord:
+        """Run k of a block's record, as views into the block's arrays."""
+        return RunRecord(int(self.seed[k]), self.times, self.truth_xy,
+                         {name: path[k] for name, path in self.paths.items()},
+                         {name: err[k] for name, err in self.errors.items()}, self.tracking_err[k])
 
-def _records(cfg: ScenarioConfig, seeds: list[int], truth: Trajectory, window: Trajectory,
-             tracking_err: np.ndarray, ukf: np.ndarray, vhd: np.ndarray) -> list[RunRecord]:
-    """A block's records, as views into its arrays. Row 0 of the (runs, T + 1, 6)
-    ukf and vhd means is the onset belief; it also opens the Lagrange path."""
+
+def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
+            tracking_err: np.ndarray, ukf: np.ndarray, vhd: np.ndarray) -> RunRecord:
+    """One run's record from its (T + 1, 6) ukf and vhd means, or a block's from
+    (runs, T + 1, 6) ones. Row 0 of the means is the onset belief; it also
+    opens the Lagrange path."""
     times = cfg.outage_start + np.arange(cfg.outage_steps + 1) * cfg.dt
     truth_xy = truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
     ukf, vhd = ukf[..., [PX, PY]], vhd[..., [PX, PY]]
     lagrange = lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)
-    paths = {"ukf": ukf, "lagrange": np.concatenate([ukf[:, :1], lagrange], axis=1), "vhd": vhd}
+    paths = {"ukf": ukf, "lagrange": np.concatenate([ukf[..., :1, :], lagrange], axis=-2), "vhd": vhd}
     errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=-1) for name in PREDICTORS}
-    return [RunRecord(seed, times, truth_xy, {name: paths[name][r] for name in PREDICTORS},
-                      {name: errors[name][r] for name in PREDICTORS}, tracking_err[r])
-            for r, seed in enumerate(seeds)]
+    return RunRecord(seed, times, truth_xy, paths, errors, tracking_err)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
@@ -487,9 +494,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     ukf = [b0] + open_loop_predict(b0, model, T)
     vhd = [b0] + run_outage(b0, onset.window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
-    window = Trajectory(onset.window.times, onset.window.states[None])  # a block of one
-    means = [np.array([[b.mean for b in beliefs]]) for beliefs in (ukf, vhd)]
-    return _records(cfg, [seed], onset.truth, window, onset.tracking_err[None], *means)[0]
+    means = [np.array([b.mean for b in beliefs]) for beliefs in (ukf, vhd)]
+    return _record(cfg, seed, onset.truth, onset.window, onset.tracking_err, *means)
 
 
 # ----------------------------------------------------------------------
@@ -572,8 +578,9 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
-    """Run a block of seeds in lockstep; record k equals run_scenario(cfg, seeds[k]).
+def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
+    """Run a block of seeds in lockstep; its record's run k equals
+    run_scenario(cfg, seeds[k]).
 
     `_gain_schedule` computes each gain once, before anything is drawn. Then
     the truth is generated once, each seed gets its own measurements, and
@@ -618,7 +625,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> list[RunRecord]:
         vhd[:, k] = vhd_means = _mean_step(vhd_means, model, [(z, None, model.H)], [K])
     _finite(ukf, "means")
     _finite(vhd, "means")
-    return _records(cfg, seeds, truth, window, tracking_err, ukf[..., 0], vhd[..., 0])
+    return _record(cfg, np.array(seeds), truth, window, tracking_err, ukf[..., 0], vhd[..., 0])
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +650,6 @@ class McResult:
     against the open-loop predictor.
     """
 
-    times: np.ndarray
     mean_err: dict[str, np.ndarray]
     rmse_m: dict[str, float]
     terminal_mean_m: dict[str, float]
@@ -652,18 +658,18 @@ class McResult:
 
 
 def _run_seeds(cfg: ScenarioConfig, jobs: int) -> list[RunRecord]:
-    """Records of seeds base_seed .. base_seed + mc_runs - 1, in seed order.
+    """Block records of seeds base_seed .. base_seed + mc_runs - 1, in seed order.
 
-    With jobs > 1 the seeds are cut into up to `jobs` contiguous blocks of
-    near-equal size, one per pool worker.
+    Serially the seeds are one block. With jobs > 1 they are cut into up to
+    `jobs` contiguous blocks of near-equal size, one per pool worker.
     """
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.mc_runs)
     n = min(jobs, len(seeds))
     if n == 1:
-        return run_block(cfg, seeds)
+        return [run_block(cfg, seeds)]
     blocks = [seeds[len(seeds) * b // n : len(seeds) * (b + 1) // n] for b in range(n)]
     with ProcessPoolExecutor(max_workers=n) as pool:
-        return [rec for block in pool.map(run_block, [cfg] * n, blocks) for rec in block]
+        return list(pool.map(run_block, [cfg] * n, blocks))
 
 
 def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
@@ -671,17 +677,15 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
 
     Seeds are base_seed .. base_seed + mc_runs - 1, run in lockstep by
     `run_block`. With jobs > 1 each worker of a process pool runs one
-    contiguous block of seeds; records are collected in seed order, so the
-    aggregate is identical to the serial one. Errors that overflow a metric
-    raise ConfigError.
+    contiguous block of seeds; the blocks' (runs, T + 1) errors are
+    concatenated in seed order, so the aggregate is identical to the serial
+    one. Errors that overflow a metric raise ConfigError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    records = _run_seeds(cfg, jobs)
+    blocks = _run_seeds(cfg, jobs)
 
-    stacked = {
-        name: np.stack([rec.errors[name] for rec in records]) for name in PREDICTORS
-    }
+    stacked = {name: np.concatenate([block.errors[name] for block in blocks]) for name in PREDICTORS}
     # Errors that overflow the metrics are the config's fault, as a filter
     # that overflows is; they would make summary.json invalid JSON.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -699,10 +703,9 @@ def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     }
 
     return McResult(
-        times=records[0].times,
         mean_err=mean_err,
         rmse_m=rmse_m,
         terminal_mean_m=terminal,
         reduction_vs_ukf_pct=reduction,
-        designated_run=records[0],
+        designated_run=blocks[0].run(0),
     )

@@ -40,9 +40,9 @@ def default_mc(default_cfg) -> TimedBatch:
 
 
 @pytest.fixture(scope="session")
-def default_records(default_cfg):
-    """Per-run records for the default seed range, for per-run statistics.
-    The lockstep engine builds them; TestRunBlock ties it to run_scenario."""
+def default_block(default_cfg):
+    """The block record of the default seed range, for per-run statistics.
+    The lockstep engine builds it; TestRunBlock ties it to run_scenario."""
     return run_block(default_cfg, range(default_cfg.base_seed, default_cfg.base_seed + default_cfg.mc_runs))
 
 

@@ -12,7 +12,6 @@ from vhd import AdaptiveConfidenceParams, ScenarioConfig, adaptive_noise
 from vhd.cli import (
     _SCHEMA,
     ConfigError,
-    _format_value,
     config_values,
     load_config,
     main,
@@ -171,7 +170,7 @@ class TestConfigParsing:
     def test_readme_config_table_is_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", readme, flags=re.MULTILINE)
-        assert rows == [(key, _format_value(value)) for key, value in config_values(ScenarioConfig()).items()]
+        assert rows == [(key, str(value)) for key, value in config_values(ScenarioConfig()).items()]
 
 
 @pytest.fixture(scope="module")

@@ -270,9 +270,8 @@ class TestTrackToOutage:
             np.testing.assert_allclose(np.diff(onset.window.times), 1.0, rtol=1e-12)
             np.testing.assert_array_equal(onset.window.states[-1], onset.belief.mean)
 
-    def test_tracking_error_stays_small(self, default_records):
-        onset_errors = np.array([rec.tracking_err[-1] for rec in default_records])
-        assert onset_errors.mean() < 2.0
+    def test_tracking_error_stays_small(self, default_block):
+        assert default_block.tracking_err[:, -1].mean() < 2.0
 
     @pytest.mark.parametrize("cfg", GRID_CONFIGS)
     def test_tracking_updates_follow_the_per_step_rule(self, cfg):
@@ -304,28 +303,37 @@ class TestTrackToOutage:
 
 
 class TestRunScenario:
-    def test_predictors_share_the_branch_point(self, default_records):
-        rec = default_records[0]
+    def test_predictors_share_the_branch_point(self, default_block):
+        rec = default_block.run(0)
         np.testing.assert_array_equal(rec.paths["ukf"][0], rec.paths["vhd"][0])
         np.testing.assert_array_equal(rec.paths["ukf"][0], rec.paths["lagrange"][0])
         assert rec.errors["ukf"][0] == rec.errors["vhd"][0] == rec.errors["lagrange"][0]
 
-    def test_outage_grid_and_shapes(self, default_records):
+    @pytest.mark.parametrize("source", ["run_block", "run_scenario"])
+    def test_outage_grid_and_shapes(self, source, default_block):
+        # a block record has a leading run axis; run_scenario's has the
+        # one-run shapes, which the benchmark's oracle stacks
         cfg = ScenarioConfig()
-        rec = default_records[0]
+        if source == "run_block":
+            rec, runs = default_block, (cfg.mc_runs,)
+        else:
+            rec, runs = run_scenario(cfg, cfg.base_seed), ()
         np.testing.assert_allclose(
             rec.times, cfg.outage_start + np.arange(cfg.outage_steps + 1) * cfg.dt, rtol=1e-12
         )
+        assert np.shape(rec.seed) == runs
         assert rec.truth_xy.shape == (cfg.outage_steps + 1, 2)
+        assert rec.tracking_err.shape == runs + (cfg.onset_step + 1,)
         for name in PREDICTORS:
-            assert rec.paths[name].shape == (cfg.outage_steps + 1, 2)
+            assert rec.paths[name].shape == runs + (cfg.outage_steps + 1, 2)
+            assert rec.errors[name].shape == runs + (cfg.outage_steps + 1,)
             np.testing.assert_array_equal(
-                rec.errors[name], np.linalg.norm(rec.paths[name] - rec.truth_xy, axis=1)
+                rec.errors[name], np.linalg.norm(rec.paths[name] - rec.truth_xy, axis=-1)
             )
 
-    def test_open_loop_branch_is_reproducible(self, default_records):
+    def test_open_loop_branch_is_reproducible(self, default_block):
         cfg = ScenarioConfig()
-        rec = default_records[0]
+        rec = default_block.run(0)
         onset = track_to_outage(cfg, seed=rec.seed)
         seq = open_loop_predict(onset.belief, onset.model, cfg.outage_steps)
         path = np.array([[b.mean[PX], b.mean[PY]] for b in seq])
@@ -347,28 +355,26 @@ class TestRunScenario:
             oracle.append([npoly.polyval(tq, coefs[:, 0]), npoly.polyval(tq, coefs[:, 1])])
         np.testing.assert_array_equal(rec.paths["lagrange"][1:], oracle)
 
-    def test_designated_run_monotonicity_contrast(self, default_records):
+    def test_designated_run_monotonicity_contrast(self, default_block):
         # under the steady current the open-loop error can only keep
         # growing, while VHD's pull toward the history polynomial lets its
         # error dip; both behaviors are deterministic for the base seed
-        rec = default_records[0]
+        rec = default_block.run(0)
         assert rec.seed == 1234
         half = len(rec.errors["ukf"]) // 2
         assert np.all(np.diff(rec.errors["ukf"][half:]) > 0.0)
         assert np.any(np.diff(rec.errors["vhd"]) < 0.0)
 
-    def test_vhd_wins_on_nearly_every_run(self, default_records):
-        wins = sum(
-            rec.errors["vhd"][-1] < rec.errors["ukf"][-1] for rec in default_records
-        )
-        assert wins >= 95
+    def test_vhd_wins_on_nearly_every_run(self, default_block):
+        errors = default_block.errors
+        assert np.sum(errors["vhd"][:, -1] < errors["ukf"][:, -1]) >= 95
 
-    def test_terminal_errors_look_independent_across_seeds(self, default_records):
+    def test_terminal_errors_look_independent_across_seeds(self, default_block):
         # lag-1 correlation among per-run terminal errors must sit inside
         # the 99% null band for 99 pairs (truly independent runs still
         # show sample correlation of order 1/sqrt(n))
         for name in PREDICTORS:
-            terminal = np.array([rec.errors[name][-1] for rec in default_records])
+            terminal = default_block.errors[name][:, -1]
             corr = np.corrcoef(terminal[:-1], terminal[1:])[0, 1]
             assert abs(corr) <= 0.262
 
@@ -419,10 +425,10 @@ class TestRunBlock:
     def test_records_equal_run_scenario(self, name):
         cfg = ENGINE_CONFIGS[name]
         seeds = [1234, 7, 4242]
-        records = run_block(cfg, seeds)
-        assert len(records) == len(seeds)
-        for seed, rec in zip(seeds, records):
-            assert_records_equal(rec, run_scenario(cfg, seed))
+        block = run_block(cfg, seeds)
+        np.testing.assert_array_equal(block.seed, seeds)
+        for k, seed in enumerate(seeds):
+            assert_records_equal(block.run(k), run_scenario(cfg, seed))
 
     def test_converged_tracking_gains_are_replayed(self, monkeypatch):
         cfg = ENGINE_CONFIGS["onset 100 s"]
@@ -440,7 +446,7 @@ class TestRunBlock:
         assert len(calls) - cfg.outage_steps < cfg.onset_step
 
     def test_a_block_is_fitted_and_recorded_once(self, monkeypatch):
-        names = ("generate_truth", "fit_polynomial", "lagrange_extrapolate", "_window", "_records")
+        names = ("generate_truth", "fit_polynomial", "lagrange_extrapolate", "_window", "_record")
         counts = collections.Counter()
         for name in names:
             def counted(*args, _name=name, _call=getattr(simkit, name)):
@@ -448,25 +454,26 @@ class TestRunBlock:
                 return _call(*args)
 
             monkeypatch.setattr(simkit, name, counted)
-        assert len(run_block(SMALL, range(12))) == 12
+        assert run_block(SMALL, range(12)).seed.shape == (12,)
         assert counts == dict.fromkeys(names, 1)
 
     def test_row_is_independent_of_the_batch_size(self):
         seeds = range(SMALL.base_seed, SMALL.base_seed + 12)
         full = run_block(SMALL, seeds)
-        assert len(full) == 12
+        assert full.seed.shape == (12,)
         for size in (1, 7):
             block = run_block(SMALL, seeds[:size])
-            assert len(block) == size
-            for got, want in zip(block, full):
-                assert_records_equal(got, want)
+            assert block.seed.shape == (size,)
+            for k in range(size):
+                assert_records_equal(block.run(k), full.run(k))
 
     def test_pool_seed_blocks_equal_serial_rows(self):
         seeds = range(SMALL.base_seed, SMALL.base_seed + SMALL.mc_runs)
-        pooled = _run_seeds(SMALL, jobs=3)
+        pooled = [block.run(k) for block in _run_seeds(SMALL, jobs=3) for k in range(block.seed.size)]
         assert [rec.seed for rec in pooled] == list(seeds)
-        for got, want in zip(pooled, run_block(SMALL, seeds)):
-            assert_records_equal(got, want)
+        serial = run_block(SMALL, seeds)
+        for k, got in enumerate(pooled):
+            assert_records_equal(got, serial.run(k))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("noise", [9.5e153, 1.3e154])
@@ -476,7 +483,7 @@ class TestRunBlock:
         # float range; symmetrizing it must not overflow on the reference path.
         cfg = dataclasses.replace(SMALL, sensor=SensorConfig(**{name: noise}))
         rec = run_scenario(cfg, SMALL.base_seed)
-        assert_records_equal(run_block(cfg, [SMALL.base_seed])[0], rec)
+        assert_records_equal(run_block(cfg, [SMALL.base_seed]).run(0), rec)
 
     def test_filter_overflow_raises_config_error(self):
         with pytest.raises(ConfigError, match="not finite"):
@@ -510,8 +517,8 @@ class TestMonteCarlo:
             assert out.rmse_m[name] == rmse(rec.errors[name])
             assert out.terminal_mean_m[name] == rec.errors[name][-1]
 
-    def test_aggregates_match_the_underlying_records(self, default_mc, default_records):
-        stacked = np.stack([rec.errors["vhd"] for rec in default_records])
+    def test_aggregates_match_the_underlying_records(self, default_mc, default_block):
+        stacked = default_block.errors["vhd"]
         np.testing.assert_array_equal(default_mc.result.mean_err["vhd"], stacked.mean(axis=0))
         assert default_mc.result.rmse_m["vhd"] == rmse(stacked)
 
@@ -553,6 +560,10 @@ class TestMonteCarlo:
 
     def test_designated_run_is_the_base_seed(self, default_mc, default_cfg):
         assert default_mc.result.designated_run.seed == default_cfg.base_seed
+
+    def test_designated_run_of_a_pooled_batch_is_the_reference_run(self):
+        designated = monte_carlo(SMALL, jobs=3).designated_run
+        assert_records_equal(designated, run_scenario(SMALL, SMALL.base_seed))
 
 
 class TestRmse:
