@@ -46,12 +46,15 @@ class GaussianBelief:
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     # Halve before adding: P + P.T overflows for entries above half the
-    # float range even when their mean does not.
+    # float range even when their mean does not. swapaxes transposes each
+    # matrix of a stack, where .T would reverse every axis.
     h = 0.5 * P
-    return h + h.T
+    return h + h.swapaxes(-1, -2)
 
 
 def _predicted_cov(cov: np.ndarray, model: CaModel) -> np.ndarray:
+    """F P F^T + Q, symmetrized, of one covariance or a stack of them; the
+    stacked matmul rounds each matrix as the 2-D one does."""
     return _symmetrize(model.F @ cov @ model.F.T + model.Q)
 
 
@@ -67,14 +70,21 @@ def _cholesky_or_raise(S: np.ndarray, what: str) -> np.ndarray:
         raise np.linalg.LinAlgError(f"{what} is singular or not positive definite") from exc
 
 
+def _innovation(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H P and the innovation covariance S = H P H^T + R, unchecked. H P is
+    computed once: H P H^T is (H P) H^T."""
+    HP = H @ cov
+    return HP, _symmetrize(HP @ H.T + R)
+
+
 def _kalman_gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
     """K = P H^T S^-1 with S = H P H^T + R, through a solve against S.
 
     Raises numpy.linalg.LinAlgError when S is not positive definite.
     """
-    S = _symmetrize(H @ cov @ H.T + R)
+    HP, S = _innovation(cov, R, H)
     _cholesky_or_raise(S, "innovation covariance")
-    return np.linalg.solve(S, H @ cov).T
+    return np.linalg.solve(S, HP).T
 
 
 @cache

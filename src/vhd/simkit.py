@@ -35,8 +35,8 @@ import numpy as np
 
 from .estimator import (
     GaussianBelief,
+    _innovation,
     _joseph_cov,
-    _kalman_gain,
     _predicted_cov,
     open_loop_predict,
     predict,
@@ -468,10 +468,11 @@ class RunRecord:
     tracking_err: np.ndarray
 
     def run(self, k: int) -> RunRecord:
-        """Run k of a block's record, as views into the block's arrays."""
+        """Run k of a block's record, in copies: it keeps none of the block's
+        per-run arrays alive."""
         return RunRecord(int(self.seed[k]), self.times, self.truth_xy,
-                         {name: path[k] for name, path in self.paths.items()},
-                         {name: err[k] for name, err in self.errors.items()}, self.tracking_err[k])
+                         {name: path[k].copy() for name, path in self.paths.items()},
+                         {name: err[k].copy() for name, err in self.errors.items()}, self.tracking_err[k].copy())
 
 
 def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
@@ -509,22 +510,83 @@ def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarra
     return values
 
 
-def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates=()):
-    """The covariance half of `predict`, then of one `update` per (z, R, H):
-    each covariance is computed and checked once. Returns the covariance
-    and the gain of each update."""
-    cov = _finite(_predicted_cov(cov, model), "covariance", step)
-    gains = []
+def _cholesky_ok(S) -> bool:
+    """Whether np.linalg.cholesky accepts S, or every matrix of a stack."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _check_steps(records) -> None:
+    """Check (step, covariances, innovation covariances) records one check at
+    a time, in the order in which the reference checks them, and raise the
+    ConfigError of the first that fails: per step, the predicted
+    covariance, then each update's innovation covariance and the covariance
+    after that update. A record may end at an innovation covariance."""
+    for step, covs, S in records:
+        _finite(covs[0], "covariance", step)
+        for k, S_k in enumerate(S):
+            # The covariance depends on the config alone, so a singular one
+            # is the config's fault, as an overflowing one is.
+            if not _cholesky_ok(S_k):
+                raise ConfigError(f"the filter innovation covariance is singular or not positive definite at step {step}")
+            if k + 1 < len(covs):
+                _finite(covs[k + 1], "covariance", step)
+
+
+def _check(records) -> None:
+    """Check records as `_check_steps` does, for one isfinite and one stacked
+    cholesky over all their covariances and innovation covariances unless
+    a check fails."""
+    covs = [c for _, step_covs, _ in records for c in step_covs]
+    S = [s for _, _, step_S in records for s in step_S]
+    if records and not (np.isfinite(covs).all() and _cholesky_ok(S)):
+        _check_steps(records)
+
+
+def _check_outage(model: CaModel, onset: np.ndarray, onset_step: int, covs: np.ndarray, S: np.ndarray) -> None:
+    """Check the outage's stacked (n, 2, 6, 6) `ukf` and `vhd` covariances and
+    (n, 2, 2) `vhd` innovation covariances, which follow the (2, 6, 6)
+    `onset` pair, as `_check_steps` would check each step.
+
+    One isfinite and one stacked cholesky pass unless a check fails. Then
+    the first step that fails is bisected for (a prefix of the stacks fails
+    if any of its steps does), and `_check_steps` checks it, with its
+    predicted pair, which is not stored, computed again from the pair
+    before it."""
+    def passes(n: int) -> bool:
+        return np.isfinite(covs[:n]).all() and _cholesky_ok(S[:n])
+
+    lo, hi = 0, len(covs)  # the first lo steps pass; the first hi do not
+    if passes(hi):
+        return
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    predicted = _predicted_cov(covs[lo - 1] if lo else onset, model)
+    _check_steps([(onset_step + lo + 1, [predicted, covs[lo, 1]], [S[lo]])])
+
+
+def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates, records: list):
+    """The covariance half of `predict`, then of one `update` per (z, R, H),
+    unchecked: the step's covariances and innovation covariances join a
+    record appended to `records`, the unchecked steps, for `_check`.
+    Returns the covariance and the gain of each update."""
+    covs, S, gains = [_predicted_cov(cov, model)], [], []
+    records.append((step, covs, S))
     for _, R, H in updates:
-        # The covariance depends on the config alone, so a singular one is
-        # the config's fault, as an overflowing one is.
+        HP, S_k = _innovation(covs[-1], R, H)
+        S.append(S_k)
         try:
-            K = _kalman_gain(cov, R, H)
+            gains.append(np.linalg.solve(S_k, HP).T)
         except np.linalg.LinAlgError as exc:
+            # The step's record now ends at S_k.
+            _check_steps(records)
             raise ConfigError(f"the filter {exc} at step {step}") from None
-        cov = _finite(_joseph_cov(cov, K, R, H), "covariance", step)
-        gains.append(K)
-    return cov, gains
+        covs.append(_joseph_cov(covs[-1], gains[-1], R, H))
+    return covs[-1], gains
 
 
 def _mean_step(means: np.ndarray, model: CaModel, updates=(), gains=()) -> np.ndarray:
@@ -537,11 +599,19 @@ def _mean_step(means: np.ndarray, model: CaModel, updates=(), gains=()) -> np.nd
     return means
 
 
-def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.ndarray]], np.ndarray]:
+def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
     """Every gain of a run, from the config alone: the list of tracking gains
-    of each step 1 .. onset_step, and the (T, 6, 2) `vhd` gains of the outage.
-    Each covariance is checked as it is computed; the `ukf` one is stepped
-    only for that check.
+    of each step 1 .. onset_step and the (T, 6, 2) `vhd` gains of the outage;
+    and the (T, 2, 6, 6) `ukf` and `vhd` covariances after each outage step.
+    The outage steps both covariances as one stack.
+
+    No covariance is checked as it is computed. The tracking steps are
+    checked once per fix period and the outage once, in the reference's
+    order, so a config that overflows the filter, or makes its innovation
+    covariance singular, raises the ConfigError of the first check that
+    fails, at its step, as checking each step would. A solve that finds an
+    innovation covariance exactly singular raises its own error at its step,
+    unless an earlier check fails.
 
     The schedule repeats every fix period, and the covariance recurrence is
     deterministic in the previous covariance and the step's updates. So once
@@ -557,24 +627,41 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
     period = deque(maxlen=int(fix_steps[0]) if fix_steps.size else 1)
     cycled = False
     cov = np.diag(_P0_DIAG)
-    tracking = []
+    tracking, pending = [], []
     for i, updates in _tracking_updates(cfg, model, streams, streams):
         if cycled and len(period[0][1]) == len(updates):
             cov, gains = period[0]
         else:
-            cov, gains = _covariance_step(cov, model, i, updates)
+            cov, gains = _covariance_step(cov, model, i, updates, pending)
+            if len(pending) == period.maxlen:
+                _check(pending)
+                pending = []
             cycled = len(period) == period.maxlen and np.array_equal(cov, period[0][0])
         period.append((cov, gains))
         tracking.append(gains)
+    _check(pending)
 
     # Outage, as in open_loop_predict and run_outage.
-    ukf_cov = vhd_cov = cov
-    vhd = np.empty((cfg.outage_steps, STATE_DIM, 2))
-    for k in range(1, cfg.outage_steps + 1):
-        ukf_cov, _ = _covariance_step(ukf_cov, model, cfg.onset_step + k)
-        updates = [(None, adaptive_noise(cfg.vhd_params, k * cfg.dt), model.H)]
-        vhd_cov, (vhd[k - 1],) = _covariance_step(vhd_cov, model, cfg.onset_step + k, updates)
-    return tracking, vhd
+    T, H = cfg.outage_steps, model.H
+    covs = np.empty((T, 2, STATE_DIM, STATE_DIM))
+    S = np.empty((T, 2, 2))
+    vhd = np.empty((T, STATE_DIM, 2))
+    onset = pair = np.stack([cov, cov])
+    for k in range(T):
+        pair = _predicted_cov(pair, model)
+        R = adaptive_noise(cfg.vhd_params, (k + 1) * cfg.dt)
+        HP, S[k] = _innovation(pair[1], R, H)
+        try:
+            vhd[k] = K = np.linalg.solve(S[k], HP).T
+        except np.linalg.LinAlgError as exc:
+            step = cfg.onset_step + k + 1
+            _check_outage(model, onset, cfg.onset_step, covs[:k], S[:k])
+            _check_steps([(step, [pair], [S[k]])])
+            raise ConfigError(f"the filter {exc} at step {step}") from None
+        pair[1] = _joseph_cov(pair[1], K, R, H)
+        covs[k] = pair
+    _check_outage(model, onset, cfg.onset_step, covs, S)
+    return tracking, vhd, covs
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -592,8 +679,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     interpolant are each one broadcast solve for the block.
 
     `GaussianBelief` checks every belief of the reference for finiteness;
-    here each covariance is checked as it is computed and the means once
-    per phase, and a config that overflows the filter, or makes its
+    here `_gain_schedule` checks the covariances, once per fix period while
+    tracking and once for the outage, and the means are checked once per
+    phase. A config that overflows the filter, or makes its
     innovation covariance singular, raises ConfigError, before any draw if
     the covariance is at fault. The whole block runs with numpy's overflow
     and invalid-value warnings off, so that error is all such a config
@@ -601,7 +689,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    tracking_gains, vhd_gains = _gain_schedule(cfg, model)
+    tracking_gains, vhd_gains = _gain_schedule(cfg, model)[:2]
     truth = generate_truth(cfg)
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
     imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
@@ -618,14 +706,17 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     poly = fit_polynomial(window, cfg.poly_degree)
     # (T, runs, 2, 1): the virtual fixes of each outage step, one column per run
     virtual = np.moveaxis(poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt), 1, 0)[..., None]
-    ukf, vhd = np.empty((2, len(seeds), T + 1, STATE_DIM, 1))
-    ukf[:, 0] = vhd[:, 0] = ukf_means = vhd_means = window.states[:, -1, :, None]
+    # The ukf and vhd means advance as one (2, runs, 6, 1) stack; the vhd half
+    # then takes its update, as in _mean_step.
+    paths = np.empty((2, len(seeds), T + 1, STATE_DIM, 1))
+    paths[:, :, 0] = window.states[:, -1, :, None]
+    means = paths[:, :, 0]
     for k, z, K in zip(range(1, T + 1), virtual, vhd_gains):
-        ukf[:, k] = ukf_means = _mean_step(ukf_means, model)
-        vhd[:, k] = vhd_means = _mean_step(vhd_means, model, [(z, None, model.H)], [K])
-    _finite(ukf, "means")
-    _finite(vhd, "means")
-    return _record(cfg, np.array(seeds), truth, window, tracking_err, ukf[..., 0], vhd[..., 0])
+        means = model.F @ means
+        means[1] = means[1] + K @ (z - model.H @ means[1])
+        paths[:, :, k] = means
+    ukf, vhd = _finite(paths, "means")[..., 0]
+    return _record(cfg, np.array(seeds), truth, window, tracking_err, ukf, vhd)
 
 
 # ----------------------------------------------------------------------

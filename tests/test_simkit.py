@@ -14,6 +14,7 @@ from vhd import (
     open_loop_predict,
     rmse,
     run_block,
+    run_outage,
     run_scenario,
     simulate_measurements,
     track_to_outage,
@@ -433,13 +434,13 @@ class TestRunBlock:
     def test_converged_tracking_gains_are_replayed(self, monkeypatch):
         cfg = ENGINE_CONFIGS["onset 100 s"]
         calls = []
-        gain = simkit._kalman_gain
+        innovation = simkit._innovation
 
-        def counted_gain(*args):
+        def counted_innovation(*args):
             calls.append(args)
-            return gain(*args)
+            return innovation(*args)
 
-        monkeypatch.setattr(simkit, "_kalman_gain", counted_gain)
+        monkeypatch.setattr(simkit, "_innovation", counted_innovation)
         simkit._gain_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
         # Computing every tracking step takes one gain per step plus one per
         # fix; the outage takes one vhd gain per step.
@@ -489,14 +490,101 @@ class TestRunBlock:
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
 
-    def test_filter_overflow_raises_before_any_draw(self, monkeypatch):
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
         def drawn(*args):
             raise AssertionError("the truth or a sensor stream was drawn")
 
         monkeypatch.setattr(simkit, "generate_truth", drawn)
         monkeypatch.setattr(simkit, "simulate_measurements", drawn)
+
+    def test_filter_overflow_raises_before_any_draw(self, no_draws):
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
+
+    # The schedule checks its covariances once per fix period and once for the
+    # outage; the error must still name the step and the check at which
+    # checking each covariance as it is computed would have stopped.
+    OVERFLOW = "the filter covariance is not finite at step {}: the config's values overflow the filter"
+    SINGULAR = "the filter innovation covariance is singular or not positive definite at step {}"
+
+    @pytest.mark.parametrize(
+        ("cfg", "message"),
+        [
+            # The ukf covariance overflows first, in the outage.
+            (ScenarioConfig(sigma_jerk=1e151), OVERFLOW.format(925)),
+            # Without process or accelerometer noise the acceleration
+            # variance is 0 after the first update, and the solve of the
+            # next step's gain finds S exactly singular.
+            (ScenarioConfig(sigma_jerk=0.0, sensor=SensorConfig(accel_white_noise=0.0)), SINGULAR.format(2)),
+            # These two fail while tracking, where no solve raises: only
+            # the checks of the fix periods see them.
+            (
+                ScenarioConfig(sigma_jerk=1.3e154, sensor=SensorConfig(position_fix_noise=1.3e154, accel_white_noise=1.3e154)),
+                OVERFLOW.format(11),
+            ),
+            (
+                dataclasses.replace(SMALL, sigma_jerk=0.0, sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=1e150)),
+                SINGULAR.format(60),
+            ),
+        ],
+        ids=[
+            "sigma_jerk 1e151",
+            "sigma_jerk 0, accel_white_noise 0",
+            "sigma_jerk and sensor noises 1.3e154",
+            "sigma_jerk 0, exact fixes, accel_white_noise 1e150",
+        ],
+    )
+    def test_a_filter_error_names_its_step_before_any_draw(self, no_draws, cfg, message):
+        with pytest.raises(ConfigError) as info:
+            run_block(cfg, [1234])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad_step", [1, 123, 400])
+    def test_a_non_finite_vhd_noise_names_its_outage_step(self, monkeypatch, no_draws, bad_step):
+        cfg = ScenarioConfig()
+        noise = simkit.adaptive_noise
+
+        def noise_with_nan(params, elapsed):
+            R = noise(params, elapsed)
+            return R * np.nan if round(elapsed / cfg.dt) == bad_step else R
+
+        monkeypatch.setattr(simkit, "adaptive_noise", noise_with_nan)
+        with pytest.raises(ConfigError) as info:
+            run_block(cfg, [1234])
+        assert str(info.value) == self.OVERFLOW.format(cfg.onset_step + bad_step)
+
+    def test_an_outage_solve_that_finds_s_singular_names_its_step(self, monkeypatch, no_draws):
+        # A noise of minus the predicted position block makes S exactly 0,
+        # which the solve rejects before the check of S would run.
+        cfg, bad_step = ScenarioConfig(), 123
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        predicted = simkit._predicted_cov(simkit._gain_schedule(cfg, model)[2][bad_step - 2, 1], model)
+        noise = simkit.adaptive_noise
+
+        def cancelling_noise(params, elapsed):
+            return -(model.H @ predicted @ model.H.T) if round(elapsed / cfg.dt) == bad_step else noise(params, elapsed)
+
+        monkeypatch.setattr(simkit, "adaptive_noise", cancelling_noise)
+        with pytest.raises(ConfigError) as info:
+            run_block(cfg, [1234])
+        assert str(info.value) == self.SINGULAR.format(cfg.onset_step + bad_step)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ScenarioConfig(), ScenarioConfig(duration=360.0, outage_duration=300.0)],
+        ids=["default", "300 s outage"],
+    )
+    def test_outage_covariances_equal_the_reference_beliefs(self, cfg):
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        covs = simkit._gain_schedule(cfg, model)[2]
+        onset = track_to_outage(cfg, cfg.base_seed)
+        T = cfg.outage_steps
+        ukf = open_loop_predict(onset.belief, model, T)
+        vhd = run_outage(onset.belief, onset.window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
+        assert covs.shape == (T, 2, 6, 6)
+        np.testing.assert_array_equal(covs[:, 0], [b.cov for b in ukf])
+        np.testing.assert_array_equal(covs[:, 1], [b.cov for b in vhd])
 
 
 class TestMonteCarlo:
@@ -560,6 +648,12 @@ class TestMonteCarlo:
 
     def test_designated_run_is_the_base_seed(self, default_mc, default_cfg):
         assert default_mc.result.designated_run.seed == default_cfg.base_seed
+
+    def test_designated_run_keeps_no_block_array_alive(self):
+        run = monte_carlo(dataclasses.replace(SMALL, mc_runs=50)).designated_run
+        arrays = [run.times, run.truth_xy, run.tracking_err, *run.paths.values(), *run.errors.values()]
+        for array in arrays:
+            assert array.base is None or array.base.nbytes == array.nbytes
 
     def test_designated_run_of_a_pooled_batch_is_the_reference_run(self):
         designated = monte_carlo(SMALL, jobs=3).designated_run
