@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .simkit import PREDICTORS, ConfigError, McResult, ScenarioConfig, monte_carlo
 
 EXIT_OK = 0
@@ -193,8 +195,12 @@ def _summary_json(cfg: ScenarioConfig, result: McResult, predictors) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(columns: dict[str, object]) -> str:
-    rows = [",".join(columns)] + [",".join(map(_fmt, row)) for row in zip(*columns.values())]
+def _csv(columns: dict[str, np.ndarray]) -> str:
+    # One format call per row, on the row's Python floats, which format as
+    # `_fmt` formats numpy's; only one row of them is alive at a time.
+    row = ",".join(["{:.6g}"] * len(columns)).format
+    table = np.column_stack(list(columns.values()))
+    rows = [",".join(columns)] + [row(*values.tolist()) for values in table]
     return "\n".join(rows) + "\n"
 
 

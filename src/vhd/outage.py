@@ -63,16 +63,19 @@ class AdaptiveConfidenceParams:
             raise ValueError(f"AdaptiveConfidenceParams invariant: p must be >= 1, got {self.p}")
 
 
-def adaptive_noise(params: AdaptiveConfidenceParams, elapsed: float) -> np.ndarray:
-    """Virtual-measurement noise covariance after `elapsed` seconds.
-
-    Returns R(elapsed) * I with R(elapsed) = r_base * (1 + alpha * elapsed**p);
-    equals r_base * I exactly at elapsed = 0 and is monotone non-decreasing
-    in elapsed.
-    """
+def adaptive_variance(params: AdaptiveConfidenceParams, elapsed: float) -> float:
+    """Variance of each virtual-fix coordinate after `elapsed` seconds:
+    R(elapsed) = r_base * (1 + alpha * elapsed**p); equals r_base exactly at
+    elapsed = 0 and is monotone non-decreasing in elapsed."""
     if elapsed < 0.0:
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return params.r_base * (1.0 + params.alpha * elapsed**params.p) * _identity(2)
+    return params.r_base * (1.0 + params.alpha * elapsed**params.p)
+
+
+def adaptive_noise(params: AdaptiveConfidenceParams, elapsed: float) -> np.ndarray:
+    """Virtual-measurement noise covariance after `elapsed` seconds: the 2x2
+    R(elapsed) * I of `adaptive_variance`."""
+    return adaptive_variance(params, elapsed) * _identity(2)
 
 
 def vhd_outage_step(

@@ -19,7 +19,8 @@ execute serially or in parallel.
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `run_block` computes every gain once, before any draw,
 then runs a block of seeds in lockstep as one stack of means; each run of
-its record equals `run_scenario`'s for the same seed bit for bit.
+its record equals `run_scenario`'s for the same seed bit for bit, but for
+the `vhd` path, whose outage gains it computes per axis in floats.
 `run_scenario` is the straightforward per-run reference that the tests
 compare it against.
 """
@@ -27,6 +28,7 @@ compare it against.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -56,7 +58,7 @@ from .kinematics import (
     make_state,
     propagate_truth,
 )
-from .outage import AdaptiveConfidenceParams, adaptive_noise, run_outage
+from .outage import AdaptiveConfidenceParams, adaptive_variance, run_outage
 
 PREDICTORS = ("ukf", "lagrange", "vhd")
 
@@ -223,12 +225,11 @@ class ScenarioConfig:
         if self.lagrange_nodes > capacity:
             raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
         # The schedule grows with outage age, so its last step bounds it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                last_noise = adaptive_noise(self.vhd_params, self.outage_steps * self.dt)
-            except OverflowError:
-                last_noise = np.inf
-        if not np.all(np.isfinite(last_noise)):
+        try:
+            last_noise = adaptive_variance(self.vhd_params, self.outage_steps * self.dt)
+        except OverflowError:
+            last_noise = math.inf
+        if not math.isfinite(last_noise):
             raise ValueError("ScenarioConfig invariant: vhd noise must stay finite up to the last outage step")
 
     # -- derived step counts -------------------------------------------
@@ -407,9 +408,8 @@ def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixe
     """The tracking schedule: each step 1 .. onset_step with its ordered
     updates (z, R, H), the accelerometer reading `imu[step]` (weighted by
     its white-noise covariance; the bias is unmodeled), then on a fix step
-    the position fix `fixes[row]`. The engine passes the streams of a
-    block stacked with the run axis second and a trailing axis, so each z
-    holds one column per run.
+    the position fix `fixes[row]`. `track_to_outage` passes one run's
+    streams; `_gain_schedule` passes the row numbers, as ranges.
     """
     acc = (np.diag([cfg.sensor.accel_white_noise**2] * 2), accel_measurement_matrix())
     fix = (np.diag([cfg.sensor.position_fix_noise**2] * 2), model.H)
@@ -510,6 +510,12 @@ def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarra
     return values
 
 
+def _singular(step: int) -> ConfigError:
+    # The covariance depends on the config alone, so a singular one is the
+    # config's fault, as an overflowing one is.
+    return ConfigError(f"the filter innovation covariance is singular or not positive definite at step {step}")
+
+
 def _cholesky_ok(S) -> bool:
     """Whether np.linalg.cholesky accepts S, or every matrix of a stack."""
     try:
@@ -528,10 +534,8 @@ def _check_steps(records) -> None:
     for step, covs, S in records:
         _finite(covs[0], "covariance", step)
         for k, S_k in enumerate(S):
-            # The covariance depends on the config alone, so a singular one
-            # is the config's fault, as an overflowing one is.
             if not _cholesky_ok(S_k):
-                raise ConfigError(f"the filter innovation covariance is singular or not positive definite at step {step}")
+                raise _singular(step)
             if k + 1 < len(covs):
                 _finite(covs[k + 1], "covariance", step)
 
@@ -544,29 +548,6 @@ def _check(records) -> None:
     S = [s for _, _, step_S in records for s in step_S]
     if records and not (np.isfinite(covs).all() and _cholesky_ok(S)):
         _check_steps(records)
-
-
-def _check_outage(model: CaModel, onset: np.ndarray, onset_step: int, covs: np.ndarray, S: np.ndarray) -> None:
-    """Check the outage's stacked (n, 2, 6, 6) `ukf` and `vhd` covariances and
-    (n, 2, 2) `vhd` innovation covariances, which follow the (2, 6, 6)
-    `onset` pair, as `_check_steps` would check each step.
-
-    One isfinite and one stacked cholesky pass unless a check fails. Then
-    the first step that fails is bisected for (a prefix of the stacks fails
-    if any of its steps does), and `_check_steps` checks it, with its
-    predicted pair, which is not stored, computed again from the pair
-    before it."""
-    def passes(n: int) -> bool:
-        return np.isfinite(covs[:n]).all() and _cholesky_ok(S[:n])
-
-    lo, hi = 0, len(covs)  # the first lo steps pass; the first hi do not
-    if passes(hi):
-        return
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
-    predicted = _predicted_cov(covs[lo - 1] if lo else onset, model)
-    _check_steps([(onset_step + lo + 1, [predicted, covs[lo, 1]], [S[lo]])])
 
 
 def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates, records: list):
@@ -589,21 +570,91 @@ def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates, record
     return covs[-1], gains
 
 
-def _mean_step(means: np.ndarray, model: CaModel, updates=(), gains=()) -> np.ndarray:
-    """The mean half of `predict` and `update`, with their expressions, for
-    (runs, 6, 1) means and (runs, 2, 1) z: one column per run. The stacked
-    matmul rounds each column as `F @ m` rounds a 1-D mean."""
-    means = model.F @ means
-    for (z, _, H), K in zip(updates, gains):
-        means = means + K @ (z - H @ means)
-    return means
+# The unique entries of a symmetric 3x3 covariance block, in the order the
+# outage schedule keeps them.
+_AXIS_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """Every gain of a run, from the config alone: the list of tracking gains
-    of each step 1 .. onset_step and the (T, 6, 2) `vhd` gains of the outage;
-    and the (T, 2, 6, 6) `ukf` and `vhd` covariances after each outage step.
-    The outage steps both covariances as one stack.
+def _axis_predicted(p: tuple, f: tuple, q: tuple) -> tuple:
+    """`_predicted_cov` of one axis's 3x3 block in floats: (F P) F^T + Q, from
+    and to the six `_AXIS_ENTRIES` of P, with F's (dt, dt^2 / 2) as `f` and
+    the entries of Q's block as `q`."""
+    p00, p01, p02, p11, p12, p22 = p
+    dt, h = f
+    # Rows 0 and 1 of F P; row 2 is P's.
+    a00, a01, a02 = p00 + dt * p01 + h * p02, p01 + dt * p11 + h * p12, p02 + dt * p12 + h * p22
+    a11, a12 = p11 + dt * p12, p12 + dt * p22
+    return (a00 + dt * a01 + h * a02 + q[0], a01 + dt * a02 + q[1], a02 + q[2],
+            a11 + dt * a12 + q[3], a12 + q[4], p22 + q[5])
+
+
+def _axis_fix(p: tuple, r: float) -> tuple[tuple, float, tuple]:
+    """`update`'s covariance half for one axis's position fix of variance r,
+    in floats: the Joseph covariance (I - k H) P (I - k H)^T + r k k^T, the
+    innovation variance s = p00 + r and the gain k = P[:, 0] / s. Raises
+    ZeroDivisionError if s is 0."""
+    p00, p01, p02, p11, p12, p22 = p
+    s = p00 + r
+    k0, k1, k2 = p00 / s, p01 / s, p02 / s
+    a = 1.0 - k0
+    # B = (I - k H) P, whose rows 1 and 2 are P's less k1 and k2 times row 0
+    b00, b01, b02 = a * p00, a * p01, a * p02
+    b10, b11, b12 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02
+    b20, b22 = p02 - k2 * p00, p22 - k2 * p02
+    rk0, rk1, rk2 = k0 * r, k1 * r, k2 * r
+    cov = (a * b00 + rk0 * k0, b01 - k1 * b00 + rk0 * k1, b02 - k2 * b00 + rk0 * k2,
+           b11 - k1 * b10 + rk1 * k1, b12 - k2 * b10 + rk1 * k2, b22 - k2 * b20 + rk2 * k2)
+    return cov, s, (k0, k1, k2)
+
+
+def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outage half of `_gain_schedule`, from the (6, 6) onset covariance,
+    as in open_loop_predict and run_outage.
+
+    The onset covariance is two equal 3x3 blocks with a zero cross block, and
+    F, Q and each outage update (a position fix with R = r I) keep it so. So
+    each predictor's step is that of one axis, in floats: six covariance
+    entries, and for `vhd` one innovation variance s and one gain k.
+
+    Each step appends its 16 floats (`ukf`'s entries, `vhd`'s, s and k) to
+    one array, and one mask checks them all: every float finite and s > 0.
+    The first failing row names the step, with the reference's error: the
+    predicted pair, then S, then the `vhd` covariance. A NaN s passes S's
+    check, as a NaN S passes `np.linalg.cholesky` in `update`."""
+    f = (float(model.F[0, 1]), float(model.F[0, 2]))
+    q = tuple(float(model.Q[e]) for e in _AXIS_ENTRIES)
+    ukf = vhd = tuple(float(onset[e]) for e in _AXIS_ENTRIES)
+    rows = array("d")
+    try:
+        for k in range(1, cfg.outage_steps + 1):
+            ukf = _axis_predicted(ukf, f, q)
+            vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(cfg.vhd_params, k * cfg.dt))
+            rows.extend((*ukf, *vhd, s, *gain))
+    except ZeroDivisionError:
+        # s is 0: the check rejects this row, or an earlier one.
+        rows.extend((*ukf, *[math.nan] * 6, 0.0, *[math.nan] * 3))
+    table = np.frombuffer(rows).reshape(-1, 16)
+    ok = np.isfinite(table).all(axis=1) & (table[:, 12] > 0.0)
+    if not ok.all():
+        bad = int(ok.argmin())
+        step = cfg.onset_step + bad + 1
+        if np.isfinite(table[bad, :6]).all() and table[bad, 12] <= 0.0:
+            raise _singular(step)
+        _finite(table[bad], "covariance", step)  # the row is not finite
+    gains = np.zeros((len(table), STATE_DIM, 2))
+    gains[:, :3, 0] = gains[:, 3:, 1] = table[:, 13:]
+    return gains, table[:, :12].reshape(-1, 2, 6)
+
+
+def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Every gain of a run, from the config alone.
+
+    Returns the tracking gains as a pair of arrays: the (onset_step + 1, 6, 2)
+    gains of the accelerometer readings, by step (row 0 is zero: no reading is
+    assimilated at step 0), and the (fixes, 6, 2) gains of the position
+    fixes, by fix row. Then the (T, 6, 2) `vhd` gains of the outage, and
+    the (T, 2, 6) `ukf` and `vhd` covariances after each outage step, as the
+    six `_AXIS_ENTRIES` of either 3x3 block (see `_outage_schedule`).
 
     No covariance is checked as it is computed. The tracking steps are
     checked once per fix period and the outage once, in the reference's
@@ -619,16 +670,17 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
     updates match that earlier step's takes its covariance and gains (the
     same list); any other step (an onset on a fix boundary has no fix) is
     computed."""
-    # _tracking_updates reads only R and H here: a zero-width stream stands in.
-    streams = np.empty((cfg.onset_step + 1, 0))
+    acc = np.zeros((cfg.onset_step + 1, STATE_DIM, 2))
+    fix = np.empty((cfg.fix_steps.size, STATE_DIM, 2))
     # (covariance, gains) after each step of the last schedule period: the
     # fix period, or one step when no fix arrives before the onset.
-    fix_steps = cfg.fix_steps
-    period = deque(maxlen=int(fix_steps[0]) if fix_steps.size else 1)
+    period = deque(maxlen=int(cfg.fix_steps[0]) if fix.size else 1)
     cycled = False
     cov = np.diag(_P0_DIAG)
-    tracking, pending = [], []
-    for i, updates in _tracking_updates(cfg, model, streams, streams):
+    pending = []
+    # The streams are row numbers, so each update's z is the row of the
+    # reading its gain serves.
+    for i, updates in _tracking_updates(cfg, model, range(len(acc)), range(len(fix))):
         if cycled and len(period[0][1]) == len(updates):
             cov, gains = period[0]
         else:
@@ -638,36 +690,17 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
                 pending = []
             cycled = len(period) == period.maxlen and np.array_equal(cov, period[0][0])
         period.append((cov, gains))
-        tracking.append(gains)
+        for (row, _, _), K, stream in zip(updates, gains, (acc, fix)):
+            stream[row] = K
     _check(pending)
-
-    # Outage, as in open_loop_predict and run_outage.
-    T, H = cfg.outage_steps, model.H
-    covs = np.empty((T, 2, STATE_DIM, STATE_DIM))
-    S = np.empty((T, 2, 2))
-    vhd = np.empty((T, STATE_DIM, 2))
-    onset = pair = np.stack([cov, cov])
-    for k in range(T):
-        pair = _predicted_cov(pair, model)
-        R = adaptive_noise(cfg.vhd_params, (k + 1) * cfg.dt)
-        HP, S[k] = _innovation(pair[1], R, H)
-        try:
-            vhd[k] = K = np.linalg.solve(S[k], HP).T
-        except np.linalg.LinAlgError as exc:
-            step = cfg.onset_step + k + 1
-            _check_outage(model, onset, cfg.onset_step, covs[:k], S[:k])
-            _check_steps([(step, [pair], [S[k]])])
-            raise ConfigError(f"the filter {exc} at step {step}") from None
-        pair[1] = _joseph_cov(pair[1], K, R, H)
-        covs[k] = pair
-    _check_outage(model, onset, cfg.onset_step, covs, S)
-    return tracking, vhd, covs
+    return (acc, fix), *_outage_schedule(cfg, model, cov)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     """Run a block of seeds in lockstep; its record's run k equals
-    run_scenario(cfg, seeds[k]).
+    run_scenario(cfg, seeds[k]), bit for bit but for the `vhd` path (see
+    below).
 
     `_gain_schedule` computes each gain once, before anything is drawn. Then
     the truth is generated once, each seed gets its own measurements, and
@@ -677,6 +710,11 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     `update` round a 1-D mean (`einsum` or `M @ F.T` would not, and the
     polynomial extrapolations amplify that). The window fit and the Lagrange
     interpolant are each one broadcast solve for the block.
+
+    The tracking gains are the reference's bit for bit. The outage `vhd`
+    gains are computed per axis in floats (`_outage_schedule`), so they, and
+    the `vhd` path, differ from the reference's in the last bits: the path
+    by about 1e-12 m over a 300 s outage.
 
     `GaussianBelief` checks every belief of the reference for finiteness;
     here `_gain_schedule` checks the covariances, once per fix period while
@@ -689,17 +727,26 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    tracking_gains, vhd_gains = _gain_schedule(cfg, model)[:2]
+    (acc_gains, fix_gains), vhd_gains, _ = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
     imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
     fixes = np.stack([ms.fix_values for ms in meas], axis=1)[..., None]
+    # Each step as in track_to_outage: the accelerometer update, then the fix
+    # on a fix step, with the expressions of `predict` and `update`.
+    H_acc, H = accel_measurement_matrix(), model.H
+    fix_at = dict(zip(cfg.fix_steps.tolist(), zip(fixes, fix_gains)))
     tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM, 1))
     tracked[:, 0] = means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
-    for (i, updates), gains in zip(_tracking_updates(cfg, model, imu, fixes), tracking_gains):
-        tracked[:, i] = means = _mean_step(means, model, updates, gains)
+    for i in range(1, cfg.onset_step + 1):
+        means = model.F @ means
+        means = means + acc_gains[i] @ (imu[i] - H_acc @ means)
+        if i in fix_at:
+            z, K = fix_at[i]
+            means = means + K @ (z - H @ means)
+        tracked[:, i] = means
     window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
-    del meas, imu, fixes, tracked, tracking_gains
+    del meas, imu, fixes, fix_at, tracked, acc_gains, fix_gains
 
     # Outage, as in open_loop_predict and run_outage.
     T = cfg.outage_steps
@@ -707,13 +754,13 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     # (T, runs, 2, 1): the virtual fixes of each outage step, one column per run
     virtual = np.moveaxis(poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt), 1, 0)[..., None]
     # The ukf and vhd means advance as one (2, runs, 6, 1) stack; the vhd half
-    # then takes its update, as in _mean_step.
+    # then takes its update.
     paths = np.empty((2, len(seeds), T + 1, STATE_DIM, 1))
     paths[:, :, 0] = window.states[:, -1, :, None]
     means = paths[:, :, 0]
     for k, z, K in zip(range(1, T + 1), virtual, vhd_gains):
         means = model.F @ means
-        means[1] = means[1] + K @ (z - model.H @ means[1])
+        means[1] = means[1] + K @ (z - H @ means[1])
         paths[:, :, k] = means
     ukf, vhd = _finite(paths, "means")[..., 0]
     return _record(cfg, np.array(seeds), truth, window, tracking_err, ukf, vhd)

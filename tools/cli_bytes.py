@@ -1,0 +1,81 @@
+"""Check that the CLI writes the same bytes as another checkout.
+
+    python3 tools/cli_bytes.py --base DIR
+
+DIR is a checkout of the commit to compare against (for example one made
+with ``git worktree add``); the other side is the checkout holding this
+script. Each case runs ``python -m vhd.cli`` once per side, with that
+side's ``src`` first on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, and
+compares every file of the two output bundles byte for byte. Each file
+that differs, or that only one side wrote, is named. Exit status is 0 when
+every bundle is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 600.0
+
+# Case name -> (config lines, extra CLI arguments). They cover the default
+# batch serially and through the pool, the two long workloads of the
+# benchmark, and a denser fix rate with a high-degree fit and interpolant.
+CASES = {
+    "default": ([], []),
+    "default --jobs 3": ([], ["--jobs", "3"]),
+    "300 s outage": (["sim.duration = 360", "sim.outage_duration = 300"], ["--runs", "3"]),
+    "1000 s track": (["sim.duration = 1040", "sim.outage_start = 1000"], ["--runs", "2"]),
+    "fix_rate 2, degree 5, 12 nodes": (
+        ["sensor.fix_rate = 2", "vhd.poly_degree = 5", "baseline.lagrange_nodes = 12"],
+        ["--runs", "12"],
+    ),
+}
+
+
+def run_cli(checkout: Path, config: Path, args: list[str], out_dir: Path) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "vhd.cli", "--config", str(config), "--out-dir", str(out_dir), "--quiet", *args]
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def differing_files(base: Path, change: Path) -> list[str]:
+    names = sorted({p.name for p in base.iterdir()} | {p.name for p in change.iterdir()})
+    return [
+        name for name in names
+        if not ((base / name).is_file() and (change / name).is_file()
+                and (base / name).read_bytes() == (change / name).read_bytes())
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, type=Path, help="checkout to compare against")
+    args = parser.parse_args()
+    sides = {"base": args.base.resolve(), "change": ROOT}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        failed = False
+        for k, (name, (lines, cli_args)) in enumerate(CASES.items()):
+            config = work / f"case{k}.cfg"
+            config.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            outs = {side: work / f"case{k}-{side}" for side in sides}
+            for side, checkout in sides.items():
+                run_cli(checkout, config, cli_args, outs[side])
+            diff = differing_files(outs["base"], outs["change"])
+            print(f"{name}: " + (f"differs in {', '.join(diff)}" if diff else "identical"))
+            failed |= bool(diff)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
