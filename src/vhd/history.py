@@ -59,12 +59,6 @@ class Trajectory:
     def accelerations(self) -> np.ndarray:
         return self.states[..., [AX, AY]]
 
-    @property
-    def end_time(self) -> float:
-        if len(self) == 0:
-            raise ValueError("trajectory is empty")
-        return float(self.times[-1])
-
     def recent(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Last `count` samples as (times, positions)."""
         if count < 1 or count > len(self):
@@ -119,12 +113,15 @@ class PolyModel:
         return s
 
 
-def _centered_basis(times: np.ndarray) -> tuple[float, float]:
-    t_ref = 0.5 * (times[0] + times[-1])
-    t_scale = 0.5 * (times[-1] - times[0])
+def _vandermonde(times: np.ndarray, columns: int) -> tuple[np.ndarray, float, float]:
+    """The increasing Vandermonde matrix, 1, tau, .., tau**(columns - 1), of
+    `times` on their centered, scaled basis tau = (t - t_ref) / t_scale,
+    and t_ref and t_scale."""
+    t_ref = float(0.5 * (times[0] + times[-1]))
+    t_scale = float(0.5 * (times[-1] - times[0]))
     if t_scale <= 0.0:
         raise ValueError("window must span a positive time interval")
-    return float(t_ref), float(t_scale)
+    return np.vander((times - t_ref) / t_scale, columns, increasing=True), t_ref, t_scale
 
 
 def fit_polynomial(w: Trajectory, degree: int = 2) -> PolyModel:
@@ -139,14 +136,8 @@ def fit_polynomial(w: Trajectory, degree: int = 2) -> PolyModel:
     n = len(w)
     if n < degree + 1:
         raise ValueError(f"need at least {degree + 1} samples to fit degree {degree}, have {n}")
-    times = w.times
-    t_ref, t_scale = _centered_basis(times)
-    tau = (times - t_ref) / t_scale
-
-    V = np.vander(tau, degree + 1, increasing=True)
-    G = V.T @ V
-    rhs = V.T @ w.positions
-    return PolyModel(np.linalg.solve(G, rhs), t_ref, t_scale, float(times[-1]))
+    V, t_ref, t_scale = _vandermonde(w.times, degree + 1)
+    return PolyModel(np.linalg.solve(V.T @ V, V.T @ w.positions), t_ref, t_scale, float(w.times[-1]))
 
 
 def residual_covariance(w: Trajectory, p: PolyModel) -> np.ndarray:
@@ -188,6 +179,5 @@ def lagrange_extrapolate(w: Trajectory, t, node_count: int = 8) -> np.ndarray:
     if np.unique(times).shape[0] != node_count:
         raise ValueError("node timestamps must be distinct")
 
-    t_ref, t_scale = _centered_basis(times)
-    V = np.vander((times - t_ref) / t_scale, node_count, increasing=True)
+    V, t_ref, t_scale = _vandermonde(times, node_count)
     return PolyModel(np.linalg.solve(V, positions), t_ref, t_scale, float(times[-1])).position(t)

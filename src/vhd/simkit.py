@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,7 +43,7 @@ from .estimator import (
     predict,
     update,
 )
-from .history import Trajectory, fit_polynomial, lagrange_extrapolate
+from .history import Trajectory, _vandermonde, fit_polynomial, lagrange_extrapolate
 from .kinematics import (
     AX,
     AY,
@@ -224,6 +223,10 @@ class ScenarioConfig:
             raise ValueError(f"ScenarioConfig invariant: poly_degree + 1 must be <= window capacity {capacity}")
         if self.lagrange_nodes > capacity:
             raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
+        # A rank-deficient V^T V makes the window fit noise, which the outage amplifies.
+        V = _vandermonde(self.window_steps * self.dt, self.poly_degree + 1)[0]
+        if np.linalg.matrix_rank(V.T @ V) <= self.poly_degree:
+            raise ValueError("ScenarioConfig invariant: poly_degree is too high: the window fit's normal matrix is rank-deficient")
         # The schedule grows with outage age, so its last step bounds it.
         try:
             last_noise = adaptive_variance(self.vhd_params, self.outage_steps * self.dt)
@@ -270,7 +273,7 @@ class ScenarioConfig:
     def window_steps(self) -> np.ndarray:
         """Steps of the history window: one per window period backward from
         the onset step, at most window_capacity of them, oldest first."""
-        return np.arange(self.onset_step, -1, -self.window_period_steps)[: self.window_capacity][::-1]
+        return self.onset_step - self.window_period_steps * np.arange(self.window_capacity)[::-1]
 
     @property
     def current(self) -> Disturbance:
@@ -404,15 +407,18 @@ class OnsetState:
     truth: Trajectory
 
 
+def _measurement_models(cfg: ScenarioConfig, model: CaModel) -> tuple[tuple, tuple]:
+    """The (R, H) of the accelerometer update (white noise only: the bias is
+    unmodeled) and of the position fix update."""
+    return ((np.diag([cfg.sensor.accel_white_noise**2] * 2), accel_measurement_matrix()),
+            (np.diag([cfg.sensor.position_fix_noise**2] * 2), model.H))
+
+
 def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixes: np.ndarray):
-    """The tracking schedule: each step 1 .. onset_step with its ordered
-    updates (z, R, H), the accelerometer reading `imu[step]` (weighted by
-    its white-noise covariance; the bias is unmodeled), then on a fix step
-    the position fix `fixes[row]`. `track_to_outage` passes one run's
-    streams; `_gain_schedule` passes the row numbers, as ranges.
-    """
-    acc = (np.diag([cfg.sensor.accel_white_noise**2] * 2), accel_measurement_matrix())
-    fix = (np.diag([cfg.sensor.position_fix_noise**2] * 2), model.H)
+    """The tracking schedule of one run: each step 1 .. onset_step with its
+    ordered updates (z, R, H), the accelerometer reading `imu[step]`, then on
+    a fix step the position fix `fixes[row]`."""
+    acc, fix = _measurement_models(cfg, model)
     fix_row = {int(s): k for k, s in enumerate(cfg.fix_steps)}
     for i in range(1, cfg.onset_step + 1):
         updates = [(imu[i], *acc)]
@@ -551,13 +557,13 @@ def _check(records) -> None:
 
 
 def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates, records: list):
-    """The covariance half of `predict`, then of one `update` per (z, R, H),
+    """The covariance half of `predict`, then of one `update` per (R, H),
     unchecked: the step's covariances and innovation covariances join a
     record appended to `records`, the unchecked steps, for `_check`.
     Returns the covariance and the gain of each update."""
     covs, S, gains = [_predicted_cov(cov, model)], [], []
     records.append((step, covs, S))
-    for _, R, H in updates:
+    for R, H in updates:
         HP, S_k = _innovation(covs[-1], R, H)
         S.append(S_k)
         try:
@@ -646,54 +652,44 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
     return gains, table[:, :12].reshape(-1, 2, 6)
 
 
-def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Every gain of a run, from the config alone.
+def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
+    """Every gain of a run, from the config alone: the tracking gains as one
+    list, whose entry i - 1 holds step i's (6, 2) gains (the accelerometer
+    gain, then on a fix step the fix gain); the (T, 6, 2) `vhd` gains of the
+    outage; and the (T, 2, 6) `ukf` and `vhd` covariances after each outage
+    step, as the six `_AXIS_ENTRIES` of either 3x3 block (`_outage_schedule`).
 
-    Returns the tracking gains as a pair of arrays: the (onset_step + 1, 6, 2)
-    gains of the accelerometer readings, by step (row 0 is zero: no reading is
-    assimilated at step 0), and the (fixes, 6, 2) gains of the position
-    fixes, by fix row. Then the (T, 6, 2) `vhd` gains of the outage, and
-    the (T, 2, 6) `ukf` and `vhd` covariances after each outage step, as the
-    six `_AXIS_ENTRIES` of either 3x3 block (see `_outage_schedule`).
+    The tracking steps are computed one fix period at a time, in segments
+    that end at each fix step and, last, at the onset step, which has no fix.
+    Nothing is checked as it is computed: each computed segment is checked
+    once and the outage once, in the reference's order, so a config that
+    overflows the filter, or makes its innovation covariance singular,
+    raises the ConfigError of the first check that fails, at its step. A
+    solve that finds an innovation covariance exactly singular raises its
+    own error at its step, unless an earlier check fails.
 
-    No covariance is checked as it is computed. The tracking steps are
-    checked once per fix period and the outage once, in the reference's
-    order, so a config that overflows the filter, or makes its innovation
-    covariance singular, raises the ConfigError of the first check that
-    fails, at its step, as checking each step would. A solve that finds an
-    innovation covariance exactly singular raises its own error at its step,
-    unless an earlier check fails.
-
-    The schedule repeats every fix period, and the covariance recurrence is
-    deterministic in the previous covariance and the step's updates. So once
-    the covariance after a step equals the one a period earlier, a step whose
-    updates match that earlier step's takes its covariance and gains (the
-    same list); any other step (an onset on a fix boundary has no fix) is
-    computed."""
-    acc = np.zeros((cfg.onset_step + 1, STATE_DIM, 2))
-    fix = np.empty((cfg.fix_steps.size, STATE_DIM, 2))
-    # (covariance, gains) after each step of the last schedule period: the
-    # fix period, or one step when no fix arrives before the onset.
-    period = deque(maxlen=int(cfg.fix_steps[0]) if fix.size else 1)
-    cycled = False
-    cov = np.diag(_P0_DIAG)
-    pending = []
-    # The streams are row numbers, so each update's z is the row of the
-    # reading its gain serves.
-    for i, updates in _tracking_updates(cfg, model, range(len(acc)), range(len(fix))):
-        if cycled and len(period[0][1]) == len(updates):
-            cov, gains = period[0]
+    The covariance recurrence is deterministic, and every full segment has
+    the same updates. So once one ends at the covariance it began with, each
+    later full segment takes its gain lists (the same objects); the last
+    segment is always computed."""
+    models = _measurement_models(cfg, model)
+    cov, tracking, cycle, start = np.diag(_P0_DIAG), [], None, 1
+    for end in [*cfg.fix_steps.tolist(), cfg.onset_step]:
+        full = end < cfg.onset_step
+        if cycle and full:
+            tracking += cycle
         else:
-            cov, gains = _covariance_step(cov, model, i, updates, pending)
-            if len(pending) == period.maxlen:
-                _check(pending)
-                pending = []
-            cycled = len(period) == period.maxlen and np.array_equal(cov, period[0][0])
-        period.append((cov, gains))
-        for (row, _, _), K, stream in zip(updates, gains, (acc, fix)):
-            stream[row] = K
-    _check(pending)
-    return (acc, fix), *_outage_schedule(cfg, model, cov)
+            began, records, segment = cov, [], []
+            for i in range(start, end + 1):
+                # the step that ends a full segment also takes its fix
+                cov, gains = _covariance_step(cov, model, i, models[: 1 + (full and i == end)], records)
+                segment.append(gains)
+            _check(records)
+            if full and np.array_equal(cov, began):
+                cycle = segment
+            tracking += segment
+        start = end + 1
+    return tracking, *_outage_schedule(cfg, model, cov)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -708,7 +704,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     at once, as one (runs, 6, 1) stack of columns: the stacked matmul in
     `F @ m` and `m + K @ (z - H @ m)` rounds each column as `predict` and
     `update` round a 1-D mean (`einsum` or `M @ F.T` would not, and the
-    polynomial extrapolations amplify that). The window fit and the Lagrange
+    polynomial extrapolations amplify that). The tracking loop enumerates the
+    schedule's one gain list per step and applies a step's second gain, its
+    fix gain, to the next stacked fix. The window fit and the Lagrange
     interpolant are each one broadcast solve for the block.
 
     The tracking gains are the reference's bit for bit. The outage `vhd`
@@ -727,26 +725,24 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    (acc_gains, fix_gains), vhd_gains, _ = _gain_schedule(cfg, model)
+    tracking_gains, vhd_gains, _ = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
     imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
-    fixes = np.stack([ms.fix_values for ms in meas], axis=1)[..., None]
-    # Each step as in track_to_outage: the accelerometer update, then the fix
-    # on a fix step, with the expressions of `predict` and `update`.
+    fixes = iter(np.stack([ms.fix_values for ms in meas], axis=1)[..., None])
+    # Each step as in track_to_outage: the accelerometer update, then the
+    # next fix on a fix step, with the expressions of `predict` and `update`.
     H_acc, H = accel_measurement_matrix(), model.H
-    fix_at = dict(zip(cfg.fix_steps.tolist(), zip(fixes, fix_gains)))
     tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM, 1))
     tracked[:, 0] = means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
-    for i in range(1, cfg.onset_step + 1):
+    for i, gains in enumerate(tracking_gains, 1):
         means = model.F @ means
-        means = means + acc_gains[i] @ (imu[i] - H_acc @ means)
-        if i in fix_at:
-            z, K = fix_at[i]
-            means = means + K @ (z - H @ means)
+        means = means + gains[0] @ (imu[i] - H_acc @ means)
+        if len(gains) > 1:
+            means = means + gains[1] @ (next(fixes) - H @ means)
         tracked[:, i] = means
     window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
-    del meas, imu, fixes, fix_at, tracked, acc_gains, fix_gains
+    del meas, imu, fixes, tracked, tracking_gains
 
     # Outage, as in open_loop_predict and run_outage.
     T = cfg.outage_steps

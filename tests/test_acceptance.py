@@ -103,7 +103,7 @@ def test_criterion_3_schedule_limit_regimes(default_cfg, acceptance_report):
     params_b = AdaptiveConfidenceParams(r_base=1e-6, alpha=0.0)
     seq_b = run_outage(onset.belief, onset.window, params_b, T, onset.model)
     poly = fit_polynomial(onset.window, degree=default_cfg.poly_degree)
-    onset_t = onset.window.end_time
+    onset_t = onset.window.times[-1]
     diff_b = max(
         float(np.linalg.norm(b.mean[[PX, PY]] - poly.position(onset_t + default_cfg.dt * k)))
         for k, b in enumerate(seq_b, start=1)

@@ -466,6 +466,19 @@ class TestMain:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("degree", [20, 45])
+    def test_a_degree_with_a_rank_deficient_normal_matrix_exits_2(self, tmp_path, capsys, degree):
+        # On the default 51-sample window V^T V loses rank from degree 20 on;
+        # degree 45 used to run to a vhd RMSE of about 1e24 m.
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"vhd.poly_degree = {degree}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "poly_degree" in err and "rank-deficient" in err
+        assert not out.exists()
+        assert ScenarioConfig(poly_degree=19).poly_degree == 19
+
     @settings(max_examples=30, deadline=None)
     @given(
         alpha=st.floats(0.0, 1e308),

@@ -57,11 +57,6 @@ class TestWindow:
         np.testing.assert_array_equal(w.positions, w.states[:, [PX, PY]])
         np.testing.assert_array_equal(w.positions, [[1.0, 4.0], [3.0, -1.0]])
 
-    def test_end_time(self):
-        with pytest.raises(ValueError, match="empty"):
-            Trajectory(np.zeros(0), np.zeros((0, 6))).end_time
-        assert Trajectory([1.0, 2.5], np.zeros((2, 6))).end_time == 2.5
-
     def test_recent_slices_from_the_end(self):
         w = position_window(np.arange(5.0), 10.0 * np.arange(5))
         times, positions = w.recent(2)
@@ -251,7 +246,7 @@ class TestLagrange:
         times = np.arange(50.0)
         w = quad_window(times, noise=0.1, rng=rng)
         p = fit_polynomial(w, degree=2)
-        end = w.end_time
+        end = w.times[-1]
 
         def errs(horizon):
             t = end + horizon
@@ -271,7 +266,7 @@ class TestLagrange:
     def test_array_of_times_equals_stacked_scalar_calls(self, node_count):
         rng = np.random.default_rng(31)
         w = quad_window(np.arange(20.0), noise=0.1, rng=rng)
-        times = w.end_time + 0.1 * np.arange(1, 401)
+        times = w.times[-1] + 0.1 * np.arange(1, 401)
         stacked = np.array([lagrange_extrapolate(w, t, node_count) for t in times])
         np.testing.assert_array_equal(lagrange_extrapolate(w, times, node_count), stacked)
 
@@ -323,7 +318,7 @@ class TestBlockWindow:
         poly = fit_polynomial(block, degree)
         assert poly.coef.shape == (len(runs), degree + 1, 2)
         assert poly.degree == degree
-        t = block.end_time + 0.1 * np.arange(1, 401)
+        t = block.times[-1] + 0.1 * np.arange(1, 401)
         for r, w in enumerate(runs):
             one = fit_polynomial(w, degree)
             np.testing.assert_array_equal(poly.coef[r], one.coef)
@@ -333,7 +328,7 @@ class TestBlockWindow:
     @pytest.mark.parametrize("node_count", [2, 8, 12])
     def test_lagrange_equals_the_per_run_paths(self, node_count):
         block, runs = self.windows()
-        t = block.end_time + 0.1 * np.arange(1, 401)
+        t = block.times[-1] + 0.1 * np.arange(1, 401)
         paths = lagrange_extrapolate(block, t, node_count)
         assert paths.shape == (len(runs), t.size, 2)
         for r, w in enumerate(runs):

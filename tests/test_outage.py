@@ -101,7 +101,7 @@ class TestVirtualMeasurement:
         )
         elapsed = 100 * 0.1
         got = vhd_outage_step(belief, poly, params, elapsed, model)
-        z = poly.position(w.end_time + elapsed)
+        z = poly.position(w.times[-1] + elapsed)
         R = adaptive_noise(params, elapsed)
         want = update(predict(belief, model), z, R, model.H)
         np.testing.assert_array_equal(got.mean, want.mean)
@@ -124,7 +124,7 @@ class TestOutageStep:
         params = AdaptiveConfidenceParams()
         got = vhd_outage_step(self.belief, self.poly, params, self.elapsed, self.model)
         predicted = predict(self.belief, self.model)
-        z = self.poly.position(self.w.end_time + self.elapsed)
+        z = self.poly.position(self.w.times[-1] + self.elapsed)
         R = adaptive_noise(params, self.elapsed)
         want = update(predicted, z, R, self.model.H)
         np.testing.assert_array_equal(got.mean, want.mean)
@@ -158,7 +158,7 @@ class TestOutageStep:
 
         predicted = predict(onset.belief, onset.model)
         post = vhd_outage_step(onset.belief, poly, params, 0.1, onset.model)
-        z = poly.position(onset.window.end_time + 0.1)
+        z = poly.position(onset.window.times[-1] + 0.1)
         innovation = z - H @ predicted.mean
         moved = H @ post.mean - H @ predicted.mean
         frac = float(innovation @ moved) / float(innovation @ innovation)
@@ -209,7 +209,7 @@ class TestRunOutage:
         vx, vy, x0, y0 = 2.0, 0.5, 0.0, 1.0
         w = line_window(vx=vx, vy=vy, x0=x0, y0=y0)
         model = ca_model(0.1, 5.0)
-        onset = w.end_time
+        onset = w.times[-1]
         b = GaussianBelief(
             make_state(p_x=x0 + vx * onset, v_x=vx, p_y=y0 + vy * onset, v_y=vy),
             np.diag([1.0, 0.25, 0.04, 1.0, 0.25, 0.04]),
@@ -258,7 +258,7 @@ class TestRunOutage:
         params = AdaptiveConfidenceParams(r_base=1e-6, alpha=0.0)
         seq = run_outage(onset.belief, onset.window, params, 400, onset.model)
         poly = fit_polynomial(onset.window, degree=2)
-        onset_t = onset.window.end_time
+        onset_t = onset.window.times[-1]
         for k, belief in enumerate(seq, start=1):
             z = poly.position(onset_t + 0.1 * k)
             assert np.linalg.norm(belief.mean[[0, 3]] - z) < 1e-2
