@@ -351,13 +351,10 @@ class MeasurementSet:
                  fix step of the run's config.
     imu_accel  : (onset_step + 1, 2) accelerometer readings up to the onset
                  (true acceleration + accumulated bias + white noise).
-    imu_bias   : (onset_step + 1, 2) the underlying bias random walk, kept
-                 for diagnostics.
     """
 
     fix_values: np.ndarray
     imu_accel: np.ndarray
-    imu_bias: np.ndarray
 
 
 def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> MeasurementSet:
@@ -389,7 +386,7 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> 
     bias = np.cumsum(increments, axis=0)
     imu_accel = truth.accelerations[:n1] + bias + white
 
-    return MeasurementSet(fix_values=fix_values, imu_accel=imu_accel, imu_bias=bias)
+    return MeasurementSet(fix_values=fix_values, imu_accel=imu_accel)
 
 
 # ----------------------------------------------------------------------
@@ -509,10 +506,14 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
 # block of runs in lockstep
 # ----------------------------------------------------------------------
 
+def _overflow(what: str, step: int | None = None) -> ConfigError:
+    at = "" if step is None else f" at step {step}"
+    return ConfigError(f"the filter {what} is not finite{at}: the config's values overflow the filter")
+
+
 def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
     if not np.isfinite(values).all():
-        at = "" if step is None else f" at step {step}"
-        raise ConfigError(f"the filter {what} is not finite{at}: the config's values overflow the filter")
+        raise _overflow(what, step)
     return values
 
 
@@ -531,47 +532,40 @@ def _cholesky_ok(S) -> bool:
     return True
 
 
-def _check_steps(records) -> None:
-    """Check (step, covariances, innovation covariances) records one check at
-    a time, in the order in which the reference checks them, and raise the
-    ConfigError of the first that fails: per step, the predicted
-    covariance, then each update's innovation covariance and the covariance
-    after that update. A record may end at an innovation covariance."""
-    for step, covs, S in records:
-        _finite(covs[0], "covariance", step)
-        for k, S_k in enumerate(S):
-            if not _cholesky_ok(S_k):
-                raise _singular(step)
-            if k + 1 < len(covs):
-                _finite(covs[k + 1], "covariance", step)
+def _tracking_error(cfg: ScenarioConfig, model: CaModel) -> ConfigError:
+    """The ConfigError of a config whose tracking covariances fail a check,
+    named by the reference: `predict`, then `update` over the tracking
+    schedule from the initial covariance, with zero readings, which do not
+    enter the covariances. The step at which it raises is the step named."""
+    zeros = np.zeros((cfg.onset_step + 1, 2))
+    belief = GaussianBelief(np.zeros(STATE_DIM), np.diag(_P0_DIAG))
+    try:
+        for step, updates in _tracking_updates(cfg, model, zeros, zeros):
+            belief = predict(belief, model)
+            for z, R, H in updates:
+                belief = update(belief, z, R, H)
+    except np.linalg.LinAlgError:  # a ValueError, so caught first
+        return _singular(step)
+    except ValueError:
+        return _overflow("covariance", step)
+    raise AssertionError("the reference tracks a config whose tracking schedule fails its check")
 
 
-def _check(records) -> None:
-    """Check records as `_check_steps` does, for one isfinite and one stacked
-    cholesky over all their covariances and innovation covariances unless
-    a check fails."""
-    covs = [c for _, step_covs, _ in records for c in step_covs]
-    S = [s for _, _, step_S in records for s in step_S]
-    if records and not (np.isfinite(covs).all() and _cholesky_ok(S)):
-        _check_steps(records)
-
-
-def _covariance_step(cov: np.ndarray, model: CaModel, step: int, updates, records: list):
+def _covariance_step(cov: np.ndarray, model: CaModel, updates, covs: list, S: list):
     """The covariance half of `predict`, then of one `update` per (R, H),
-    unchecked: the step's covariances and innovation covariances join a
-    record appended to `records`, the unchecked steps, for `_check`.
-    Returns the covariance and the gain of each update."""
-    covs, S, gains = [_predicted_cov(cov, model)], [], []
-    records.append((step, covs, S))
+    unchecked: appends each covariance to `covs` and each innovation
+    covariance to `S`. Returns the covariance and the gain of each update.
+    A solve that finds an S exactly singular gives a NaN gain, and the
+    check of S rejects the step."""
+    covs.append(_predicted_cov(cov, model))
+    gains = []
     for R, H in updates:
         HP, S_k = _innovation(covs[-1], R, H)
         S.append(S_k)
         try:
             gains.append(np.linalg.solve(S_k, HP).T)
-        except np.linalg.LinAlgError as exc:
-            # The step's record now ends at S_k.
-            _check_steps(records)
-            raise ConfigError(f"the filter {exc} at step {step}") from None
+        except np.linalg.LinAlgError:
+            gains.append(np.full(HP.T.shape, math.nan))
         covs.append(_joseph_cov(covs[-1], gains[-1], R, H))
     return covs[-1], gains
 
@@ -662,11 +656,12 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
     The tracking steps are computed one fix period at a time, in segments
     that end at each fix step and, last, at the onset step, which has no fix.
     Nothing is checked as it is computed: each computed segment is checked
-    once and the outage once, in the reference's order, so a config that
+    once, by one isfinite over its covariances and one stacked cholesky
+    over its innovation covariances, and the outage once. A config that
     overflows the filter, or makes its innovation covariance singular,
-    raises the ConfigError of the first check that fails, at its step. A
-    solve that finds an innovation covariance exactly singular raises its
-    own error at its step, unless an earlier check fails.
+    raises ConfigError: on a failed segment, the reference's own tracking
+    names the step (`_tracking_error`); in the outage, the first failing
+    row of the mask does.
 
     The covariance recurrence is deterministic, and every full segment has
     the same updates. So once one ends at the covariance it began with, each
@@ -679,12 +674,13 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
         if cycle and full:
             tracking += cycle
         else:
-            began, records, segment = cov, [], []
+            began, covs, S, segment = cov, [], [], []
             for i in range(start, end + 1):
                 # the step that ends a full segment also takes its fix
-                cov, gains = _covariance_step(cov, model, i, models[: 1 + (full and i == end)], records)
+                cov, gains = _covariance_step(cov, model, models[: 1 + (full and i == end)], covs, S)
                 segment.append(gains)
-            _check(records)
+            if not (np.isfinite(covs).all() and _cholesky_ok(S)):
+                raise _tracking_error(cfg, model)
             if full and np.array_equal(cov, began):
                 cycle = segment
             tracking += segment
@@ -715,13 +711,14 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     by about 1e-12 m over a 300 s outage.
 
     `GaussianBelief` checks every belief of the reference for finiteness;
-    here `_gain_schedule` checks the covariances, once per fix period while
-    tracking and once for the outage, and the means are checked once per
-    phase. A config that overflows the filter, or makes its
+    here `_gain_schedule` checks the covariances, once per computed fix
+    period while tracking and once for the outage, and the means are
+    checked once per phase. A config that overflows the filter, or makes its
     innovation covariance singular, raises ConfigError, before any draw if
-    the covariance is at fault. The whole block runs with numpy's overflow
-    and invalid-value warnings off, so that error is all such a config
-    reports.
+    the covariance is at fault; a tracking failure names the step at which
+    the reference's own tracking fails. The whole block runs with numpy's
+    overflow and invalid-value warnings off, so that error is all such a
+    config reports.
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from vhd import (
+    AdaptiveConfidenceParams,
     ScenarioConfig,
     SensorConfig,
     TrajectoryConfig,
@@ -41,6 +42,17 @@ GRID_CONFIGS = [
     ScenarioConfig(outage_start=60.5),
     ScenarioConfig(sensor=SensorConfig(fix_rate=1e-300)),
 ]
+
+
+def accel_bias(truth, cfg, seed):
+    """One run's accelerometer bias, as its readings less the true
+    acceleration, for a config without white noise: exact at the steps
+    outside the turn, where the true acceleration is 0, and NaN in the turn."""
+    assert cfg.sensor.accel_white_noise == 0.0
+    accel = truth.accelerations[: cfg.onset_step + 1]
+    bias = simulate_measurements(truth, cfg, seed).imu_accel - accel
+    bias[np.any(accel != 0.0, axis=1)] = np.nan
+    return bias
 
 
 class TestSensorConfig:
@@ -193,14 +205,14 @@ class TestSimulateMeasurements:
         meas = simulate_measurements(truth, cfg, seed=5)
         np.testing.assert_array_equal(meas.fix_values, truth.positions[cfg.fix_steps])
         np.testing.assert_array_equal(meas.imu_accel, truth.accelerations[: cfg.onset_step + 1])
-        np.testing.assert_array_equal(meas.imu_bias, 0.0)
+        np.testing.assert_array_equal(np.nan_to_num(accel_bias(truth, cfg, seed=5)), 0.0)
 
     def test_streams_end_at_the_onset_and_truth_at_the_outage_end(self):
         cfg = ScenarioConfig()
         truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, seed=5)
         assert truth.states.shape == (cfg.onset_step + cfg.outage_steps + 1, 6)
-        assert meas.imu_accel.shape == meas.imu_bias.shape == (cfg.onset_step + 1, 2)
+        assert meas.imu_accel.shape == (cfg.onset_step + 1, 2)
         assert meas.fix_values.shape == (len(cfg.fix_steps), 2)
         # a longer run only lengthens the grid after the outage, which is
         # not simulated
@@ -208,8 +220,11 @@ class TestSimulateMeasurements:
         truth_longer = generate_truth(longer)
         np.testing.assert_array_equal(truth_longer.states, truth.states)
         meas_longer = simulate_measurements(truth_longer, longer, seed=5)
-        for name in ("fix_values", "imu_accel", "imu_bias"):
+        for name in ("fix_values", "imu_accel"):
             np.testing.assert_array_equal(getattr(meas_longer, name), getattr(meas, name))
+        quiet = dataclasses.replace(cfg, sensor=SensorConfig(accel_white_noise=0.0))
+        quiet_longer = dataclasses.replace(quiet, duration=200.0)
+        np.testing.assert_array_equal(accel_bias(truth_longer, quiet_longer, 5), accel_bias(truth, quiet, 5))
 
     def test_outage_suppresses_fixes(self):
         cfg = ScenarioConfig()
@@ -229,21 +244,18 @@ class TestSimulateMeasurements:
         assert not np.array_equal(a.fix_values, c.fix_values)
 
     def test_bias_random_walk_variance_law(self):
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0))
         truth = generate_truth(cfg)
         k = 600
-        samples = np.array(
-            [simulate_measurements(truth, cfg, seed).imu_bias[k] for seed in range(1000)]
-        )
+        samples = np.array([accel_bias(truth, cfg, seed)[k] for seed in range(1000)])
         want = k * cfg.sensor.accel_bias_walk**2
         got = samples.reshape(-1).var()
         assert abs(got - want) < 0.1 * want
 
     def test_bias_starts_at_zero(self):
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0))
         truth = generate_truth(cfg)
-        meas = simulate_measurements(truth, cfg, 3)
-        np.testing.assert_array_equal(meas.imu_bias[0], [0.0, 0.0])
+        np.testing.assert_array_equal(accel_bias(truth, cfg, 3)[0], [0.0, 0.0])
 
     def test_streams_do_not_interfere(self):
         # resizing or rescaling one stream must not change the others
@@ -254,7 +266,9 @@ class TestSimulateMeasurements:
         fewer_fixes = ScenarioConfig(sensor=SensorConfig(fix_rate=0.5))
         alt = simulate_measurements(truth, fewer_fixes, seed=42)
         np.testing.assert_array_equal(alt.imu_accel, ref.imu_accel)
-        np.testing.assert_array_equal(alt.imu_bias, ref.imu_bias)
+        quiet = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0))
+        quiet_fewer_fixes = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0, fix_rate=0.5))
+        np.testing.assert_array_equal(accel_bias(truth, quiet_fewer_fixes, 42), accel_bias(truth, quiet, 42))
 
         louder_imu = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.5))
         alt2 = simulate_measurements(truth, louder_imu, seed=42)
@@ -439,6 +453,33 @@ def assert_records_equal(got, want, vhd_atol=0.0):
         np.testing.assert_allclose(got.errors[name], want.errors[name], rtol=0.0, atol=atol)
 
 
+OVERFLOW = "the filter covariance is not finite at step {}: the config's values overflow the filter"
+SINGULAR = "the filter innovation covariance is singular or not positive definite at step {}"
+
+# Configs that break the filter, each with the error run_block raises.
+FILTER_ERRORS = {
+    # The ukf covariance overflows first, in the outage.
+    "sigma_jerk 1e151": (ScenarioConfig(sigma_jerk=1e151), OVERFLOW.format(925)),
+    # Without process or accelerometer noise the acceleration variance is 0
+    # after the first update, and the next step's innovation covariance is
+    # singular.
+    "sigma_jerk 0, accel_white_noise 0": (
+        ScenarioConfig(sigma_jerk=0.0, sensor=SensorConfig(accel_white_noise=0.0)),
+        SINGULAR.format(2),
+    ),
+    # These two fail while tracking, where no solve finds S exactly
+    # singular: only the checks of the fix periods see them.
+    "sigma_jerk and sensor noises 1.3e154": (
+        ScenarioConfig(sigma_jerk=1.3e154, sensor=SensorConfig(position_fix_noise=1.3e154, accel_white_noise=1.3e154)),
+        OVERFLOW.format(11),
+    ),
+    "sigma_jerk 0, exact fixes, accel_white_noise 1e150": (
+        dataclasses.replace(SMALL, sigma_jerk=0.0, sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=1e150)),
+        SINGULAR.format(60),
+    ),
+}
+
+
 class TestRunBlock:
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_records_equal_run_scenario(self, name):
@@ -550,43 +591,40 @@ class TestRunBlock:
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
 
-    # The schedule checks its covariances once per fix period and once for the
-    # outage; the error must still name the step and the check at which
-    # checking each covariance as it is computed would have stopped.
-    OVERFLOW = "the filter covariance is not finite at step {}: the config's values overflow the filter"
-    SINGULAR = "the filter innovation covariance is singular or not positive definite at step {}"
-
-    @pytest.mark.parametrize(
-        ("cfg", "message"),
-        [
-            # The ukf covariance overflows first, in the outage.
-            (ScenarioConfig(sigma_jerk=1e151), OVERFLOW.format(925)),
-            # Without process or accelerometer noise the acceleration
-            # variance is 0 after the first update, and the solve of the
-            # next step's gain finds S exactly singular.
-            (ScenarioConfig(sigma_jerk=0.0, sensor=SensorConfig(accel_white_noise=0.0)), SINGULAR.format(2)),
-            # These two fail while tracking, where no solve raises: only
-            # the checks of the fix periods see them.
-            (
-                ScenarioConfig(sigma_jerk=1.3e154, sensor=SensorConfig(position_fix_noise=1.3e154, accel_white_noise=1.3e154)),
-                OVERFLOW.format(11),
-            ),
-            (
-                dataclasses.replace(SMALL, sigma_jerk=0.0, sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=1e150)),
-                SINGULAR.format(60),
-            ),
-        ],
-        ids=[
-            "sigma_jerk 1e151",
-            "sigma_jerk 0, accel_white_noise 0",
-            "sigma_jerk and sensor noises 1.3e154",
-            "sigma_jerk 0, exact fixes, accel_white_noise 1e150",
-        ],
-    )
+    # The schedule checks its covariances once per computed fix period and
+    # once for the outage; the error must still name the step and the check
+    # at which checking each covariance as it is computed would have stopped.
+    @pytest.mark.parametrize(("cfg", "message"), list(FILTER_ERRORS.values()), ids=list(FILTER_ERRORS))
     def test_a_filter_error_names_its_step_before_any_draw(self, no_draws, cfg, message):
         with pytest.raises(ConfigError) as info:
             run_block(cfg, [1234])
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        ("cfg", "fails"),
+        [
+            *((cfg, True) for cfg, _ in FILTER_ERRORS.values()),
+            # The vhd covariance collapses to rounding level, and the engine's
+            # per-axis floats find s non-positive one step after the
+            # reference's 6x6 S fails (605 against 604).
+            (ScenarioConfig(sigma_jerk=0.0, vhd_params=AdaptiveConfidenceParams(r_base=1e-31)), True),
+            (ScenarioConfig(sensor=SensorConfig(position_fix_noise=9.5e153)), False),
+        ],
+        ids=[*FILTER_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153"],
+    )
+    def test_the_engine_fails_where_the_reference_fails(self, cfg, fails):
+        def raises(run, error):
+            try:
+                run()
+            except error:
+                return True
+            return False
+
+        with np.errstate(all="ignore"):
+            engine = raises(lambda: run_block(cfg, [cfg.base_seed]), ConfigError)
+            # a LinAlgError is a ValueError
+            reference = raises(lambda: run_scenario(cfg, cfg.base_seed), ValueError)
+        assert engine == reference == fails
 
     @pytest.mark.parametrize("bad_step", [1, 123, 400])
     def test_a_non_finite_vhd_noise_names_its_outage_step(self, monkeypatch, no_draws, bad_step):
@@ -600,7 +638,7 @@ class TestRunBlock:
         monkeypatch.setattr(simkit, "adaptive_variance", variance_with_nan)
         with pytest.raises(ConfigError) as info:
             run_block(cfg, [1234])
-        assert str(info.value) == self.OVERFLOW.format(cfg.onset_step + bad_step)
+        assert str(info.value) == OVERFLOW.format(cfg.onset_step + bad_step)
 
     def test_an_outage_solve_that_finds_s_singular_names_its_step(self, monkeypatch, no_draws):
         # A variance of minus the predicted position variance makes s exactly
@@ -619,7 +657,7 @@ class TestRunBlock:
         monkeypatch.setattr(simkit, "adaptive_variance", cancelling_variance)
         with pytest.raises(ConfigError) as info:
             run_block(cfg, [1234])
-        assert str(info.value) == self.SINGULAR.format(cfg.onset_step + bad_step)
+        assert str(info.value) == SINGULAR.format(cfg.onset_step + bad_step)
 
     @pytest.mark.parametrize(
         "cfg",

@@ -5,10 +5,13 @@
 DIR is a checkout of the commit to compare against (for example one made
 with ``git worktree add``); the other side is the checkout holding this
 script. Each case runs ``python -m vhd.cli`` once per side, with that
-side's ``src`` first on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``, and
-compares every file of the two output bundles byte for byte. Each file
-that differs, or that only one side wrote, is named. Exit status is 0 when
-every bundle is identical and 1 otherwise.
+side's ``src`` first on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``. A
+bundle case compares every file of the two output bundles byte for byte
+and names each file that differs, or that only one side wrote. An error
+case runs a config that cannot run, and requires the same exit code and
+the same stderr on both sides; each case that differs is named. Exit
+status is 0 when every bundle and every error is identical and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -37,14 +40,27 @@ CASES = {
     ),
 }
 
+# Case name -> config lines of a config that cannot run: the filter fails in
+# the outage, and while tracking at its second step and in its second fix
+# period. Both sides must exit with the same code and stderr.
+ERROR_CASES = {
+    "sigma_jerk 1e151 (step 925)": ["sim.sigma_jerk = 1e151"],
+    "sigma_jerk 0, accel_white_noise 0 (step 2)": ["sim.sigma_jerk = 0", "sensor.accel_white_noise = 0"],
+    "sigma_jerk and sensor noises 1.3e154 (step 11)": [
+        "sim.sigma_jerk = 1.3e154", "sensor.position_fix_noise = 1.3e154", "sensor.accel_white_noise = 1.3e154",
+    ],
+}
 
-def run_cli(checkout: Path, config: Path, args: list[str], out_dir: Path) -> None:
+
+def run_cli(checkout: Path, config: Path, args: list[str], out_dir: Path, check: bool = True):
+    """The CLI's exit code and stderr; with `check`, exit unless the code is 0."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "vhd.cli", "--config", str(config), "--out-dir", str(out_dir), "--quiet", *args]
     proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    if proc.returncode != 0:
+    if check and proc.returncode != 0:
         sys.exit(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.returncode, proc.stderr
 
 
 def differing_files(base: Path, change: Path) -> list[str]:
@@ -74,6 +90,16 @@ def main() -> int:
             diff = differing_files(outs["base"], outs["change"])
             print(f"{name}: " + (f"differs in {', '.join(diff)}" if diff else "identical"))
             failed |= bool(diff)
+        for k, (name, lines) in enumerate(ERROR_CASES.items()):
+            config = work / f"error{k}.cfg"
+            config.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            got = {side: run_cli(checkout, config, [], work / f"error{k}-{side}", check=False)
+                   for side, checkout in sides.items()}
+            if got["base"] == got["change"]:
+                print(f"{name}: identical exit {got['change'][0]}")
+            else:
+                print(f"{name}: differs: base {got['base']!r}, change {got['change']!r}")
+                failed = True
     return 1 if failed else 0
 
 
