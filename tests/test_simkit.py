@@ -20,7 +20,7 @@ from vhd import (
     simulate_measurements,
     track_to_outage,
 )
-from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model
+from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model, propagate_truth
 from vhd import simkit
 from vhd.simkit import PREDICTORS, ConfigError, _run_seeds, _tracking_updates
 
@@ -42,6 +42,28 @@ GRID_CONFIGS = [
     ScenarioConfig(outage_start=60.5),
     ScenarioConfig(sensor=SensorConfig(fix_rate=1e-300)),
 ]
+
+
+# Configs whose engine records must equal run_scenario's bit for bit, but
+# for the vhd path, whose outage gains the engine computes per axis in floats.
+ENGINE_CONFIGS = {
+    "default": ScenarioConfig(),
+    "small": SMALL,
+    "fractional onset": ScenarioConfig(outage_start=60.5),
+    "fix_rate 2": ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
+    "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
+    "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
+    # The tracking covariance repeats from step 754 on, so these onsets
+    # come after the replayed cycle: on a fix boundary (with no fix at the
+    # onset step) and off it.
+    "onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0),
+    "onset 100.5 s": ScenarioConfig(outage_start=100.5, duration=140.5),
+    # Without process noise the covariance keeps shrinking and never repeats.
+    "sigma_jerk 0, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sigma_jerk=0.0),
+    # The fix period (1000 steps) is past the onset: one segment, no fix.
+    "no fix before the onset": ScenarioConfig(sensor=SensorConfig(fix_rate=0.01)),
+    "fix_rate 2, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sensor=SensorConfig(fix_rate=2.0)),
+}
 
 
 def accel_bias(truth, cfg, seed):
@@ -146,7 +168,70 @@ class TestScenarioConfig:
         assert cfg.window_steps[-1] == onset
 
 
+# Geometries for the truth's per-step rule, beside GRID_CONFIGS and
+# ENGINE_CONFIGS: the turn, the current and the grid at other values, and
+# the signed zeros of a -0.0 heading and of a vehicle at rest.
+TRUTH_GEOMETRIES = {
+    "no current": ScenarioConfig(current_speed=0.0),
+    "no turn": ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=0.0)),
+    "turn_duration 0": ScenarioConfig(trajectory=TrajectoryConfig(turn_duration=0.0)),
+    "turn from 0": ScenarioConfig(trajectory=TrajectoryConfig(turn_start=0.0)),
+    "turn_rate -0.3, initial_heading 1.2, cruise_speed 3.7": ScenarioConfig(
+        trajectory=TrajectoryConfig(turn_rate=-0.3, initial_heading=1.2, cruise_speed=3.7)
+    ),
+    "turn_rate 2": ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=2.0)),
+    "turn past the onset": ScenarioConfig(trajectory=TrajectoryConfig(turn_start=50.0, turn_duration=30.0)),
+    "fractional turn": ScenarioConfig(trajectory=TrajectoryConfig(turn_start=12.34, turn_duration=7.77)),
+    "dt 0.05": ScenarioConfig(dt=0.05),
+    "dt 0.2, current 2.3 m/s at 200 deg": ScenarioConfig(dt=0.2, current_speed=2.3, current_heading_deg=200.0),
+    "initial_heading -0.0": ScenarioConfig(trajectory=TrajectoryConfig(initial_heading=-0.0)),
+    "cruise_speed 0, initial_heading 3": ScenarioConfig(trajectory=TrajectoryConfig(cruise_speed=0.0, initial_heading=3.0)),
+}
+
+TRUTH_RULE_CONFIGS = {
+    **{f"grid {k}": cfg for k, cfg in enumerate(GRID_CONFIGS)},
+    **ENGINE_CONFIGS,
+    **TRUTH_GEOMETRIES,
+}
+
+
 class TestGenerateTruth:
+    @pytest.mark.parametrize("name", list(TRUTH_RULE_CONFIGS))
+    def test_each_step_follows_the_per_step_rule(self, name):
+        # Each step from the generated step before it: a straight step is
+        # propagate_truth; a turn step turns the heading by w * dt and moves
+        # along the exact arc plus the same drift, at the speed v along the
+        # new heading. The acceleration is centripetal on the turn steps and
+        # 0 elsewhere. Bit for bit, signed zeros included.
+        cfg = TRUTH_RULE_CONFIGS[name]
+        traj, dt, current = cfg.trajectory, cfg.dt, cfg.current
+        v, w = traj.cruise_speed, traj.turn_rate
+        model = ca_model(dt, 0.0)
+        states = generate_truth(cfg).states
+        start, end = round(traj.turn_start / dt), round(traj.turn_end / dt)
+        turning = [traj.has_turn and start <= i < end for i in range(len(states))]
+        headings = [traj.initial_heading]
+        want = [[0.0, v * np.cos(headings[0]), 0.0, 0.0, v * np.sin(headings[0]), 0.0]]
+        for i, s in enumerate(states[:-1]):
+            heading = headings[-1]
+            if turning[i]:
+                new = heading + w * dt
+                r = v / w
+                s = s.copy()
+                s[PX] += r * (np.sin(new) - np.sin(heading)) + current.current_x * dt
+                s[PY] += r * (np.cos(heading) - np.cos(new)) + current.current_y * dt
+                s[VX], s[VY] = v * np.cos(new), v * np.sin(new)
+                heading = new
+            else:
+                s = propagate_truth(s, model, current)
+            headings.append(heading)
+            want.append(s)
+        want = np.array(want)
+        for k, heading in enumerate(headings):
+            want[k, [AX, AY]] = (-v * w * np.sin(heading), v * w * np.cos(heading)) if turning[k] else 0.0
+        np.testing.assert_array_equal(states, want)
+        np.testing.assert_array_equal(np.signbit(states), np.signbit(want))
+
     def test_straight_cruise_covers_twenty_meters_in_ten_seconds(self):
         cfg = ScenarioConfig(current_speed=0.0, trajectory=TrajectoryConfig(turn_rate=0.0))
         truth = generate_truth(cfg)
@@ -407,28 +492,6 @@ class TestRunScenario:
         assert np.mean(pair_corrs) < 0.1
 
 
-# Configs whose engine records must equal run_scenario's bit for bit, but
-# for the vhd path, whose outage gains the engine computes per axis in floats.
-ENGINE_CONFIGS = {
-    "default": ScenarioConfig(),
-    "small": SMALL,
-    "fractional onset": ScenarioConfig(outage_start=60.5),
-    "fix_rate 2": ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
-    "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
-    "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
-    # The tracking covariance repeats from step 754 on, so these onsets
-    # come after the replayed cycle: on a fix boundary (with no fix at the
-    # onset step) and off it.
-    "onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0),
-    "onset 100.5 s": ScenarioConfig(outage_start=100.5, duration=140.5),
-    # Without process noise the covariance keeps shrinking and never repeats.
-    "sigma_jerk 0, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sigma_jerk=0.0),
-    # The fix period (1000 steps) is past the onset: one segment, no fix.
-    "no fix before the onset": ScenarioConfig(sensor=SensorConfig(fix_rate=0.01)),
-    "fix_rate 2, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sensor=SensorConfig(fix_rate=2.0)),
-}
-
-
 # How far the engine's vhd path may lie from run_scenario's, in meters: the
 # per-axis float recurrence rounds the outage gains differently from numpy's
 # 6x6 products (measured: 9.1e-13 m over a 300 s outage, 5.7e-14 m on the
@@ -477,6 +540,19 @@ FILTER_ERRORS = {
         dataclasses.replace(SMALL, sigma_jerk=0.0, sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=1e150)),
         SINGULAR.format(60),
     ),
+}
+
+TRUTH = "the truth is not finite at step {}: the config's trajectory or current overflows it"
+
+# Configs whose truth is not finite, each with the error run_block raises.
+TRUTH_ERRORS = {
+    # v / w overflows, so the arc is not finite from the turn's first step on.
+    "turn_rate 2.2250738585e-313": (
+        ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=2.2250738585e-313)),
+        TRUTH.format(451),
+    ),
+    # The drift overflows the positions.
+    "current_speed 1e307": (ScenarioConfig(current_speed=1e307), TRUTH.format(255)),
 }
 
 
@@ -587,6 +663,19 @@ class TestRunBlock:
         monkeypatch.setattr(simkit, "generate_truth", drawn)
         monkeypatch.setattr(simkit, "simulate_measurements", drawn)
 
+    @pytest.fixture
+    def no_streams(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a sensor stream was drawn")
+
+        monkeypatch.setattr(simkit, "simulate_measurements", drawn)
+
+    @pytest.mark.parametrize(("cfg", "message"), list(TRUTH_ERRORS.values()), ids=list(TRUTH_ERRORS))
+    def test_a_truth_that_is_not_finite_raises_before_any_stream_is_drawn(self, no_streams, cfg, message):
+        with pytest.raises(ConfigError) as info:
+            run_block(cfg, [1234, 7])
+        assert str(info.value) == message
+
     def test_filter_overflow_raises_before_any_draw(self, no_draws):
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
@@ -604,13 +693,14 @@ class TestRunBlock:
         ("cfg", "fails"),
         [
             *((cfg, True) for cfg, _ in FILTER_ERRORS.values()),
+            *((cfg, True) for cfg, _ in TRUTH_ERRORS.values()),
             # The vhd covariance collapses to rounding level, and the engine's
             # per-axis floats find s non-positive one step after the
             # reference's 6x6 S fails (605 against 604).
             (ScenarioConfig(sigma_jerk=0.0, vhd_params=AdaptiveConfidenceParams(r_base=1e-31)), True),
             (ScenarioConfig(sensor=SensorConfig(position_fix_noise=9.5e153)), False),
         ],
-        ids=[*FILTER_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153"],
+        ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153"],
     )
     def test_the_engine_fails_where_the_reference_fails(self, cfg, fails):
         def raises(run, error):

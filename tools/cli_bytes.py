@@ -7,11 +7,13 @@ with ``git worktree add``); the other side is the checkout holding this
 script. Each case runs ``python -m vhd.cli`` once per side, with that
 side's ``src`` first on ``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``. A
 bundle case compares every file of the two output bundles byte for byte
-and names each file that differs, or that only one side wrote. An error
-case runs a config that cannot run, and requires the same exit code and
-the same stderr on both sides; each case that differs is named. Exit
-status is 0 when every bundle and every error is identical and 1
-otherwise.
+and names each file that differs, or that only one side wrote. The
+bundles hold the truth, so the cases compare it on two geometries: the
+default one, and a turn from t = 0 against a current from another
+direction. An error case runs a config that cannot run, and requires
+the same exit code and the same stderr on both sides; each case that
+differs is named. Exit status is 0 when every bundle and every error is
+identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ RUN_TIMEOUT_S = 600.0
 
 # Case name -> (config lines, extra CLI arguments). They cover the default
 # batch serially and through the pool, the two long workloads of the
-# benchmark, and a denser fix rate with a high-degree fit and interpolant.
+# benchmark, a denser fix rate with a high-degree fit and interpolant, and a
+# second geometry: a turn from t = 0 the other way, from another heading,
+# against a current from another direction.
 CASES = {
     "default": ([], []),
     "default --jobs 3": ([], ["--jobs", "3"]),
@@ -37,6 +41,10 @@ CASES = {
     "fix_rate 2, degree 5, 12 nodes": (
         ["sensor.fix_rate = 2", "vhd.poly_degree = 5", "baseline.lagrange_nodes = 12"],
         ["--runs", "12"],
+    ),
+    "turn from 0 at -0.3 rad/s, heading 1.2, current at 200 deg": (
+        ["traj.turn_start = 0", "traj.turn_rate = -0.3", "traj.initial_heading = 1.2", "current.heading_deg = 200"],
+        ["--runs", "4"],
     ),
 }
 
