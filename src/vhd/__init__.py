@@ -47,8 +47,6 @@ from .simkit import (
     PREDICTORS,
     RunRecord,
     ScenarioConfig,
-    SensorConfig,
-    TrajectoryConfig,
     generate_truth,
     monte_carlo,
     rmse,
@@ -73,9 +71,7 @@ __all__ = [
     "PolyModel",
     "RunRecord",
     "ScenarioConfig",
-    "SensorConfig",
     "Trajectory",
-    "TrajectoryConfig",
     "VirtualUpdateDiagnostic",
     "adaptive_noise",
     "ca_model",

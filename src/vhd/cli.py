@@ -32,33 +32,33 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# key -> (ScenarioConfig section, field, converter, pretty type name); the
-# section "" is ScenarioConfig itself. Order fixed for the resolved echo.
+# key -> (ScenarioConfig field, converter, pretty type name). Order fixed
+# for the resolved echo.
 _SCHEMA = {
-    "sim.duration": ("", "duration", _finite_float, "finite float"),
-    "sim.dt": ("", "dt", _finite_float, "finite float"),
-    "sim.outage_start": ("", "outage_start", _finite_float, "finite float"),
-    "sim.outage_duration": ("", "outage_duration", _finite_float, "finite float"),
-    "sim.history_window": ("", "history_window", _finite_float, "finite float"),
-    "sim.mc_runs": ("", "mc_runs", int, "int"),
-    "sim.base_seed": ("", "base_seed", int, "int"),
-    "sim.sigma_jerk": ("", "sigma_jerk", _finite_float, "finite float"),
-    "current.speed": ("", "current_speed", _finite_float, "finite float"),
-    "current.heading_deg": ("", "current_heading_deg", _finite_float, "finite float"),
-    "sensor.position_fix_noise": ("sensor", "position_fix_noise", _finite_float, "finite float"),
-    "sensor.accel_white_noise": ("sensor", "accel_white_noise", _finite_float, "finite float"),
-    "sensor.accel_bias_walk": ("sensor", "accel_bias_walk", _finite_float, "finite float"),
-    "sensor.fix_rate": ("sensor", "fix_rate", _finite_float, "finite float"),
-    "vhd.r_base": ("vhd_params", "r_base", _finite_float, "finite float"),
-    "vhd.alpha": ("vhd_params", "alpha", _finite_float, "finite float"),
-    "vhd.p": ("vhd_params", "p", _finite_float, "finite float"),
-    "vhd.poly_degree": ("", "poly_degree", int, "int"),
-    "baseline.lagrange_nodes": ("", "lagrange_nodes", int, "int"),
-    "traj.cruise_speed": ("trajectory", "cruise_speed", _finite_float, "finite float"),
-    "traj.turn_rate": ("trajectory", "turn_rate", _finite_float, "finite float"),
-    "traj.turn_start": ("trajectory", "turn_start", _finite_float, "finite float"),
-    "traj.turn_duration": ("trajectory", "turn_duration", _finite_float, "finite float"),
-    "traj.initial_heading": ("trajectory", "initial_heading", _finite_float, "finite float"),
+    "sim.duration": ("duration", _finite_float, "finite float"),
+    "sim.dt": ("dt", _finite_float, "finite float"),
+    "sim.outage_start": ("outage_start", _finite_float, "finite float"),
+    "sim.outage_duration": ("outage_duration", _finite_float, "finite float"),
+    "sim.history_window": ("history_window", _finite_float, "finite float"),
+    "sim.mc_runs": ("mc_runs", int, "int"),
+    "sim.base_seed": ("base_seed", int, "int"),
+    "sim.sigma_jerk": ("sigma_jerk", _finite_float, "finite float"),
+    "current.speed": ("current_speed", _finite_float, "finite float"),
+    "current.heading_deg": ("current_heading_deg", _finite_float, "finite float"),
+    "sensor.position_fix_noise": ("position_fix_noise", _finite_float, "finite float"),
+    "sensor.accel_white_noise": ("accel_white_noise", _finite_float, "finite float"),
+    "sensor.accel_bias_walk": ("accel_bias_walk", _finite_float, "finite float"),
+    "sensor.fix_rate": ("fix_rate", _finite_float, "finite float"),
+    "vhd.r_base": ("r_base", _finite_float, "finite float"),
+    "vhd.alpha": ("alpha", _finite_float, "finite float"),
+    "vhd.p": ("p", _finite_float, "finite float"),
+    "vhd.poly_degree": ("poly_degree", int, "int"),
+    "baseline.lagrange_nodes": ("lagrange_nodes", int, "int"),
+    "traj.cruise_speed": ("cruise_speed", _finite_float, "finite float"),
+    "traj.turn_rate": ("turn_rate", _finite_float, "finite float"),
+    "traj.turn_start": ("turn_start", _finite_float, "finite float"),
+    "traj.turn_duration": ("turn_duration", _finite_float, "finite float"),
+    "traj.initial_heading": ("initial_heading", _finite_float, "finite float"),
 }
 
 
@@ -78,7 +78,7 @@ def _parse_lines(lines, source: str) -> dict[str, object]:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        _, _, converter, type_name = _SCHEMA[key]
+        _, converter, type_name = _SCHEMA[key]
         try:
             values[key] = converter(text)
         except ValueError:
@@ -89,18 +89,8 @@ def _parse_lines(lines, source: str) -> dict[str, object]:
 
 
 def _build_config(values: dict[str, object]) -> ScenarioConfig:
-    # Fields grouped by section in schema order, so the nested configs are
-    # validated in a fixed order (sensor, vhd, trajectory) before the whole.
-    sections: dict[str, dict[str, object]] = {}
-    for key, (section, name, _, _) in _SCHEMA.items():
-        if key in values:
-            sections.setdefault(section, {})[name] = values[key]
-    defaults = ScenarioConfig()
-    top = sections.pop("", {})
     try:
-        for section, fields in sections.items():
-            top[section] = replace(getattr(defaults, section), **fields)
-        return replace(defaults, **top)
+        return ScenarioConfig(**{_SCHEMA[key][0]: value for key, value in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -117,10 +107,7 @@ def load_config(path) -> ScenarioConfig:
 
 def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     """The flat key/value view of a resolved config, in schema order."""
-    return {
-        key: getattr(getattr(cfg, section) if section else cfg, name)
-        for key, (section, name, _, _) in _SCHEMA.items()
-    }
+    return {key: getattr(cfg, name) for key, (name, _, _) in _SCHEMA.items()}
 
 
 def resolved_config_text(cfg: ScenarioConfig) -> str:
@@ -229,8 +216,12 @@ def run_command(
     Writes resolved_config.cfg, summary.txt, summary.json,
     error_series.csv (mean error series), and trajectory.csv (the
     base-seed run). Column sets follow the `predictors` selection in the
-    fixed order ukf, lagrange, vhd.
+    fixed order ukf, lagrange, vhd. A selection that is empty or names an
+    unknown predictor raises ConfigError before anything runs.
     """
+    unknown = [name for name in predictors if name not in PREDICTORS]
+    if unknown:
+        raise ConfigError(f"unknown predictors: {', '.join(unknown)} (choose from {', '.join(PREDICTORS)})")
     predictors = tuple(name for name in PREDICTORS if name in predictors)
     if not predictors:
         raise ConfigError("predictor selection is empty")
@@ -294,9 +285,6 @@ def main(argv=None) -> int:
         if overrides:
             cfg = replace(cfg, **overrides)
         names = tuple(part.strip() for part in args.predictors.split(",") if part.strip())
-        unknown = [name for name in names if name not in PREDICTORS]
-        if unknown:
-            raise ConfigError(f"unknown predictors: {', '.join(unknown)} (choose from {', '.join(PREDICTORS)})")
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     except (ConfigError, ValueError) as exc:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,71 +80,22 @@ class ConfigError(Exception):
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SensorConfig:
-    """Sensor noise magnitudes.
-
-    position_fix_noise : std dev of each fix coordinate, meters.
-    accel_white_noise  : accelerometer white noise std dev, m/s^2.
-                         Both are squared into the filter's measurement
-                         covariances, so each square must be finite.
-    accel_bias_walk    : std dev of each per-step bias increment, m/s^2.
-    fix_rate           : position fixes per second outside the outage.
-    """
-
-    position_fix_noise: float = 1.0
-    accel_white_noise: float = 0.05
-    accel_bias_walk: float = 0.005
-    fix_rate: float = 1.0
-
-    def __post_init__(self):
-        for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
-            # copysign also rejects -0.0, which numpy refuses as a scale
-            if math.copysign(1.0, getattr(self, name)) < 0.0:
-                raise ValueError(f"SensorConfig invariant: {name} must be >= 0")
-        for name in ("position_fix_noise", "accel_white_noise"):
-            value = getattr(self, name)
-            if not math.isfinite(value * value):
-                raise ValueError(f"SensorConfig invariant: {name} squared must be finite")
-        if self.fix_rate <= 0.0:
-            raise ValueError("SensorConfig invariant: fix_rate must be > 0")
-
-
-@dataclass(frozen=True)
-class TrajectoryConfig:
-    """Vehicle motion plan: straight cruise, one coordinated turn, straight.
-
-    The turn covers [turn_start, turn_start + turn_duration) at a constant
-    yaw rate; centripetal acceleration is cruise_speed * turn_rate.
-    """
-
-    cruise_speed: float = 2.0
-    turn_rate: float = 0.1
-    turn_start: float = 45.0
-    turn_duration: float = 10.0
-    initial_heading: float = 0.0
-
-    def __post_init__(self):
-        if self.cruise_speed < 0.0:
-            raise ValueError("TrajectoryConfig invariant: cruise_speed must be >= 0")
-        if self.turn_start < 0.0 or self.turn_duration < 0.0:
-            raise ValueError("TrajectoryConfig invariant: turn timing must be >= 0")
-
-    @property
-    def turn_end(self) -> float:
-        return self.turn_start + self.turn_duration
-
-    @property
-    def has_turn(self) -> bool:
-        return self.turn_duration > 0.0 and self.turn_rate != 0.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Every knob of a simulated run.
+    """Every knob of a simulated run: one field per config key.
 
     Durations are in seconds. The outage covers
     [outage_start, outage_start + outage_duration); the history window
     must be filled before it begins.
+
+    position_fix_noise is the std dev of each fix coordinate, m, and
+    accel_white_noise the accelerometer's white noise std dev, m/s^2; both
+    are squared into the filter's measurement covariances, so each square
+    must be finite. accel_bias_walk is the std dev of each per-step bias
+    increment, m/s^2, and fix_rate the position fixes per second outside
+    the outage. r_base, alpha and p are the vhd noise schedule, `vhd_params`.
+    The vehicle cruises straight, turns once over [turn_start, turn_end) at
+    the constant yaw rate turn_rate (centripetal acceleration cruise_speed *
+    turn_rate), and cruises on.
     """
 
     duration: float = 110.0
@@ -155,15 +106,39 @@ class ScenarioConfig:
     mc_runs: int = 100
     base_seed: int = 1234
     sigma_jerk: float = 5.0
-    poly_degree: int = 2
-    lagrange_nodes: int = 8
     current_speed: float = 1.0
     current_heading_deg: float = 45.0
-    sensor: SensorConfig = field(default_factory=SensorConfig)
-    vhd_params: AdaptiveConfidenceParams = field(default_factory=AdaptiveConfidenceParams)
-    trajectory: TrajectoryConfig = field(default_factory=TrajectoryConfig)
+    position_fix_noise: float = 1.0
+    accel_white_noise: float = 0.05
+    accel_bias_walk: float = 0.005
+    fix_rate: float = 1.0
+    r_base: float = 0.5
+    alpha: float = 0.01
+    p: float = 2.0
+    poly_degree: int = 2
+    lagrange_nodes: int = 8
+    cruise_speed: float = 2.0
+    turn_rate: float = 0.1
+    turn_start: float = 45.0
+    turn_duration: float = 10.0
+    initial_heading: float = 0.0
 
     def __post_init__(self):
+        for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
+            # copysign also rejects -0.0, which numpy refuses as a scale
+            if math.copysign(1.0, getattr(self, name)) < 0.0:
+                raise ValueError(f"ScenarioConfig invariant: {name} must be >= 0")
+        for name in ("position_fix_noise", "accel_white_noise"):
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise ValueError(f"ScenarioConfig invariant: {name} squared must be finite")
+        if self.fix_rate <= 0.0:
+            raise ValueError("ScenarioConfig invariant: fix_rate must be > 0")
+        vhd_params = self.vhd_params  # checks the schedule's own invariants
+        if self.cruise_speed < 0.0:
+            raise ValueError("ScenarioConfig invariant: cruise_speed must be >= 0")
+        if self.turn_start < 0.0 or self.turn_duration < 0.0:
+            raise ValueError("ScenarioConfig invariant: turn timing must be >= 0")
         if self.dt <= 0.0:
             raise ValueError("ScenarioConfig invariant: dt must be > 0")
         if self.duration <= 0.0:
@@ -191,14 +166,14 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig invariant: sigma_jerk squared must be finite")
         if self.current_speed < 0.0:
             raise ValueError("ScenarioConfig invariant: current_speed must be >= 0")
-        if self.trajectory.has_turn and self.trajectory.turn_start >= self.outage_start:
+        if self.has_turn and self.turn_start >= self.outage_start:
             raise ValueError(
                 "ScenarioConfig invariant: the turn must begin before the outage"
             )
         # The step grid must line up with the fix cadence, the 1 s window
         # sampling, and the configured interval boundaries; a fix_rate * dt
         # that underflows to 0 is an infinite fix period.
-        fix_product = self.sensor.fix_rate * self.dt
+        fix_product = self.fix_rate * self.dt
         for name, value in (
             ("window sample period", 1.0 / self.dt),
             ("fix period", 1.0 / fix_product if fix_product else math.inf),
@@ -215,7 +190,7 @@ class ScenarioConfig:
                 f"ScenarioConfig invariant: (outage_start + outage_duration) / dt must be <= {_MAX_STEPS}"
             )
         # generate_truth rounds the turn's end to a step, as it rounds its start.
-        if not math.isfinite(self.trajectory.turn_end / self.dt):
+        if not math.isfinite(self.turn_end / self.dt):
             raise ValueError("ScenarioConfig invariant: (turn_start + turn_duration) / dt must be finite")
         # The capacity divides by the window sample period, checked just above.
         capacity = self.window_capacity
@@ -229,13 +204,26 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig invariant: poly_degree is too high: the window fit's normal matrix is rank-deficient")
         # The schedule grows with outage age, so its last step bounds it.
         try:
-            last_noise = adaptive_variance(self.vhd_params, self.outage_steps * self.dt)
+            last_noise = adaptive_variance(vhd_params, self.outage_steps * self.dt)
         except OverflowError:
             last_noise = math.inf
         if not math.isfinite(last_noise):
             raise ValueError("ScenarioConfig invariant: vhd noise must stay finite up to the last outage step")
 
-    # -- derived step counts -------------------------------------------
+    # -- derived values ------------------------------------------------
+
+    @property
+    def vhd_params(self) -> AdaptiveConfidenceParams:
+        """The vhd noise schedule, built on each read: read it once per call."""
+        return AdaptiveConfidenceParams(self.r_base, self.alpha, self.p)
+
+    @property
+    def turn_end(self) -> float:
+        return self.turn_start + self.turn_duration
+
+    @property
+    def has_turn(self) -> bool:
+        return self.turn_duration > 0.0 and self.turn_rate != 0.0
 
     @property
     def onset_step(self) -> int:
@@ -247,7 +235,7 @@ class ScenarioConfig:
 
     @property
     def fix_period_steps(self) -> int:
-        return round(1.0 / (self.sensor.fix_rate * self.dt))
+        return round(1.0 / (self.fix_rate * self.dt))
 
     @property
     def window_period_steps(self) -> int:
@@ -297,15 +285,15 @@ def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     depends on the config alone. Every step is computed at once, with the
     roundings of the per-step rule.
     """
-    traj, dt, current = cfg.trajectory, cfg.dt, cfg.current
-    v, w = traj.cruise_speed, traj.turn_rate
+    dt, current = cfg.dt, cfg.current
+    v, w = cfg.cruise_speed, cfg.turn_rate
     n = cfg.onset_step + cfg.outage_steps
     turning = np.zeros(n + 1, dtype=bool)
-    if traj.has_turn:
-        turning[round(traj.turn_start / dt):round(traj.turn_end / dt)] = True
+    if cfg.has_turn:
+        turning[round(cfg.turn_start / dt):round(cfg.turn_end / dt)] = True
     # Adding -0.0 leaves every float as it is, so this is the rule's
     # `heading += w * dt` on the turn steps.
-    heading = np.cumsum(np.r_[traj.initial_heading, np.where(turning[:-1], w * dt, -0.0)])
+    heading = np.cumsum(np.r_[cfg.initial_heading, np.where(turning[:-1], w * dt, -0.0)])
     cos, sin = np.cos(heading), np.sin(heading)
     states = np.zeros((n + 1, STATE_DIM))
     # A straight step keeps the velocity, and has no acceleration: its
@@ -322,7 +310,7 @@ def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     moves = np.zeros((2 * n + 1, 2))
     moves[1::2, 0], moves[1::2, 1] = dt * states[:-1, VX], dt * states[:-1, VY]
     moves[2::2] = drift
-    if traj.has_turn:
+    if cfg.has_turn:
         arc = np.flatnonzero(turning[:-1])
         r = v / w
         moves[2 * arc + 1, 0] = r * (sin[arc + 1] - sin[arc]) + drift[0]
@@ -360,17 +348,16 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> 
     sizing of another.
     """
     n1 = cfg.onset_step + 1
-    sensor = cfg.sensor
 
     ss = np.random.SeedSequence(entropy=seed)
     fix_rng, white_rng, bias_rng = (np.random.default_rng(c) for c in ss.spawn(3))
 
     fix_steps = cfg.fix_steps
-    fix_noise = fix_rng.normal(0.0, sensor.position_fix_noise, size=(fix_steps.size, 2))
+    fix_noise = fix_rng.normal(0.0, cfg.position_fix_noise, size=(fix_steps.size, 2))
     fix_values = truth.positions[fix_steps] + fix_noise
 
-    white = white_rng.normal(0.0, sensor.accel_white_noise, size=(n1, 2))
-    increments = bias_rng.normal(0.0, sensor.accel_bias_walk, size=(n1, 2))
+    white = white_rng.normal(0.0, cfg.accel_white_noise, size=(n1, 2))
+    increments = bias_rng.normal(0.0, cfg.accel_bias_walk, size=(n1, 2))
     increments[0] = 0.0
     bias = np.cumsum(increments, axis=0)
     imu_accel = truth.accelerations[:n1] + bias + white
@@ -396,8 +383,8 @@ class OnsetState:
 def _measurement_models(cfg: ScenarioConfig, model: CaModel) -> tuple[tuple, tuple]:
     """The (R, H) of the accelerometer update (white noise only: the bias is
     unmodeled) and of the position fix update."""
-    return ((np.diag([cfg.sensor.accel_white_noise**2] * 2), accel_measurement_matrix()),
-            (np.diag([cfg.sensor.position_fix_noise**2] * 2), model.H))
+    return ((np.diag([cfg.accel_white_noise**2] * 2), accel_measurement_matrix()),
+            (np.diag([cfg.position_fix_noise**2] * 2), model.H))
 
 
 def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixes: np.ndarray):
@@ -613,11 +600,11 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
     f = (float(model.F[0, 1]), float(model.F[0, 2]))
     q = tuple(float(model.Q[e]) for e in _AXIS_ENTRIES)
     ukf = vhd = tuple(float(onset[e]) for e in _AXIS_ENTRIES)
-    rows = array("d")
+    params, rows = cfg.vhd_params, array("d")
     try:
         for k in range(1, cfg.outage_steps + 1):
             ukf = _axis_predicted(ukf, f, q)
-            vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(cfg.vhd_params, k * cfg.dt))
+            vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(params, k * cfg.dt))
             rows.extend((*ukf, *vhd, s, *gain))
     except ZeroDivisionError:
         # s is 0: the check rejects this row, or an earlier one.
@@ -706,7 +693,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     innovation covariance singular, raises ConfigError, before any draw if
     the covariance is at fault; a tracking failure names the step at which
     the reference's own tracking fails. A config whose truth is not finite
-    raises ConfigError before any sensor stream is drawn. The whole block
+    raises ConfigError before any sensor stream is drawn, and one whose
+    accelerometer readings are not finite (their bias walk overflows)
+    before any tracking, naming the block's first such step. The whole block
     runs with numpy's overflow and invalid-value warnings off, so that error
     is all such a config reports.
     """
@@ -720,6 +709,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
     imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
     fixes = iter(np.stack([ms.fix_values for ms in meas], axis=1)[..., None])
+    finite = np.isfinite(imu).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
     # Each step as in track_to_outage: the accelerometer update, then the
     # next fix on a fix step, with the expressions of `predict` and `update`.
     H_acc, H = accel_measurement_matrix(), model.H

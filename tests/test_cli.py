@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vhd import AdaptiveConfidenceParams, ScenarioConfig, adaptive_noise
+from vhd import ScenarioConfig, adaptive_noise
 from vhd.cli import (
     _SCHEMA,
     ConfigError,
@@ -52,7 +52,7 @@ NON_DEFAULT = {
 EDGE_FLOATS = [sign * v for v in (0.0, 5e-324, 1e-310, 1e154, 1e308) for sign in (1.0, -1.0)]
 CAPACITY = ScenarioConfig().window_capacity
 EDGE_INTS = [*range(-1, 3), *range(CAPACITY - 2, CAPACITY + 3)]
-EDGE_VALUES = {key: st.sampled_from(EDGE_INTS if _SCHEMA[key][2] is int else EDGE_FLOATS) for key in _SCHEMA}
+EDGE_VALUES = {key: st.sampled_from(EDGE_INTS if _SCHEMA[key][1] is int else EDGE_FLOATS) for key in _SCHEMA}
 
 TINY = """
 sim.duration = 40
@@ -135,17 +135,9 @@ class TestConfigParsing:
         assert resolved_config_text(reloaded) == resolved_config_text(original)
 
     def test_schema_covers_every_config_field_once(self):
-        defaults = ScenarioConfig()
-        leaves = []
-        for f in dataclasses.fields(ScenarioConfig):
-            value = getattr(defaults, f.name)
-            if dataclasses.is_dataclass(value):
-                leaves += [(f.name, g.name) for g in dataclasses.fields(value)]
-            else:
-                leaves.append(("", f.name))
-        pairs = [(section, name) for section, name, _, _ in _SCHEMA.values()]
-        assert len(pairs) == len(set(pairs)) == 24
-        assert sorted(pairs) == sorted(leaves)
+        names = [name for name, _, _ in _SCHEMA.values()]
+        assert len(names) == len(set(names)) == 24
+        assert names == [f.name for f in dataclasses.fields(ScenarioConfig)]
 
     def test_every_key_round_trips_at_a_non_default_value(self, tmp_path):
         defaults = config_values(ScenarioConfig())
@@ -165,7 +157,7 @@ class TestConfigParsing:
 
     def test_configs_compare_by_value(self):
         assert ScenarioConfig() == ScenarioConfig()
-        assert ScenarioConfig(vhd_params=AdaptiveConfidenceParams(r_base=1.5)) != ScenarioConfig()
+        assert ScenarioConfig(r_base=1.5) != ScenarioConfig()
 
     def test_readme_config_table_is_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -255,6 +247,17 @@ class TestRunCommand:
         cfg = load_config(tiny_cfg_file(tmp_path))
         with pytest.raises(ConfigError, match="empty"):
             run_command(cfg, tmp_path / "none", predictors=())
+
+    def test_unknown_predictor_rejected_before_running(self, tmp_path, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the batch ran")
+
+        monkeypatch.setattr("vhd.cli.monte_carlo", ran)
+        cfg = load_config(tiny_cfg_file(tmp_path))
+        with pytest.raises(ConfigError) as info:
+            run_command(cfg, tmp_path / "bogus", predictors=("vhd", "bogus"))
+        assert str(info.value) == "unknown predictors: bogus (choose from ukf, lagrange, vhd)"
+        assert not (tmp_path / "bogus").exists()
 
     def test_stdout_control(self, tmp_path, capsys):
         cfg = load_config(tiny_cfg_file(tmp_path))
@@ -406,6 +409,7 @@ class TestMain:
             ["--config", str(cfg_path), "--predictors", "vhd,ekf", "--out-dir", str(tmp_path / "o")]
         ) == 2
         assert "unknown predictors: ekf" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "line",

@@ -6,10 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from vhd import (
-    AdaptiveConfidenceParams,
     ScenarioConfig,
-    SensorConfig,
-    TrajectoryConfig,
     generate_truth,
     monte_carlo,
     open_loop_predict,
@@ -31,16 +28,16 @@ SMALL = ScenarioConfig(
     history_window=20.0,
     mc_runs=8,
     base_seed=77,
-    trajectory=TrajectoryConfig(turn_start=10.0, turn_duration=5.0),
+    turn_start=10.0, turn_duration=5.0,
 )
 
 # Configs for the per-step rule tests of the step grid; the last one's fix
 # period (1e301 steps) lies past the onset and does not fit in int64.
 GRID_CONFIGS = [
     ScenarioConfig(),
-    ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
+    ScenarioConfig(fix_rate=2.0),
     ScenarioConfig(outage_start=60.5),
-    ScenarioConfig(sensor=SensorConfig(fix_rate=1e-300)),
+    ScenarioConfig(fix_rate=1e-300),
 ]
 
 
@@ -50,7 +47,7 @@ ENGINE_CONFIGS = {
     "default": ScenarioConfig(),
     "small": SMALL,
     "fractional onset": ScenarioConfig(outage_start=60.5),
-    "fix_rate 2": ScenarioConfig(sensor=SensorConfig(fix_rate=2.0)),
+    "fix_rate 2": ScenarioConfig(fix_rate=2.0),
     "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
     "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
     # The tracking covariance repeats from step 754 on, so these onsets
@@ -61,8 +58,8 @@ ENGINE_CONFIGS = {
     # Without process noise the covariance keeps shrinking and never repeats.
     "sigma_jerk 0, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sigma_jerk=0.0),
     # The fix period (1000 steps) is past the onset: one segment, no fix.
-    "no fix before the onset": ScenarioConfig(sensor=SensorConfig(fix_rate=0.01)),
-    "fix_rate 2, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, sensor=SensorConfig(fix_rate=2.0)),
+    "no fix before the onset": ScenarioConfig(fix_rate=0.01),
+    "fix_rate 2, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, fix_rate=2.0),
 }
 
 
@@ -70,7 +67,7 @@ def accel_bias(truth, cfg, seed):
     """One run's accelerometer bias, as its readings less the true
     acceleration, for a config without white noise: exact at the steps
     outside the turn, where the true acceleration is 0, and NaN in the turn."""
-    assert cfg.sensor.accel_white_noise == 0.0
+    assert cfg.accel_white_noise == 0.0
     accel = truth.accelerations[: cfg.onset_step + 1]
     bias = simulate_measurements(truth, cfg, seed).imu_accel - accel
     bias[np.any(accel != 0.0, axis=1)] = np.nan
@@ -79,23 +76,23 @@ def accel_bias(truth, cfg, seed):
 
 class TestSensorConfig:
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError, match="SensorConfig invariant"):
-            SensorConfig(position_fix_noise=-1.0)
+        with pytest.raises(ValueError, match="ScenarioConfig invariant: position_fix_noise"):
+            ScenarioConfig(position_fix_noise=-1.0)
 
     def test_zero_fix_rate_rejected(self):
         with pytest.raises(ValueError, match="fix_rate"):
-            SensorConfig(fix_rate=0.0)
+            ScenarioConfig(fix_rate=0.0)
 
 
 class TestTrajectoryConfig:
     def test_turn_extent(self):
-        traj = TrajectoryConfig()
-        assert traj.turn_end == 55.0
-        assert traj.has_turn
+        cfg = ScenarioConfig()
+        assert cfg.turn_end == 55.0
+        assert cfg.has_turn
 
     def test_turn_disabled_by_zero_rate_or_duration(self):
-        assert not TrajectoryConfig(turn_rate=0.0).has_turn
-        assert not TrajectoryConfig(turn_duration=0.0).has_turn
+        assert not ScenarioConfig(turn_rate=0.0).has_turn
+        assert not ScenarioConfig(turn_duration=0.0).has_turn
 
     def test_phases_cover_the_run(self):
         # straight [0, 45 s), turning [45 s, 55 s), straight [55 s, 100 s]
@@ -103,13 +100,13 @@ class TestTrajectoryConfig:
         np.testing.assert_array_equal(np.flatnonzero(turning), np.arange(450, 550))
 
     def test_phases_without_turn(self):
-        truth = generate_truth(ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=0.0)))
+        truth = generate_truth(ScenarioConfig(turn_rate=0.0))
         assert truth.times[-1] == pytest.approx(100.0)  # the outage end
         assert np.all(truth.accelerations == 0.0)
 
     def test_negative_timing_rejected(self):
-        with pytest.raises(ValueError, match="TrajectoryConfig invariant"):
-            TrajectoryConfig(turn_start=-1.0)
+        with pytest.raises(ValueError, match="ScenarioConfig invariant: turn timing"):
+            ScenarioConfig(turn_start=-1.0)
 
 
 class TestScenarioConfig:
@@ -145,9 +142,25 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="multiple of dt"):
             ScenarioConfig(dt=0.3)
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("position_fix_noise", -1.0, "position_fix_noise must be >= 0"),
+            ("position_fix_noise", -0.0, "position_fix_noise must be >= 0"),
+            ("accel_white_noise", 1e300, "accel_white_noise squared must be finite"),
+            ("fix_rate", 0.0, "fix_rate must be > 0"),
+            ("cruise_speed", -1.0, "cruise_speed must be >= 0"),
+            ("turn_start", -1.0, "turn timing must be >= 0"),
+        ],
+    )
+    def test_sensor_and_motion_checks_name_the_config(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            ScenarioConfig(**{field: value})
+        assert str(info.value) == f"ScenarioConfig invariant: {message}"
+
     def test_turn_must_precede_outage(self):
         with pytest.raises(ValueError, match="turn must begin before"):
-            ScenarioConfig(trajectory=TrajectoryConfig(turn_start=60.0))
+            ScenarioConfig(turn_start=60.0)
 
     @pytest.mark.parametrize("cfg", GRID_CONFIGS)
     def test_fix_steps_follow_the_per_step_rule(self, cfg):
@@ -173,19 +186,19 @@ class TestScenarioConfig:
 # the signed zeros of a -0.0 heading and of a vehicle at rest.
 TRUTH_GEOMETRIES = {
     "no current": ScenarioConfig(current_speed=0.0),
-    "no turn": ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=0.0)),
-    "turn_duration 0": ScenarioConfig(trajectory=TrajectoryConfig(turn_duration=0.0)),
-    "turn from 0": ScenarioConfig(trajectory=TrajectoryConfig(turn_start=0.0)),
+    "no turn": ScenarioConfig(turn_rate=0.0),
+    "turn_duration 0": ScenarioConfig(turn_duration=0.0),
+    "turn from 0": ScenarioConfig(turn_start=0.0),
     "turn_rate -0.3, initial_heading 1.2, cruise_speed 3.7": ScenarioConfig(
-        trajectory=TrajectoryConfig(turn_rate=-0.3, initial_heading=1.2, cruise_speed=3.7)
+        turn_rate=-0.3, initial_heading=1.2, cruise_speed=3.7
     ),
-    "turn_rate 2": ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=2.0)),
-    "turn past the onset": ScenarioConfig(trajectory=TrajectoryConfig(turn_start=50.0, turn_duration=30.0)),
-    "fractional turn": ScenarioConfig(trajectory=TrajectoryConfig(turn_start=12.34, turn_duration=7.77)),
+    "turn_rate 2": ScenarioConfig(turn_rate=2.0),
+    "turn past the onset": ScenarioConfig(turn_start=50.0, turn_duration=30.0),
+    "fractional turn": ScenarioConfig(turn_start=12.34, turn_duration=7.77),
     "dt 0.05": ScenarioConfig(dt=0.05),
     "dt 0.2, current 2.3 m/s at 200 deg": ScenarioConfig(dt=0.2, current_speed=2.3, current_heading_deg=200.0),
-    "initial_heading -0.0": ScenarioConfig(trajectory=TrajectoryConfig(initial_heading=-0.0)),
-    "cruise_speed 0, initial_heading 3": ScenarioConfig(trajectory=TrajectoryConfig(cruise_speed=0.0, initial_heading=3.0)),
+    "initial_heading -0.0": ScenarioConfig(initial_heading=-0.0),
+    "cruise_speed 0, initial_heading 3": ScenarioConfig(cruise_speed=0.0, initial_heading=3.0),
 }
 
 TRUTH_RULE_CONFIGS = {
@@ -204,13 +217,13 @@ class TestGenerateTruth:
         # new heading. The acceleration is centripetal on the turn steps and
         # 0 elsewhere. Bit for bit, signed zeros included.
         cfg = TRUTH_RULE_CONFIGS[name]
-        traj, dt, current = cfg.trajectory, cfg.dt, cfg.current
-        v, w = traj.cruise_speed, traj.turn_rate
+        dt, current = cfg.dt, cfg.current
+        v, w = cfg.cruise_speed, cfg.turn_rate
         model = ca_model(dt, 0.0)
         states = generate_truth(cfg).states
-        start, end = round(traj.turn_start / dt), round(traj.turn_end / dt)
-        turning = [traj.has_turn and start <= i < end for i in range(len(states))]
-        headings = [traj.initial_heading]
+        start, end = round(cfg.turn_start / dt), round(cfg.turn_end / dt)
+        turning = [cfg.has_turn and start <= i < end for i in range(len(states))]
+        headings = [cfg.initial_heading]
         want = [[0.0, v * np.cos(headings[0]), 0.0, 0.0, v * np.sin(headings[0]), 0.0]]
         for i, s in enumerate(states[:-1]):
             heading = headings[-1]
@@ -233,7 +246,7 @@ class TestGenerateTruth:
         np.testing.assert_array_equal(np.signbit(states), np.signbit(want))
 
     def test_straight_cruise_covers_twenty_meters_in_ten_seconds(self):
-        cfg = ScenarioConfig(current_speed=0.0, trajectory=TrajectoryConfig(turn_rate=0.0))
+        cfg = ScenarioConfig(current_speed=0.0, turn_rate=0.0)
         truth = generate_truth(cfg)
         np.testing.assert_allclose(truth.states[100, [PX, PY]], [20.0, 0.0], rtol=1e-9, atol=1e-12)
         assert truth.states[100, VX] == 2.0
@@ -284,7 +297,7 @@ class TestGenerateTruth:
 class TestSimulateMeasurements:
     def test_noise_free_fixes_equal_truth(self):
         cfg = ScenarioConfig(
-            sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0)
+            position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0
         )
         truth = generate_truth(cfg)
         meas = simulate_measurements(truth, cfg, seed=5)
@@ -307,7 +320,7 @@ class TestSimulateMeasurements:
         meas_longer = simulate_measurements(truth_longer, longer, seed=5)
         for name in ("fix_values", "imu_accel"):
             np.testing.assert_array_equal(getattr(meas_longer, name), getattr(meas, name))
-        quiet = dataclasses.replace(cfg, sensor=SensorConfig(accel_white_noise=0.0))
+        quiet = dataclasses.replace(cfg, accel_white_noise=0.0)
         quiet_longer = dataclasses.replace(quiet, duration=200.0)
         np.testing.assert_array_equal(accel_bias(truth_longer, quiet_longer, 5), accel_bias(truth, quiet, 5))
 
@@ -329,16 +342,16 @@ class TestSimulateMeasurements:
         assert not np.array_equal(a.fix_values, c.fix_values)
 
     def test_bias_random_walk_variance_law(self):
-        cfg = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0))
+        cfg = ScenarioConfig(accel_white_noise=0.0)
         truth = generate_truth(cfg)
         k = 600
         samples = np.array([accel_bias(truth, cfg, seed)[k] for seed in range(1000)])
-        want = k * cfg.sensor.accel_bias_walk**2
+        want = k * cfg.accel_bias_walk**2
         got = samples.reshape(-1).var()
         assert abs(got - want) < 0.1 * want
 
     def test_bias_starts_at_zero(self):
-        cfg = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0))
+        cfg = ScenarioConfig(accel_white_noise=0.0)
         truth = generate_truth(cfg)
         np.testing.assert_array_equal(accel_bias(truth, cfg, 3)[0], [0.0, 0.0])
 
@@ -348,14 +361,14 @@ class TestSimulateMeasurements:
         truth = generate_truth(base)
         ref = simulate_measurements(truth, base, seed=42)
 
-        fewer_fixes = ScenarioConfig(sensor=SensorConfig(fix_rate=0.5))
+        fewer_fixes = ScenarioConfig(fix_rate=0.5)
         alt = simulate_measurements(truth, fewer_fixes, seed=42)
         np.testing.assert_array_equal(alt.imu_accel, ref.imu_accel)
-        quiet = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0))
-        quiet_fewer_fixes = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.0, fix_rate=0.5))
+        quiet = ScenarioConfig(accel_white_noise=0.0)
+        quiet_fewer_fixes = ScenarioConfig(accel_white_noise=0.0, fix_rate=0.5)
         np.testing.assert_array_equal(accel_bias(truth, quiet_fewer_fixes, 42), accel_bias(truth, quiet, 42))
 
-        louder_imu = ScenarioConfig(sensor=SensorConfig(accel_white_noise=0.5))
+        louder_imu = ScenarioConfig(accel_white_noise=0.5)
         alt2 = simulate_measurements(truth, louder_imu, seed=42)
         np.testing.assert_array_equal(alt2.fix_values, ref.fix_values)
 
@@ -381,8 +394,8 @@ class TestTrackToOutage:
         fix_steps = list(cfg.fix_steps)
         imu = np.arange(2.0 * (cfg.onset_step + 1)).reshape(-1, 2)
         fixes = -1.0 - np.arange(2.0 * len(fix_steps)).reshape(-1, 2)
-        R_imu = np.diag([cfg.sensor.accel_white_noise**2] * 2)
-        R_fix = np.diag([cfg.sensor.position_fix_noise**2] * 2)
+        R_imu = np.diag([cfg.accel_white_noise**2] * 2)
+        R_fix = np.diag([cfg.position_fix_noise**2] * 2)
         schedule = list(_tracking_updates(cfg, model, imu, fixes))
         assert [i for i, _ in schedule] == list(range(1, cfg.onset_step + 1))
         for i, updates in schedule:
@@ -527,17 +540,17 @@ FILTER_ERRORS = {
     # after the first update, and the next step's innovation covariance is
     # singular.
     "sigma_jerk 0, accel_white_noise 0": (
-        ScenarioConfig(sigma_jerk=0.0, sensor=SensorConfig(accel_white_noise=0.0)),
+        ScenarioConfig(sigma_jerk=0.0, accel_white_noise=0.0),
         SINGULAR.format(2),
     ),
     # These two fail while tracking, where no solve finds S exactly
     # singular: only the checks of the fix periods see them.
     "sigma_jerk and sensor noises 1.3e154": (
-        ScenarioConfig(sigma_jerk=1.3e154, sensor=SensorConfig(position_fix_noise=1.3e154, accel_white_noise=1.3e154)),
+        ScenarioConfig(sigma_jerk=1.3e154, position_fix_noise=1.3e154, accel_white_noise=1.3e154),
         OVERFLOW.format(11),
     ),
     "sigma_jerk 0, exact fixes, accel_white_noise 1e150": (
-        dataclasses.replace(SMALL, sigma_jerk=0.0, sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=1e150)),
+        dataclasses.replace(SMALL, sigma_jerk=0.0, position_fix_noise=0.0, accel_white_noise=1e150),
         SINGULAR.format(60),
     ),
 }
@@ -548,12 +561,17 @@ TRUTH = "the truth is not finite at step {}: the config's trajectory or current 
 TRUTH_ERRORS = {
     # v / w overflows, so the arc is not finite from the turn's first step on.
     "turn_rate 2.2250738585e-313": (
-        ScenarioConfig(trajectory=TrajectoryConfig(turn_rate=2.2250738585e-313)),
+        ScenarioConfig(turn_rate=2.2250738585e-313),
         TRUTH.format(451),
     ),
     # The drift overflows the positions.
     "current_speed 1e307": (ScenarioConfig(current_speed=1e307), TRUTH.format(255)),
 }
+
+
+# The accelerometer bias walk overflows from step 3 of seed 1234 (step 10
+# of seed 7); the reference fails its first belief after it.
+STREAM_OVERFLOW = ScenarioConfig(accel_bias_walk=7e307)
 
 
 class TestRunBlock:
@@ -647,7 +665,7 @@ class TestRunBlock:
     def test_noise_above_half_the_float_range_squared_does_not_overflow(self, name, noise):
         # The squared noise enters the innovation covariance above half the
         # float range; symmetrizing it must not overflow on the reference path.
-        cfg = dataclasses.replace(SMALL, sensor=SensorConfig(**{name: noise}))
+        cfg = dataclasses.replace(SMALL, **{name: noise})
         rec = run_scenario(cfg, SMALL.base_seed)
         assert_records_equal(run_block(cfg, [SMALL.base_seed]).run(0), rec, vhd_atol=VHD_ATOL)
 
@@ -676,6 +694,17 @@ class TestRunBlock:
             run_block(cfg, [1234, 7])
         assert str(info.value) == message
 
+    def test_a_stream_that_is_not_finite_raises_before_any_tracking(self, monkeypatch):
+        def tracked(*args):
+            raise AssertionError("the block was tracked")
+
+        monkeypatch.setattr(simkit, "_window", tracked)
+        with pytest.raises(ConfigError) as info:
+            run_block(STREAM_OVERFLOW, [1234, 7])
+        assert str(info.value) == (
+            "the accelerometer readings are not finite at step 3: the config's sensor values overflow them"
+        )
+
     def test_filter_overflow_raises_before_any_draw(self, no_draws):
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
@@ -697,10 +726,12 @@ class TestRunBlock:
             # The vhd covariance collapses to rounding level, and the engine's
             # per-axis floats find s non-positive one step after the
             # reference's 6x6 S fails (605 against 604).
-            (ScenarioConfig(sigma_jerk=0.0, vhd_params=AdaptiveConfidenceParams(r_base=1e-31)), True),
-            (ScenarioConfig(sensor=SensorConfig(position_fix_noise=9.5e153)), False),
+            (ScenarioConfig(sigma_jerk=0.0, r_base=1e-31), True),
+            (ScenarioConfig(position_fix_noise=9.5e153), False),
+            (STREAM_OVERFLOW, True),
         ],
-        ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153"],
+        ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153",
+             "accel_bias_walk 7e307"],
     )
     def test_the_engine_fails_where_the_reference_fails(self, cfg, fails):
         def raises(run, error):
@@ -786,7 +817,8 @@ class TestMonteCarlo:
             history_window=SMALL.history_window,
             mc_runs=1,
             base_seed=SMALL.base_seed,
-            trajectory=SMALL.trajectory,
+            turn_start=SMALL.turn_start,
+            turn_duration=SMALL.turn_duration,
         )
         out = monte_carlo(cfg)
         rec = run_scenario(cfg, cfg.base_seed)
@@ -828,8 +860,8 @@ class TestMonteCarlo:
         exact = dataclasses.replace(
             SMALL,
             current_speed=0.0,
-            sensor=SensorConfig(position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0),
-            trajectory=TrajectoryConfig(turn_rate=0.0),
+            position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0,
+            turn_rate=0.0,
         )
         result = monte_carlo(exact)
         assert result.rmse_m["ukf"] == 0.0

@@ -10,7 +10,8 @@ bundle case compares every file of the two output bundles byte for byte
 and names each file that differs, or that only one side wrote. The
 bundles hold the truth, so the cases compare it on two geometries: the
 default one, and a turn from t = 0 against a current from another
-direction. An error case runs a config that cannot run, and requires
+direction. One case sets all 24 config keys, each away from its default,
+so every key's path from the file to the bundle is compared. An error case runs a config that cannot run, and requires
 the same exit code and the same stderr on both sides; each case that
 differs is named. Exit status is 0 when every bundle and every error is
 identical and 1 otherwise.
@@ -30,9 +31,9 @@ RUN_TIMEOUT_S = 600.0
 
 # Case name -> (config lines, extra CLI arguments). They cover the default
 # batch serially and through the pool, the two long workloads of the
-# benchmark, a denser fix rate with a high-degree fit and interpolant, and a
+# benchmark, a denser fix rate with a high-degree fit and interpolant, a
 # second geometry: a turn from t = 0 the other way, from another heading,
-# against a current from another direction.
+# against a current from another direction, and every key set at once.
 CASES = {
     "default": ([], []),
     "default --jobs 3": ([], ["--jobs", "3"]),
@@ -45,6 +46,21 @@ CASES = {
     "turn from 0 at -0.3 rad/s, heading 1.2, current at 200 deg": (
         ["traj.turn_start = 0", "traj.turn_rate = -0.3", "traj.initial_heading = 1.2", "current.heading_deg = 200"],
         ["--runs", "4"],
+    ),
+    # The values of tests/test_cli.py's NON_DEFAULT: each key's path from the
+    # file to the bundle, at 3 runs.
+    "every key at a non-default value": (
+        [
+            "sim.duration = 80", "sim.dt = 0.05", "sim.outage_start = 40", "sim.outage_duration = 30",
+            "sim.history_window = 30", "sim.mc_runs = 3", "sim.base_seed = 99", "sim.sigma_jerk = 2.5",
+            "current.speed = 0.5", "current.heading_deg = 120",
+            "sensor.position_fix_noise = 2", "sensor.accel_white_noise = 0.1",
+            "sensor.accel_bias_walk = 0.01", "sensor.fix_rate = 2",
+            "vhd.r_base = 1.5", "vhd.alpha = 0.02", "vhd.p = 1.5", "vhd.poly_degree = 3",
+            "baseline.lagrange_nodes = 6", "traj.cruise_speed = 3", "traj.turn_rate = -0.05",
+            "traj.turn_start = 20", "traj.turn_duration = 8", "traj.initial_heading = 0.5",
+        ],
+        [],
     ),
 }
 
