@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,34 +32,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# key -> (ScenarioConfig field, converter, pretty type name). Order fixed
-# for the resolved echo.
-_SCHEMA = {
-    "sim.duration": ("duration", _finite_float, "finite float"),
-    "sim.dt": ("dt", _finite_float, "finite float"),
-    "sim.outage_start": ("outage_start", _finite_float, "finite float"),
-    "sim.outage_duration": ("outage_duration", _finite_float, "finite float"),
-    "sim.history_window": ("history_window", _finite_float, "finite float"),
-    "sim.mc_runs": ("mc_runs", int, "int"),
-    "sim.base_seed": ("base_seed", int, "int"),
-    "sim.sigma_jerk": ("sigma_jerk", _finite_float, "finite float"),
-    "current.speed": ("current_speed", _finite_float, "finite float"),
-    "current.heading_deg": ("current_heading_deg", _finite_float, "finite float"),
-    "sensor.position_fix_noise": ("position_fix_noise", _finite_float, "finite float"),
-    "sensor.accel_white_noise": ("accel_white_noise", _finite_float, "finite float"),
-    "sensor.accel_bias_walk": ("accel_bias_walk", _finite_float, "finite float"),
-    "sensor.fix_rate": ("fix_rate", _finite_float, "finite float"),
-    "vhd.r_base": ("r_base", _finite_float, "finite float"),
-    "vhd.alpha": ("alpha", _finite_float, "finite float"),
-    "vhd.p": ("p", _finite_float, "finite float"),
-    "vhd.poly_degree": ("poly_degree", int, "int"),
-    "baseline.lagrange_nodes": ("lagrange_nodes", int, "int"),
-    "traj.cruise_speed": ("cruise_speed", _finite_float, "finite float"),
-    "traj.turn_rate": ("turn_rate", _finite_float, "finite float"),
-    "traj.turn_start": ("turn_start", _finite_float, "finite float"),
-    "traj.turn_duration": ("turn_duration", _finite_float, "finite float"),
-    "traj.initial_heading": ("initial_heading", _finite_float, "finite float"),
-}
+# A field's declared type -> (converter, pretty type name); with postponed
+# annotations the type is the annotation's text.
+_CONVERTERS = {"int": (int, "int"), "float": (_finite_float, "finite float")}
+
+# key -> ScenarioConfig field. Field order fixes the resolved echo's.
+_SCHEMA = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 
 
 def _parse_lines(lines, source: str) -> dict[str, object]:
@@ -78,7 +56,7 @@ def _parse_lines(lines, source: str) -> dict[str, object]:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} (first set on line {seen[key]})")
         seen[key] = lineno
-        _, converter, type_name = _SCHEMA[key]
+        converter, type_name = _CONVERTERS[_SCHEMA[key].type]
         try:
             values[key] = converter(text)
         except ValueError:
@@ -90,7 +68,7 @@ def _parse_lines(lines, source: str) -> dict[str, object]:
 
 def _build_config(values: dict[str, object]) -> ScenarioConfig:
     try:
-        return ScenarioConfig(**{_SCHEMA[key][0]: value for key, value in values.items()})
+        return ScenarioConfig(**{_SCHEMA[key].name: value for key, value in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -107,7 +85,7 @@ def load_config(path) -> ScenarioConfig:
 
 def config_values(cfg: ScenarioConfig) -> dict[str, object]:
     """The flat key/value view of a resolved config, in schema order."""
-    return {key: getattr(cfg, name) for key, (name, _, _) in _SCHEMA.items()}
+    return {key: getattr(cfg, f.name) for key, f in _SCHEMA.items()}
 
 
 def resolved_config_text(cfg: ScenarioConfig) -> str:

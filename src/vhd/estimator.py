@@ -35,10 +35,10 @@ class GaussianBelief:
             raise ValueError("GaussianBelief: mean must be a vector")
         if cov.shape != (n, n):
             raise ValueError(f"GaussianBelief: covariance shape {cov.shape} does not match mean length {n}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("GaussianBelief: non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if float(np.max(np.abs(cov - cov.T))) > 1e-9 * scale:
+        scale = max(1.0, float(np.abs(cov).max()))
+        if float(np.abs(cov - cov.T).max()) > 1e-9 * scale:
             raise ValueError("GaussianBelief: covariance is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

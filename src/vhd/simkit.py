@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,9 +79,14 @@ class ConfigError(Exception):
 # configuration
 # ----------------------------------------------------------------------
 
+def _key(key: str, default):
+    """A ScenarioConfig field that the config file sets with `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Every knob of a simulated run: one field per config key.
+    """Every knob of a simulated run: one field per config key, set by `_key`.
 
     Durations are in seconds. The outage covers
     [outage_start, outage_start + outage_duration); the history window
@@ -98,30 +103,30 @@ class ScenarioConfig:
     turn_rate), and cruises on.
     """
 
-    duration: float = 110.0
-    dt: float = 0.1
-    outage_start: float = 60.0
-    outage_duration: float = 40.0
-    history_window: float = 50.0
-    mc_runs: int = 100
-    base_seed: int = 1234
-    sigma_jerk: float = 5.0
-    current_speed: float = 1.0
-    current_heading_deg: float = 45.0
-    position_fix_noise: float = 1.0
-    accel_white_noise: float = 0.05
-    accel_bias_walk: float = 0.005
-    fix_rate: float = 1.0
-    r_base: float = 0.5
-    alpha: float = 0.01
-    p: float = 2.0
-    poly_degree: int = 2
-    lagrange_nodes: int = 8
-    cruise_speed: float = 2.0
-    turn_rate: float = 0.1
-    turn_start: float = 45.0
-    turn_duration: float = 10.0
-    initial_heading: float = 0.0
+    duration: float = _key("sim.duration", 110.0)
+    dt: float = _key("sim.dt", 0.1)
+    outage_start: float = _key("sim.outage_start", 60.0)
+    outage_duration: float = _key("sim.outage_duration", 40.0)
+    history_window: float = _key("sim.history_window", 50.0)
+    mc_runs: int = _key("sim.mc_runs", 100)
+    base_seed: int = _key("sim.base_seed", 1234)
+    sigma_jerk: float = _key("sim.sigma_jerk", 5.0)
+    current_speed: float = _key("current.speed", 1.0)
+    current_heading_deg: float = _key("current.heading_deg", 45.0)
+    position_fix_noise: float = _key("sensor.position_fix_noise", 1.0)
+    accel_white_noise: float = _key("sensor.accel_white_noise", 0.05)
+    accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005)
+    fix_rate: float = _key("sensor.fix_rate", 1.0)
+    r_base: float = _key("vhd.r_base", 0.5)
+    alpha: float = _key("vhd.alpha", 0.01)
+    p: float = _key("vhd.p", 2.0)
+    poly_degree: int = _key("vhd.poly_degree", 2)
+    lagrange_nodes: int = _key("baseline.lagrange_nodes", 8)
+    cruise_speed: float = _key("traj.cruise_speed", 2.0)
+    turn_rate: float = _key("traj.turn_rate", 0.1)
+    turn_start: float = _key("traj.turn_start", 45.0)
+    turn_duration: float = _key("traj.turn_duration", 10.0)
+    initial_heading: float = _key("traj.initial_heading", 0.0)
 
     def __post_init__(self):
         for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from vhd import ScenarioConfig, adaptive_noise
 from vhd.cli import (
     _SCHEMA,
     ConfigError,
+    _parse_lines,
     config_values,
     load_config,
     main,
@@ -52,7 +54,7 @@ NON_DEFAULT = {
 EDGE_FLOATS = [sign * v for v in (0.0, 5e-324, 1e-310, 1e154, 1e308) for sign in (1.0, -1.0)]
 CAPACITY = ScenarioConfig().window_capacity
 EDGE_INTS = [*range(-1, 3), *range(CAPACITY - 2, CAPACITY + 3)]
-EDGE_VALUES = {key: st.sampled_from(EDGE_INTS if _SCHEMA[key][1] is int else EDGE_FLOATS) for key in _SCHEMA}
+EDGE_VALUES = {key: st.sampled_from(EDGE_INTS if f.type == "int" else EDGE_FLOATS) for key, f in _SCHEMA.items()}
 
 TINY = """
 sim.duration = 40
@@ -135,9 +137,10 @@ class TestConfigParsing:
         assert resolved_config_text(reloaded) == resolved_config_text(original)
 
     def test_schema_covers_every_config_field_once(self):
-        names = [name for name, _, _ in _SCHEMA.values()]
+        names = [f.name for f in _SCHEMA.values()]
         assert len(names) == len(set(names)) == 24
         assert names == [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert all(re.fullmatch(r"[a-z]+\.[a-z_]+", key) for key in _SCHEMA)
 
     def test_every_key_round_trips_at_a_non_default_value(self, tmp_path):
         defaults = config_values(ScenarioConfig())
@@ -154,6 +157,16 @@ class TestConfigParsing:
         echo.write_text(resolved_config_text(loaded), encoding="utf-8")
         assert config_values(load_config(echo)) == NON_DEFAULT
         assert load_config(echo) == loaded
+
+    def test_cli_bytes_every_key_case_is_non_default(self):
+        # tools/cli_bytes.py keeps its own copy of NON_DEFAULT as config lines.
+        path = Path(__file__).resolve().parents[1] / "tools" / "cli_bytes.py"
+        spec = importlib.util.spec_from_file_location("cli_bytes", path)
+        cli_bytes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cli_bytes)
+        lines, args = cli_bytes.CASES["every key at a non-default value"]
+        assert args == []
+        assert _parse_lines(lines, str(path)) == NON_DEFAULT
 
     def test_configs_compare_by_value(self):
         assert ScenarioConfig() == ScenarioConfig()

@@ -11,10 +11,11 @@ and names each file that differs, or that only one side wrote. The
 bundles hold the truth, so the cases compare it on two geometries: the
 default one, and a turn from t = 0 against a current from another
 direction. One case sets all 24 config keys, each away from its default,
-so every key's path from the file to the bundle is compared. An error case runs a config that cannot run, and requires
-the same exit code and the same stderr on both sides; each case that
-differs is named. Exit status is 0 when every bundle and every error is
-identical and 1 otherwise.
+so every key's path from the file to the bundle is compared. An error
+case runs a config that cannot run, or a file that does not parse, and
+requires the same exit code and the same stderr on both sides; each case
+that differs is named. Exit status is 0 when every bundle and every error
+is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -66,13 +67,19 @@ CASES = {
 
 # Case name -> config lines of a config that cannot run: the filter fails in
 # the outage, and while tracking at its second step and in its second fix
-# period. Both sides must exit with the same code and stderr.
+# period; the file does not parse: an int key given a float, a float key
+# given nan, an unknown key, and a key set twice. Both sides must exit with
+# the same code and stderr.
 ERROR_CASES = {
     "sigma_jerk 1e151 (step 925)": ["sim.sigma_jerk = 1e151"],
     "sigma_jerk 0, accel_white_noise 0 (step 2)": ["sim.sigma_jerk = 0", "sensor.accel_white_noise = 0"],
     "sigma_jerk and sensor noises 1.3e154 (step 11)": [
         "sim.sigma_jerk = 1.3e154", "sensor.position_fix_noise = 1.3e154", "sensor.accel_white_noise = 1.3e154",
     ],
+    "mc_runs 1.5 (must be int)": ["sim.mc_runs = 1.5"],
+    "dt nan (must be finite float)": ["sim.dt = nan"],
+    "unknown key sim.bogus": ["sim.bogus = 1"],
+    "fix_rate set twice (duplicate key)": ["sensor.fix_rate = 2", "sensor.fix_rate = 2"],
 }
 
 
