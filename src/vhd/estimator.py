@@ -101,7 +101,8 @@ def _joseph_cov(cov: np.ndarray, K: np.ndarray, R: np.ndarray, H: np.ndarray) ->
 
 
 def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> GaussianBelief:
-    """Measurement update with measurement z ~ N(H s, R).
+    """Measurement update with measurement z ~ N(H s, R), for a float (m,)
+    vector z and float (m, m) R and (m, n) H, which are used as given.
 
     Uses the Joseph-form covariance update
 
@@ -115,10 +116,6 @@ def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> Ga
     numpy.linalg.LinAlgError
         If the innovation covariance H P H^T + R is not positive definite.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-
     K = _kalman_gain(b.cov, R, H)
 
     innovation = z - H @ b.mean
@@ -206,11 +203,9 @@ def kl_optimal_virtual_measurement(
 
     solved here in closed form by least squares on the whitened system.
     When K has full column rank through the target metric the minimizer is
-    unique; otherwise the minimum-norm w is returned and flagged.
+    unique; otherwise the minimum-norm w is returned and flagged. R and H
+    are float matrices, as `update` takes them.
     """
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-
     K = _kalman_gain(prior.cov, R, H)
 
     Lq = _cholesky_or_raise(target.cov, "target covariance")

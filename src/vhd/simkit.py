@@ -117,9 +117,9 @@ class ScenarioConfig:
     accel_white_noise: float = _key("sensor.accel_white_noise", 0.05)
     accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005)
     fix_rate: float = _key("sensor.fix_rate", 1.0)
-    r_base: float = _key("vhd.r_base", 0.5)
-    alpha: float = _key("vhd.alpha", 0.01)
-    p: float = _key("vhd.p", 2.0)
+    r_base: float = _key("vhd.r_base", AdaptiveConfidenceParams.r_base)
+    alpha: float = _key("vhd.alpha", AdaptiveConfidenceParams.alpha)
+    p: float = _key("vhd.p", AdaptiveConfidenceParams.p)
     poly_degree: int = _key("vhd.poly_degree", 2)
     lagrange_nodes: int = _key("baseline.lagrange_nodes", 8)
     cruise_speed: float = _key("traj.cruise_speed", 2.0)
@@ -504,15 +504,6 @@ def _singular(step: int) -> ConfigError:
     return ConfigError(f"the filter innovation covariance is singular or not positive definite at step {step}")
 
 
-def _cholesky_ok(S) -> bool:
-    """Whether np.linalg.cholesky accepts S, or every matrix of a stack."""
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _tracking_error(cfg: ScenarioConfig, model: CaModel) -> ConfigError:
     """The ConfigError of a config whose tracking covariances fail a check,
     named by the reference: `predict`, then `update` over the tracking
@@ -536,17 +527,13 @@ def _covariance_step(cov: np.ndarray, model: CaModel, updates, covs: list, S: li
     """The covariance half of `predict`, then of one `update` per (R, H),
     unchecked: appends each covariance to `covs` and each innovation
     covariance to `S`. Returns the covariance and the gain of each update.
-    A solve that finds an S exactly singular gives a NaN gain, and the
-    check of S rejects the step."""
+    A solve that finds an S exactly singular raises numpy.linalg.LinAlgError."""
     covs.append(_predicted_cov(cov, model))
     gains = []
     for R, H in updates:
         HP, S_k = _innovation(covs[-1], R, H)
         S.append(S_k)
-        try:
-            gains.append(np.linalg.solve(S_k, HP).T)
-        except np.linalg.LinAlgError:
-            gains.append(np.full(HP.T.shape, math.nan))
+        gains.append(np.linalg.solve(S_k, HP).T)
         covs.append(_joseph_cov(covs[-1], gains[-1], R, H))
     return covs[-1], gains
 
@@ -621,7 +608,7 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
         step = cfg.onset_step + bad + 1
         if np.isfinite(table[bad, :6]).all() and table[bad, 12] <= 0.0:
             raise _singular(step)
-        _finite(table[bad], "covariance", step)  # the row is not finite
+        raise _overflow("covariance", step)  # the row is not finite
     gains = np.zeros((len(table), STATE_DIM, 2))
     gains[:, :3, 0] = gains[:, 3:, 1] = table[:, 13:]
     return gains, table[:, :12].reshape(-1, 2, 6)
@@ -637,12 +624,13 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
     The tracking steps are computed one fix period at a time, in segments
     that end at each fix step and, last, at the onset step, which has no fix.
     Nothing is checked as it is computed: each computed segment is checked
-    once, by one isfinite over its covariances and one stacked cholesky
-    over its innovation covariances, and the outage once. A config that
+    once, by one stacked cholesky over its innovation covariances and one
+    isfinite over its covariances, and the outage once. A config that
     overflows the filter, or makes its innovation covariance singular,
-    raises ConfigError: on a failed segment, the reference's own tracking
-    names the step (`_tracking_error`); in the outage, the first failing
-    row of the mask does.
+    raises ConfigError: on a failed segment, or a solve that finds an S
+    exactly singular, the reference's own tracking names the step
+    (`_tracking_error`); in the outage, the first failing row of the mask
+    does.
 
     The covariance recurrence is deterministic, and every full segment has
     the same updates. So once one ends at the covariance it began with, each
@@ -656,11 +644,15 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.nd
             tracking += cycle
         else:
             began, covs, S, segment = cov, [], [], []
-            for i in range(start, end + 1):
-                # the step that ends a full segment also takes its fix
-                cov, gains = _covariance_step(cov, model, models[: 1 + (full and i == end)], covs, S)
-                segment.append(gains)
-            if not (np.isfinite(covs).all() and _cholesky_ok(S)):
+            try:
+                for i in range(start, end + 1):
+                    # the step that ends a full segment also takes its fix
+                    cov, gains = _covariance_step(cov, model, models[: 1 + (full and i == end)], covs, S)
+                    segment.append(gains)
+                np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                raise _tracking_error(cfg, model) from None
+            if not np.isfinite(covs).all():
                 raise _tracking_error(cfg, model)
             if full and np.array_equal(cov, began):
                 cycle = segment

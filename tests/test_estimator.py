@@ -35,6 +35,8 @@ class TestBeliefValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GaussianBelief(np.zeros(6), np.eye(5))
+        with pytest.raises(ValueError, match="mean must be a vector"):
+            GaussianBelief(np.zeros((2, 1)), np.eye(2))
 
     def test_non_finite_rejected(self):
         P = np.eye(6)

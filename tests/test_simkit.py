@@ -151,6 +151,10 @@ class TestScenarioConfig:
             ("fix_rate", 0.0, "fix_rate must be > 0"),
             ("cruise_speed", -1.0, "cruise_speed must be >= 0"),
             ("turn_start", -1.0, "turn timing must be >= 0"),
+            ("dt", 0.0, "dt must be > 0"),
+            ("history_window", 0.0, "history_window must be > 0"),
+            ("poly_degree", -1, "poly_degree must be >= 0"),
+            ("current_speed", -1.0, "current_speed must be >= 0"),
         ],
     )
     def test_sensor_and_motion_checks_name_the_config(self, field, value, message):

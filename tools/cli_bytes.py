@@ -13,9 +13,13 @@ default one, and a turn from t = 0 against a current from another
 direction. One case sets all 24 config keys, each away from its default,
 so every key's path from the file to the bundle is compared. An error
 case runs a config that cannot run, or a file that does not parse, and
-requires the same exit code and the same stderr on both sides; each case
-that differs is named. Exit status is 0 when every bundle and every error
-is identical and 1 otherwise.
+requires the same exit code, the same stderr and the same output
+directory, written or not, on both sides; each case that differs is
+named. The configs that cannot run fail the filter in the outage and,
+while tracking, in each of the three ways a fix period can fail its
+check: a solve that finds S exactly singular, a covariance that
+overflows, and an S that only the Cholesky check rejects. Exit status
+is 0 when every bundle and every error is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -66,15 +70,22 @@ CASES = {
 }
 
 # Case name -> config lines of a config that cannot run: the filter fails in
-# the outage, and while tracking at its second step and in its second fix
-# period; the file does not parse: an int key given a float, a float key
-# given nan, an unknown key, and a key set twice. Both sides must exit with
-# the same code and stderr.
+# the outage; while tracking, at its second step (a solve finds S singular),
+# in its second fix period (the covariance overflows), and, on the tests'
+# short geometry, at the onset step (only the Cholesky check rejects S); the
+# file does not parse: an int key given a float, a float key given nan, an
+# unknown key, and a key set twice. Both sides must exit with the same code
+# and stderr, and write the same output directory or none.
 ERROR_CASES = {
     "sigma_jerk 1e151 (step 925)": ["sim.sigma_jerk = 1e151"],
     "sigma_jerk 0, accel_white_noise 0 (step 2)": ["sim.sigma_jerk = 0", "sensor.accel_white_noise = 0"],
     "sigma_jerk and sensor noises 1.3e154 (step 11)": [
         "sim.sigma_jerk = 1.3e154", "sensor.position_fix_noise = 1.3e154", "sensor.accel_white_noise = 1.3e154",
+    ],
+    "short run, sigma_jerk 0, position_fix_noise 0, accel_white_noise 1e150 (step 60)": [
+        "sim.duration = 40", "sim.outage_start = 20", "sim.outage_duration = 10", "sim.history_window = 20",
+        "traj.turn_start = 10", "traj.turn_duration = 5",
+        "sim.sigma_jerk = 0", "sensor.position_fix_noise = 0", "sensor.accel_white_noise = 1e150",
     ],
     "mc_runs 1.5 (must be int)": ["sim.mc_runs = 1.5"],
     "dt nan (must be finite float)": ["sim.dt = nan"],
@@ -124,8 +135,10 @@ def main() -> int:
         for k, (name, lines) in enumerate(ERROR_CASES.items()):
             config = work / f"error{k}.cfg"
             config.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-            got = {side: run_cli(checkout, config, [], work / f"error{k}-{side}", check=False)
-                   for side, checkout in sides.items()}
+            got = {}
+            for side, checkout in sides.items():
+                out_dir = work / f"error{k}-{side}"
+                got[side] = (*run_cli(checkout, config, [], out_dir, check=False), out_dir.exists())
             if got["base"] == got["change"]:
                 print(f"{name}: identical exit {got['change'][0]}")
             else:
