@@ -26,7 +26,6 @@ from .history import (
 )
 from .kinematics import (
     CaModel,
-    Disturbance,
     ca_model,
     ca_process_noise,
     ca_transition_matrix,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveConfidenceParams",
     "CaModel",
-    "Disturbance",
     "GaussianBelief",
     "KlArgminResult",
     "McResult",

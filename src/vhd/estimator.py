@@ -140,14 +140,11 @@ def open_loop_predict(b: GaussianBelief, model: CaModel, steps: int) -> list[Gau
     return out
 
 
-def gaussian_kl(a, b) -> float:
-    """KL divergence KL(a || b) between two Gaussians, in nats.
-
-    Accepts any objects with `mean` and `cov` attributes of matching
-    dimension. Both covariances must be positive definite.
+def gaussian_kl(a: GaussianBelief, b: GaussianBelief) -> float:
+    """KL divergence KL(a || b) between two GaussianBeliefs of one
+    dimension, in nats. Both covariances must be positive definite.
     """
-    mu_a, S_a = np.asarray(a.mean, dtype=float), np.asarray(a.cov, dtype=float)
-    mu_b, S_b = np.asarray(b.mean, dtype=float), np.asarray(b.cov, dtype=float)
+    mu_a, S_a, mu_b, S_b = a.mean, a.cov, b.mean, b.cov
     k = mu_a.shape[0]
 
     La = _cholesky_or_raise(S_a, "first covariance")

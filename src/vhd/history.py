@@ -176,8 +176,5 @@ def lagrange_extrapolate(w: Trajectory, t, node_count: int = 8) -> np.ndarray:
     if node_count < 2:
         raise ValueError(f"node_count must be >= 2, got {node_count}")
     times, positions = w.recent(node_count)
-    if np.unique(times).shape[0] != node_count:
-        raise ValueError("node timestamps must be distinct")
-
     V, t_ref, t_scale = _vandermonde(times, node_count)
     return PolyModel(np.linalg.solve(V, positions), t_ref, t_scale, float(times[-1])).position(t)

@@ -145,30 +145,15 @@ def ca_model(dt: float, sigma_jerk: float) -> CaModel:
     return CaModel(dt=dt, F=ca_transition_matrix(dt), Q=ca_process_noise(dt, sigma_jerk))
 
 
-@dataclass(frozen=True)
-class Disturbance:
-    """Constant water-current velocity, in m/s per axis.
-
-    The current transports the vehicle (position drift) without altering
-    its through-water velocity or acceleration states.
-    """
-
-    current_x: float = 0.0
-    current_y: float = 0.0
-
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(self.current_x, self.current_y))
-
-
-def propagate_truth(s: np.ndarray, model: CaModel, d: Disturbance) -> np.ndarray:
+def propagate_truth(s: np.ndarray, model: CaModel, current: tuple[float, float]) -> np.ndarray:
     """Advance a true state one step: CA dynamics plus current drift.
 
-    The drift adds (current_x * dt, current_y * dt) to the position
-    components only; velocity and acceleration states are untouched.
+    `current` is the water current's (x, y) velocity in m/s. Its drift adds
+    (current[0] * dt, current[1] * dt) to the position components only;
+    velocity and acceleration states are untouched.
     """
     s = np.asarray(s, dtype=float)
     out = model.F @ s
-    out[PX] += d.current_x * model.dt
-    out[PY] += d.current_y * model.dt
+    out[PX] += current[0] * model.dt
+    out[PY] += current[1] * model.dt
     return out

@@ -48,7 +48,6 @@ from .kinematics import (
     AX,
     AY,
     CaModel,
-    Disturbance,
     PX,
     PY,
     STATE_DIM,
@@ -269,12 +268,12 @@ class ScenarioConfig:
         return self.onset_step - self.window_period_steps * np.arange(self.window_capacity)[::-1]
 
     @property
-    def current(self) -> Disturbance:
+    def current(self) -> tuple[float, float]:
+        """The water current's (x, y) velocity in m/s, from its speed and
+        heading."""
         heading = np.radians(self.current_heading_deg)
-        return Disturbance(
-            current_x=self.current_speed * float(np.cos(heading)),
-            current_y=self.current_speed * float(np.sin(heading)),
-        )
+        return (self.current_speed * float(np.cos(heading)),
+                self.current_speed * float(np.sin(heading)))
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +310,7 @@ def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     # rounds its move and drift first, and its drift row is -0.0. Summing
     # `move + drift` per step instead moved the truth by up to 9.6e-10 m
     # over the 10 400 steps of a 1000 s track with a 40 s outage.
-    drift = (current.current_x * dt, current.current_y * dt)
+    drift = (current[0] * dt, current[1] * dt)
     moves = np.zeros((2 * n + 1, 2))
     moves[1::2, 0], moves[1::2, 1] = dt * states[:-1, VX], dt * states[:-1, VY]
     moves[2::2] = drift
@@ -492,9 +491,9 @@ def _overflow(what: str, step: int | None = None) -> ConfigError:
     return ConfigError(f"the filter {what} is not finite{at}: the config's values overflow the filter")
 
 
-def _finite(values: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
-        raise _overflow(what, step)
+        raise _overflow(what)
     return values
 
 
@@ -559,11 +558,11 @@ def _axis_predicted(p: tuple, f: tuple, q: tuple) -> tuple:
 def _axis_fix(p: tuple, r: float) -> tuple[tuple, float, tuple]:
     """`update`'s covariance half for one axis's position fix of variance r,
     in floats: the Joseph covariance (I - k H) P (I - k H)^T + r k k^T, the
-    innovation variance s = p00 + r and the gain k = P[:, 0] / s. Raises
-    ZeroDivisionError if s is 0."""
+    innovation variance s = p00 + r and the gain k = P[:, 0] / s. An s of 0
+    gives a NaN gain, and so a NaN covariance."""
     p00, p01, p02, p11, p12, p22 = p
     s = p00 + r
-    k0, k1, k2 = p00 / s, p01 / s, p02 / s
+    k0, k1, k2 = (p00 / s, p01 / s, p02 / s) if s else (math.nan,) * 3
     a = 1.0 - k0
     # B = (I - k H) P, whose rows 1 and 2 are P's less k1 and k2 times row 0
     b00, b01, b02 = a * p00, a * p01, a * p02
@@ -587,20 +586,18 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
     Each step appends its 16 floats (`ukf`'s entries, `vhd`'s, s and k) to
     one array, and one mask checks them all: every float finite and s > 0.
     The first failing row names the step, with the reference's error: the
-    predicted pair, then S, then the `vhd` covariance. A NaN s passes S's
-    check, as a NaN S passes `np.linalg.cholesky` in `update`."""
+    predicted pair, then S, then the `vhd` covariance. An s of 0 has a NaN
+    gain and `vhd` covariance, so its row is named singular as a negative
+    s is. A NaN s passes S's check, as a NaN S passes `np.linalg.cholesky`
+    in `update`."""
     f = (float(model.F[0, 1]), float(model.F[0, 2]))
     q = tuple(float(model.Q[e]) for e in _AXIS_ENTRIES)
     ukf = vhd = tuple(float(onset[e]) for e in _AXIS_ENTRIES)
     params, rows = cfg.vhd_params, array("d")
-    try:
-        for k in range(1, cfg.outage_steps + 1):
-            ukf = _axis_predicted(ukf, f, q)
-            vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(params, k * cfg.dt))
-            rows.extend((*ukf, *vhd, s, *gain))
-    except ZeroDivisionError:
-        # s is 0: the check rejects this row, or an earlier one.
-        rows.extend((*ukf, *[math.nan] * 6, 0.0, *[math.nan] * 3))
+    for k in range(1, cfg.outage_steps + 1):
+        ukf = _axis_predicted(ukf, f, q)
+        vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(params, k * cfg.dt))
+        rows.extend((*ukf, *vhd, s, *gain))
     table = np.frombuffer(rows).reshape(-1, 16)
     ok = np.isfinite(table).all(axis=1) & (table[:, 12] > 0.0)
     if not ok.all():

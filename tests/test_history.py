@@ -275,19 +275,6 @@ class TestLagrange:
         with pytest.raises(ValueError, match="node_count"):
             lagrange_extrapolate(w, 12.0, node_count=1)
 
-    def test_duplicate_node_timestamps_rejected(self):
-        class BrokenWindow(Trajectory):
-            def recent(self, count):
-                times, positions = super().recent(count)
-                times = times.copy()
-                times[0] = times[1]
-                return times, positions
-
-        k = np.arange(10.0)
-        w = BrokenWindow(k, [make_state(p_x=x) for x in k])
-        with pytest.raises(ValueError, match="distinct"):
-            lagrange_extrapolate(w, 12.0, node_count=4)
-
 
 class TestBlockWindow:
     """A block of runs sharing one window's times: the engine's window is

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vhd import (
-    Disturbance,
     ca_model,
     ca_process_noise,
     ca_transition_matrix,
@@ -103,43 +102,39 @@ class TestStateHelpers:
         np.testing.assert_array_equal(s[[AX, AY]], [3.0, 6.0])
         assert (s[PX], s[VX], s[AX], s[PY], s[VY], s[AY]) == (1, 2, 3, 4, 5, 6)
 
-    def test_disturbance_speed(self):
-        d = Disturbance(current_x=3.0, current_y=4.0)
-        assert d.speed == pytest.approx(5.0)
-
 
 class TestTruthPropagation:
     def test_pure_drift_from_rest(self):
         model = ca_model(1.0, 0.0)
-        s = propagate_truth(np.zeros(6), model, Disturbance(1.0, 0.0))
+        s = propagate_truth(np.zeros(6), model, (1.0, 0.0))
         np.testing.assert_array_equal(s, make_state(p_x=1.0))
 
     def test_zero_current_equals_model_step(self):
         model = ca_model(0.1, 0.0)
         s = make_state(p_x=1.0, v_x=2.0, a_x=0.3, p_y=-1.0, v_y=0.5, a_y=-0.2)
         np.testing.assert_array_equal(
-            propagate_truth(s, model, Disturbance(0.0, 0.0)), model.F @ s
+            propagate_truth(s, model, (0.0, 0.0)), model.F @ s
         )
 
     def test_ca_step_and_drift_superpose(self):
         model = ca_model(1.0, 0.0)
-        s = propagate_truth(make_state(v_x=2.0), model, Disturbance(1.0, 0.0))
+        s = propagate_truth(make_state(v_x=2.0), model, (1.0, 0.0))
         assert s[PX] == pytest.approx(3.0)
         assert s[PY] == 0.0
 
     def test_current_leaves_velocity_and_acceleration_untouched(self):
         model = ca_model(0.5, 0.0)
         s = make_state(v_x=1.0, a_x=0.1, v_y=-2.0, a_y=0.2)
-        with_current = propagate_truth(s, model, Disturbance(0.7, -0.3))
-        without = propagate_truth(s, model, Disturbance(0.0, 0.0))
+        with_current = propagate_truth(s, model, (0.7, -0.3))
+        without = propagate_truth(s, model, (0.0, 0.0))
         np.testing.assert_array_equal(with_current[[VX, AX, VY, AY]], without[[VX, AX, VY, AY]])
 
     def test_linear_drift_accumulates_as_k_dt_c(self):
         model = ca_model(0.1, 0.0)
-        d = Disturbance(1.0, -0.5)
+        d = (1.0, -0.5)
         s = np.zeros(6)
         for k in range(1, 401):
             s = propagate_truth(s, model, d)
             np.testing.assert_allclose(
-                s[[PX, PY]], [k * 0.1 * d.current_x, k * 0.1 * d.current_y], rtol=1e-12
+                s[[PX, PY]], [k * 0.1 * d[0], k * 0.1 * d[1]], rtol=1e-12
             )

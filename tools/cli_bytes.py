@@ -15,10 +15,12 @@ so every key's path from the file to the bundle is compared. An error
 case runs a config that cannot run, or a file that does not parse, and
 requires the same exit code, the same stderr and the same output
 directory, written or not, on both sides; each case that differs is
-named. The configs that cannot run fail the filter in the outage and,
-while tracking, in each of the three ways a fix period can fail its
-check: a solve that finds S exactly singular, a covariance that
-overflows, and an S that only the Cholesky check rejects. Exit status
+named. The configs that cannot run fail the filter in the outage in
+both ways an outage step can fail its check, a covariance that overflows
+and an innovation variance that is not positive, and, while tracking, in
+each of the three ways a fix period can fail its check: a solve that
+finds S exactly singular, a covariance that overflows, and an S that
+only the Cholesky check rejects. Exit status
 is 0 when every bundle and every error is identical and 1 otherwise.
 """
 
@@ -70,7 +72,11 @@ CASES = {
 }
 
 # Case name -> config lines of a config that cannot run: the filter fails in
-# the outage; while tracking, at its second step (a solve finds S singular),
+# the outage, where a covariance overflows (step 925) or, with no process
+# noise and a virtual-fix variance below rounding, the `vhd` innovation
+# variance turns negative (step 605, a step set by rounding in the last
+# bits, so it is compared between checkouts on one machine and nowhere
+# pinned); while tracking, at its second step (a solve finds S singular),
 # in its second fix period (the covariance overflows), and, on the tests'
 # short geometry, at the onset step (only the Cholesky check rejects S); the
 # file does not parse: an int key given a float, a float key given nan, an
@@ -78,6 +84,7 @@ CASES = {
 # and stderr, and write the same output directory or none.
 ERROR_CASES = {
     "sigma_jerk 1e151 (step 925)": ["sim.sigma_jerk = 1e151"],
+    "sigma_jerk 0, vhd.r_base 1e-31 (outage step 605)": ["sim.sigma_jerk = 0", "vhd.r_base = 1e-31"],
     "sigma_jerk 0, accel_white_noise 0 (step 2)": ["sim.sigma_jerk = 0", "sensor.accel_white_noise = 0"],
     "sigma_jerk and sensor noises 1.3e154 (step 11)": [
         "sim.sigma_jerk = 1.3e154", "sensor.position_fix_noise = 1.3e154", "sensor.accel_white_noise = 1.3e154",
