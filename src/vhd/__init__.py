@@ -33,7 +33,6 @@ from .kinematics import (
     propagate_truth,
 )
 from .outage import (
-    AdaptiveConfidenceParams,
     VirtualUpdateDiagnostic,
     adaptive_noise,
     run_outage,
@@ -58,7 +57,6 @@ from .simkit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveConfidenceParams",
     "CaModel",
     "GaussianBelief",
     "KlArgminResult",

@@ -74,10 +74,11 @@ def _build_config(values: dict[str, object]) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Load a config file; missing keys fall back to the defaults."""
+    """Load a config file; missing keys fall back to the defaults. A UTF-8
+    byte-order mark, as some editors write one, is skipped."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return _build_config(_parse_lines(lines, str(path)))

@@ -5,13 +5,14 @@ measurements taken from the history polynomial. Their noise covariance
 R*_k = R_base * (1 + alpha * elapsed^p) starts at R_base (the filter
 trusts recent history) and inflates with the time elapsed since the
 outage began, handing weight back to the motion model as the
-extrapolation ages.
+extrapolation ages. R_base, alpha and p are the run's `ScenarioConfig`
+fields r_base, alpha and p: of the config, the functions here read only those.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,62 +27,35 @@ from .estimator import (
 from .history import PolyModel, Trajectory, fit_polynomial, residual_covariance
 from .kinematics import AX, AY, CaModel, VX, VY
 
+if TYPE_CHECKING:
+    from .simkit import ScenarioConfig
+
 # Variance assigned to the velocity/acceleration diagonal of the history
 # target covariance: effectively uninformative, so the target constrains
 # position only.
 _TARGET_SOFT_VARIANCE = 1e6
 
 
-@dataclass(frozen=True)
-class AdaptiveConfidenceParams:
-    """Schedule parameters for the virtual-measurement noise.
-
-    Attributes
-    ----------
-    r_base : float
-        Variance of each virtual-fix coordinate at the moment the outage
-        starts, m^2; 0 < r_base < inf. The noise covariance is r_base * I.
-    alpha : float
-        Attenuation factor, >= 0. Larger values hand weight back to the
-        motion model sooner.
-    p : float
-        Growth exponent, >= 1.
-    """
-
-    r_base: float = 0.5
-    alpha: float = 0.01
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.r_base < math.inf:
-            raise ValueError(
-                f"AdaptiveConfidenceParams invariant: r_base must be > 0 and finite, got {self.r_base}"
-            )
-        if self.alpha < 0.0:
-            raise ValueError(f"AdaptiveConfidenceParams invariant: alpha must be >= 0, got {self.alpha}")
-        if self.p < 1.0:
-            raise ValueError(f"AdaptiveConfidenceParams invariant: p must be >= 1, got {self.p}")
-
-
-def adaptive_variance(params: AdaptiveConfidenceParams, elapsed: float) -> float:
-    """Variance of each virtual-fix coordinate after `elapsed` seconds:
-    R(elapsed) = r_base * (1 + alpha * elapsed**p); equals r_base exactly at
-    elapsed = 0 and is monotone non-decreasing in elapsed."""
+def adaptive_variance(cfg: ScenarioConfig, elapsed: float) -> float:
+    """Variance of each virtual-fix coordinate after `elapsed` seconds, of
+    `cfg`'s r_base, alpha and p only: R(elapsed) = r_base * (1 + alpha *
+    elapsed**p); equals r_base exactly at elapsed = 0 and is monotone
+    non-decreasing in elapsed."""
     if elapsed < 0.0:
         raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return params.r_base * (1.0 + params.alpha * elapsed**params.p)
+    return cfg.r_base * (1.0 + cfg.alpha * elapsed**cfg.p)
 
 
-def adaptive_noise(params: AdaptiveConfidenceParams, elapsed: float) -> np.ndarray:
+def adaptive_noise(cfg: ScenarioConfig, elapsed: float) -> np.ndarray:
     """Virtual-measurement noise covariance after `elapsed` seconds: the 2x2
-    R(elapsed) * I of `adaptive_variance`."""
-    return adaptive_variance(params, elapsed) * _identity(2)
+    R(elapsed) * I of `adaptive_variance`, of `cfg`'s r_base, alpha and p only."""
+    return adaptive_variance(cfg, elapsed) * _identity(2)
 
 
 def vhd_outage_step(
     b: GaussianBelief,
     poly: PolyModel,
-    params: AdaptiveConfidenceParams,
+    cfg: ScenarioConfig,
     elapsed: float,
     model: CaModel,
 ) -> GaussianBelief:
@@ -89,11 +63,12 @@ def vhd_outage_step(
 
     `elapsed` is the outage age of the step being produced: the belief is
     advanced one model step, the polynomial supplies z at
-    window_end + elapsed, and the schedule supplies R for that age.
+    window_end + elapsed, and the schedule (`cfg`'s r_base, alpha and p only)
+    supplies R for that age.
     """
     predicted = predict(b, model)
     z = poly.position(poly.window_end + elapsed)
-    return update(predicted, z, adaptive_noise(params, elapsed), model.H)
+    return update(predicted, z, adaptive_noise(cfg, elapsed), model.H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +106,15 @@ def _fill_diagnostics(
     beliefs: list[GaussianBelief],
     w: Trajectory,
     poly: PolyModel,
-    params: AdaptiveConfidenceParams,
+    cfg: ScenarioConfig,
     model: CaModel,
 ) -> None:
     """Compare each assimilated polynomial value against the KL argmin.
 
     The history target starts at the polynomial's smoothed state at the
     window end and is carried forward through the motion model; its
-    covariance is the fit residual covariance on the position block.
+    covariance is the fit residual covariance on the position block. R is
+    the schedule's, of `cfg`'s r_base, alpha and p only.
     """
     target_mean = poly.state_at(poly.window_end)
     target_cov = _history_target_cov(w, poly)
@@ -148,7 +124,7 @@ def _fill_diagnostics(
         target = GaussianBelief(target_mean, target_cov)
         predicted = predict(prior, model)
         z_poly = poly.position(poly.window_end + elapsed)
-        R = adaptive_noise(params, elapsed)
+        R = adaptive_noise(cfg, elapsed)
         sol = kl_optimal_virtual_measurement(predicted, target, R, model.H)
         post_opt = update(predicted, sol.z, R, model.H)
         diagnostics.append(
@@ -166,7 +142,7 @@ def _fill_diagnostics(
 def run_outage(
     b: GaussianBelief,
     w: Trajectory,
-    params: AdaptiveConfidenceParams,
+    cfg: ScenarioConfig,
     T_steps: int,
     model: CaModel,
     degree: int = 2,
@@ -177,7 +153,8 @@ def run_outage(
     The history polynomial is fitted once, at onset (no new data arrives
     during the outage), then each step k predicts through the motion model
     and assimilates the polynomial's position at outage age k * dt with
-    the scheduled noise. The outage starts at the window's final timestamp.
+    the noise scheduled by `cfg`'s r_base, alpha and p only (`degree`, not
+    `cfg`, sets the fit). The outage starts at the window's final timestamp.
 
     When `diagnostics` is a list, a VirtualUpdateDiagnostic is appended
     per step comparing the assimilated value against the analytic KL
@@ -192,8 +169,8 @@ def run_outage(
     out = []
     belief = b
     for k in range(1, T_steps + 1):
-        belief = vhd_outage_step(belief, poly, params, k * model.dt, model)
+        belief = vhd_outage_step(belief, poly, cfg, k * model.dt, model)
         out.append(belief)
     if diagnostics is not None:
-        _fill_diagnostics(diagnostics, b, out, w, poly, params, model)
+        _fill_diagnostics(diagnostics, b, out, w, poly, cfg, model)
     return out

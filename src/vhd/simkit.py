@@ -56,7 +56,7 @@ from .kinematics import (
     accel_measurement_matrix,
     ca_model,
 )
-from .outage import AdaptiveConfidenceParams, adaptive_variance, run_outage
+from .outage import adaptive_variance, run_outage
 
 PREDICTORS = ("ukf", "lagrange", "vhd")
 
@@ -96,7 +96,8 @@ class ScenarioConfig:
     are squared into the filter's measurement covariances, so each square
     must be finite. accel_bias_walk is the std dev of each per-step bias
     increment, m/s^2, and fix_rate the position fixes per second outside
-    the outage. r_base, alpha and p are the vhd noise schedule, `vhd_params`.
+    the outage. r_base, alpha and p are `outage.adaptive_variance`'s vhd noise
+    schedule; r_base is each virtual-fix coordinate's variance at onset, m^2.
     The vehicle cruises straight, turns once over [turn_start, turn_end) at
     the constant yaw rate turn_rate (centripetal acceleration cruise_speed *
     turn_rate), and cruises on.
@@ -116,9 +117,9 @@ class ScenarioConfig:
     accel_white_noise: float = _key("sensor.accel_white_noise", 0.05)
     accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005)
     fix_rate: float = _key("sensor.fix_rate", 1.0)
-    r_base: float = _key("vhd.r_base", AdaptiveConfidenceParams.r_base)
-    alpha: float = _key("vhd.alpha", AdaptiveConfidenceParams.alpha)
-    p: float = _key("vhd.p", AdaptiveConfidenceParams.p)
+    r_base: float = _key("vhd.r_base", 0.5)
+    alpha: float = _key("vhd.alpha", 0.01)
+    p: float = _key("vhd.p", 2.0)
     poly_degree: int = _key("vhd.poly_degree", 2)
     lagrange_nodes: int = _key("baseline.lagrange_nodes", 8)
     cruise_speed: float = _key("traj.cruise_speed", 2.0)
@@ -138,7 +139,12 @@ class ScenarioConfig:
                 raise ValueError(f"ScenarioConfig invariant: {name} squared must be finite")
         if self.fix_rate <= 0.0:
             raise ValueError("ScenarioConfig invariant: fix_rate must be > 0")
-        vhd_params = self.vhd_params  # checks the schedule's own invariants
+        if not 0.0 < self.r_base < math.inf:
+            raise ValueError(f"ScenarioConfig invariant: r_base must be > 0 and finite, got {self.r_base}")
+        if self.alpha < 0.0:
+            raise ValueError(f"ScenarioConfig invariant: alpha must be >= 0, got {self.alpha}")
+        if self.p < 1.0:
+            raise ValueError(f"ScenarioConfig invariant: p must be >= 1, got {self.p}")
         if self.cruise_speed < 0.0:
             raise ValueError("ScenarioConfig invariant: cruise_speed must be >= 0")
         if self.turn_start < 0.0 or self.turn_duration < 0.0:
@@ -208,18 +214,13 @@ class ScenarioConfig:
             raise ValueError("ScenarioConfig invariant: poly_degree is too high: the window fit's normal matrix is rank-deficient")
         # The schedule grows with outage age, so its last step bounds it.
         try:
-            last_noise = adaptive_variance(vhd_params, self.outage_steps * self.dt)
+            last_noise = adaptive_variance(self, self.outage_steps * self.dt)
         except OverflowError:
             last_noise = math.inf
         if not math.isfinite(last_noise):
             raise ValueError("ScenarioConfig invariant: vhd noise must stay finite up to the last outage step")
 
     # -- derived values ------------------------------------------------
-
-    @property
-    def vhd_params(self) -> AdaptiveConfidenceParams:
-        """The vhd noise schedule, built on each read: read it once per call."""
-        return AdaptiveConfidenceParams(self.r_base, self.alpha, self.p)
 
     @property
     def turn_end(self) -> float:
@@ -477,7 +478,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     onset = track_to_outage(cfg, seed)
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     ukf = [b0] + open_loop_predict(b0, model, T)
-    vhd = [b0] + run_outage(b0, onset.window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
+    vhd = [b0] + run_outage(b0, onset.window, cfg, T, model, degree=cfg.poly_degree)
     means = [np.array([b.mean for b in beliefs]) for beliefs in (ukf, vhd)]
     return _record(cfg, seed, onset.truth, onset.window, onset.tracking_err, *means)
 
@@ -593,10 +594,10 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
     f = (float(model.F[0, 1]), float(model.F[0, 2]))
     q = tuple(float(model.Q[e]) for e in _AXIS_ENTRIES)
     ukf = vhd = tuple(float(onset[e]) for e in _AXIS_ENTRIES)
-    params, rows = cfg.vhd_params, array("d")
+    rows = array("d")
     for k in range(1, cfg.outage_steps + 1):
         ukf = _axis_predicted(ukf, f, q)
-        vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(params, k * cfg.dt))
+        vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(cfg, k * cfg.dt))
         rows.extend((*ukf, *vhd, s, *gain))
     table = np.frombuffer(rows).reshape(-1, 16)
     ok = np.isfinite(table).all(axis=1) & (table[:, 12] > 0.0)

@@ -6,6 +6,7 @@ the session, and then asserts. The expensive default batch comes from the
 session fixtures.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from numpy.polynomial import polynomial as npoly
 
 import vhd
 from vhd import (
-    AdaptiveConfidenceParams,
     GaussianBelief,
     ScenarioConfig,
     Trajectory,
@@ -90,7 +90,7 @@ def test_criterion_3_schedule_limit_regimes(default_cfg, acceptance_report):
 
     # regime A: the noise schedule blows up within one step, so the
     # virtual updates must become no-ops and match pure prediction
-    params_a = AdaptiveConfidenceParams(alpha=1e24)
+    params_a = dataclasses.replace(default_cfg, alpha=1e24)
     factor = adaptive_noise(params_a, default_cfg.dt)[0, 0] / params_a.r_base
     seq_a = run_outage(onset.belief, onset.window, params_a, T, onset.model)
     ref = open_loop_predict(onset.belief, onset.model, T)
@@ -100,7 +100,7 @@ def test_criterion_3_schedule_limit_regimes(default_cfg, acceptance_report):
     )
 
     # regime B: flat tiny noise pins the state to the fitted polynomial
-    params_b = AdaptiveConfidenceParams(r_base=1e-6, alpha=0.0)
+    params_b = dataclasses.replace(default_cfg, r_base=1e-6, alpha=0.0)
     seq_b = run_outage(onset.belief, onset.window, params_b, T, onset.model)
     poly = fit_polynomial(onset.window, degree=default_cfg.poly_degree)
     onset_t = onset.window.times[-1]
@@ -241,7 +241,7 @@ def test_criterion_6_polynomial_exactness(acceptance_report):
 
 
 def test_criterion_7_adaptive_noise_law(acceptance_report):
-    params = AdaptiveConfidenceParams()
+    params = ScenarioConfig()
     at_zero = adaptive_noise(params, 0.0)
     at_forty = adaptive_noise(params, 40.0)
     sweep = np.array([np.diag(adaptive_noise(params, e)) for e in np.linspace(0.0, 60.0, 601)])

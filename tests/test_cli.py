@@ -113,15 +113,26 @@ class TestConfigParsing:
     def test_invalid_alpha_names_the_invariant(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("vhd.alpha = -1\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="AdaptiveConfidenceParams invariant"):
+        with pytest.raises(ConfigError) as info:
             load_config(path)
+        assert str(info.value) == "ScenarioConfig invariant: alpha must be >= 0, got -1.0"
 
     def test_scalar_r_base_becomes_isotropic_matrix(self, tmp_path):
         path = tmp_path / "r.cfg"
         path.write_text("vhd.r_base = 2.5\n", encoding="utf-8")
-        params = load_config(path).vhd_params
-        assert params.r_base == 2.5
-        np.testing.assert_array_equal(adaptive_noise(params, 0.0), np.diag([2.5, 2.5]))
+        cfg = load_config(path)
+        assert cfg.r_base == 2.5
+        np.testing.assert_array_equal(adaptive_noise(cfg, 0.0), np.diag([2.5, 2.5]))
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Windows editors save UTF-8 with a BOM, which must not become part
+        # of the first key
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("sim.mc_runs = 5\nvhd.alpha = 0.02\n", encoding="utf-8")
+        bom.write_text("sim.mc_runs = 5\nvhd.alpha = 0.02\n", encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert config_values(load_config(bom)) == config_values(load_config(plain))
+        assert load_config(bom).mc_runs == 5
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vhd import (
-    AdaptiveConfidenceParams,
     GaussianBelief,
     ScenarioConfig,
     Trajectory,
@@ -27,51 +26,51 @@ def line_window(n=51, dt=1.0, vx=2.0, vy=0.5, x0=0.0, y0=1.0):
 
 class TestParams:
     def test_defaults(self):
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         assert params.r_base == 0.5
         assert params.alpha == 0.01
         assert params.p == 2.0
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="AdaptiveConfidenceParams invariant"):
-            AdaptiveConfidenceParams(alpha=-1.0)
+        with pytest.raises(ValueError, match="ScenarioConfig invariant"):
+            ScenarioConfig(alpha=-1.0)
 
     def test_exponent_below_one_rejected(self):
-        with pytest.raises(ValueError, match="AdaptiveConfidenceParams invariant"):
-            AdaptiveConfidenceParams(p=0.5)
+        with pytest.raises(ValueError, match="ScenarioConfig invariant"):
+            ScenarioConfig(p=0.5)
 
     @pytest.mark.parametrize("r_base", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_r_base_outside_zero_to_inf_rejected(self, r_base):
         with pytest.raises(ValueError, match="r_base must be > 0 and finite"):
-            AdaptiveConfidenceParams(r_base=r_base)
+            ScenarioConfig(r_base=r_base)
 
 
 class TestAdaptiveNoise:
     def test_zero_elapsed_is_exactly_base(self):
-        R = adaptive_noise(AdaptiveConfidenceParams(), 0.0)
+        R = adaptive_noise(ScenarioConfig(), 0.0)
         np.testing.assert_array_equal(R, np.diag([0.5, 0.5]))
 
     def test_ten_seconds_doubles_base(self):
-        R = adaptive_noise(AdaptiveConfidenceParams(), 10.0)
+        R = adaptive_noise(ScenarioConfig(), 10.0)
         np.testing.assert_array_equal(R, np.diag([1.0, 1.0]))
 
     def test_forty_seconds_scales_seventeenfold(self):
-        R = adaptive_noise(AdaptiveConfidenceParams(), 40.0)
+        R = adaptive_noise(ScenarioConfig(), 40.0)
         np.testing.assert_array_equal(R, np.diag([8.5, 8.5]))
 
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValueError, match="elapsed"):
-            adaptive_noise(AdaptiveConfidenceParams(), -0.1)
+            adaptive_noise(ScenarioConfig(), -0.1)
 
     def test_monotone_in_elapsed(self):
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         grid = np.linspace(0.0, 60.0, 241)
         diags = np.array([np.diag(adaptive_noise(params, e)) for e in grid])
         assert np.all(np.diff(diags, axis=0) >= 0.0)
 
     def test_loewner_order_preserved(self):
         rng = np.random.default_rng(31)
-        params = AdaptiveConfidenceParams(r_base=rng.normal() ** 2 + 1.0)
+        params = ScenarioConfig(r_base=rng.normal() ** 2 + 1.0)
         prev = adaptive_noise(params, 0.0)
         for e in (1.0, 5.0, 20.0, 40.0):
             cur = adaptive_noise(params, e)
@@ -81,7 +80,7 @@ class TestAdaptiveNoise:
     def test_scalar_multiple_of_base(self):
         rng = np.random.default_rng(32)
         base = rng.normal() ** 2 + 2.0
-        params = AdaptiveConfidenceParams(r_base=base, alpha=0.3, p=1.5)
+        params = ScenarioConfig(r_base=base, alpha=0.3, p=1.5)
         e = 7.0
         np.testing.assert_array_equal(
             adaptive_noise(params, e), base * (1.0 + 0.3 * e**1.5) * np.eye(2)
@@ -95,7 +94,7 @@ class TestVirtualMeasurement:
         model = ca_model(0.1, 0.5)
         w = line_window()
         poly = fit_polynomial(w, degree=2)
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         belief = GaussianBelief(
             make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6)
         )
@@ -121,7 +120,7 @@ class TestOutageStep:
         self.elapsed = 0.1  # the first step of the outage
 
     def test_equals_predict_then_update(self):
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         got = vhd_outage_step(self.belief, self.poly, params, self.elapsed, self.model)
         predicted = predict(self.belief, self.model)
         z = self.poly.position(self.w.times[-1] + self.elapsed)
@@ -131,7 +130,7 @@ class TestOutageStep:
         np.testing.assert_array_equal(got.cov, want.cov)
 
     def test_huge_alpha_reduces_to_pure_predict(self):
-        params = AdaptiveConfidenceParams(alpha=1e24)
+        params = ScenarioConfig(alpha=1e24)
         got = vhd_outage_step(self.belief, self.poly, params, self.elapsed, self.model)
         predicted = predict(self.belief, self.model)
         np.testing.assert_allclose(got.mean, predicted.mean, rtol=1e-3, atol=1e-9)
@@ -140,7 +139,7 @@ class TestOutageStep:
     def test_zero_innovation_keeps_predicted_position(self):
         # belief moving exactly along the window's line: the polynomial
         # value coincides with the prediction, so the mean must not move
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         exact = GaussianBelief(
             make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6)
         )
@@ -153,7 +152,7 @@ class TestOutageStep:
         # the open-loop prediction and the extrapolated position
         onset = track_to_outage(ScenarioConfig(), seed=1234)
         poly = fit_polynomial(onset.window, degree=2)
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         H = position_measurement_matrix()
 
         predicted = predict(onset.belief, onset.model)
@@ -170,19 +169,19 @@ class TestRunOutage:
         w = line_window()
         b = GaussianBelief(make_state(), np.eye(6))
         with pytest.raises(ValueError, match="T_steps"):
-            run_outage(b, w, AdaptiveConfidenceParams(), 0, ca_model(0.1, 0.5))
+            run_outage(b, w, ScenarioConfig(), 0, ca_model(0.1, 0.5))
 
     def test_returns_one_belief_per_step(self):
         w = line_window()
         b = GaussianBelief(make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6))
-        out = run_outage(b, w, AdaptiveConfidenceParams(), 25, ca_model(0.1, 0.5))
+        out = run_outage(b, w, ScenarioConfig(), 25, ca_model(0.1, 0.5))
         assert len(out) == 25
 
     def test_single_step_equals_outage_step(self):
         w = line_window()
         model = ca_model(0.1, 0.5)
         b = GaussianBelief(make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6))
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         seq = run_outage(b, w, params, 1, model)
         poly = fit_polynomial(w, degree=2)
         want = vhd_outage_step(b, poly, params, 0.1, model)
@@ -193,7 +192,7 @@ class TestRunOutage:
         w = line_window()
         model = ca_model(0.1, 0.5)
         b = GaussianBelief(make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6))
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         seq = run_outage(b, w, params, 40, model)
 
         poly = fit_polynomial(w, degree=2)
@@ -214,7 +213,7 @@ class TestRunOutage:
             make_state(p_x=x0 + vx * onset, v_x=vx, p_y=y0 + vy * onset, v_y=vy),
             np.diag([1.0, 0.25, 0.04, 1.0, 0.25, 0.04]),
         )
-        seq = run_outage(b, w, AdaptiveConfidenceParams(), 400, model)
+        seq = run_outage(b, w, ScenarioConfig(), 400, model)
         for k, belief in enumerate(seq, start=1):
             t = onset + 0.1 * k
             want = np.array([x0 + vx * t, y0 + vy * t])
@@ -223,7 +222,7 @@ class TestRunOutage:
     def test_outputs_satisfy_belief_invariants(self):
         onset = track_to_outage(ScenarioConfig(), seed=1234)
         seq = run_outage(
-            onset.belief, onset.window, AdaptiveConfidenceParams(), 400, onset.model
+            onset.belief, onset.window, ScenarioConfig(), 400, onset.model
         )
         for belief in seq[::40]:
             assert np.all(np.isfinite(belief.mean))
@@ -232,7 +231,7 @@ class TestRunOutage:
 
     def test_frozen_covariance_gain_never_grows(self):
         onset = track_to_outage(ScenarioConfig(), seed=1234)
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         H = position_measurement_matrix()
         P = onset.belief.cov
         prev = np.inf
@@ -246,7 +245,7 @@ class TestRunOutage:
 
     def test_infinite_base_noise_reproduces_open_loop(self):
         onset = track_to_outage(ScenarioConfig(), seed=1234)
-        params = AdaptiveConfidenceParams(r_base=1e30)
+        params = ScenarioConfig(r_base=1e30)
         seq = run_outage(onset.belief, onset.window, params, 400, onset.model)
         ref = open_loop_predict(onset.belief, onset.model, 400)
         for got, want in zip(seq, ref):
@@ -255,7 +254,7 @@ class TestRunOutage:
 
     def test_zero_alpha_with_tiny_base_noise_follows_polynomial(self):
         onset = track_to_outage(ScenarioConfig(), seed=1234)
-        params = AdaptiveConfidenceParams(r_base=1e-6, alpha=0.0)
+        params = ScenarioConfig(r_base=1e-6, alpha=0.0)
         seq = run_outage(onset.belief, onset.window, params, 400, onset.model)
         poly = fit_polynomial(onset.window, degree=2)
         onset_t = onset.window.times[-1]
@@ -271,7 +270,7 @@ class TestDiagnostics:
         run_outage(
             onset.belief,
             onset.window,
-            AdaptiveConfidenceParams(),
+            ScenarioConfig(),
             100,
             onset.model,
             diagnostics=diags,
@@ -287,7 +286,7 @@ class TestDiagnostics:
 
     def test_collecting_diagnostics_leaves_the_beliefs_unchanged(self):
         onset = track_to_outage(ScenarioConfig(), seed=7)
-        params = AdaptiveConfidenceParams()
+        params = ScenarioConfig()
         diags = []
         traced = run_outage(onset.belief, onset.window, params, 50, onset.model, diagnostics=diags)
         plain = run_outage(onset.belief, onset.window, params, 50, onset.model)

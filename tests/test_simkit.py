@@ -155,12 +155,25 @@ class TestScenarioConfig:
             ("history_window", 0.0, "history_window must be > 0"),
             ("poly_degree", -1, "poly_degree must be >= 0"),
             ("current_speed", -1.0, "current_speed must be >= 0"),
+            ("r_base", 0.0, "r_base must be > 0 and finite, got 0.0"),
+            ("r_base", np.inf, "r_base must be > 0 and finite, got inf"),
+            ("alpha", -1.0, "alpha must be >= 0, got -1.0"),
+            ("p", 0.5, "p must be >= 1, got 0.5"),
         ],
     )
     def test_sensor_and_motion_checks_name_the_config(self, field, value, message):
         with pytest.raises(ValueError) as info:
             ScenarioConfig(**{field: value})
         assert str(info.value) == f"ScenarioConfig invariant: {message}"
+
+    @pytest.mark.parametrize(
+        ("fields", "named"),
+        [({"fix_rate": 0.0, "alpha": -1.0}, "fix_rate"), ({"alpha": -1.0, "cruise_speed": -1.0}, "alpha")],
+        ids=["fix_rate before alpha", "alpha before cruise_speed"],
+    )
+    def test_the_schedule_is_checked_between_the_sensors_and_the_motion(self, fields, named):
+        with pytest.raises(ValueError, match=f"^ScenarioConfig invariant: {named} must be"):
+            ScenarioConfig(**fields)
 
     def test_turn_must_precede_outage(self):
         with pytest.raises(ValueError, match="turn must begin before"):
@@ -802,7 +815,7 @@ class TestRunBlock:
         onset = track_to_outage(cfg, cfg.base_seed)
         T = cfg.outage_steps
         ukf = open_loop_predict(onset.belief, model, T)
-        vhd = run_outage(onset.belief, onset.window, cfg.vhd_params, T, model, degree=cfg.poly_degree)
+        vhd = run_outage(onset.belief, onset.window, cfg, T, model, degree=cfg.poly_degree)
         assert covs.shape == (T, 2, 6)
         for j, beliefs in enumerate((ukf, vhd)):
             ref = np.array([b.cov for b in beliefs])
