@@ -9,7 +9,6 @@ output directory is always reproducible from its own echo.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -75,13 +74,24 @@ def _build_config(values: dict[str, object]) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     """Load a config file; missing keys fall back to the defaults. A UTF-8
-    byte-order mark, as some editors write one, is skipped."""
+    byte-order mark, as some editors write one, is skipped; a file that is
+    not UTF-8 is named with the line of its first bad byte."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return _build_config(_parse_lines(lines, str(path)))
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # The text before the bad byte decodes; its line breaks are the
+        # ones splitlines counts below.
+        lineno = len((exc.object[: exc.start].decode("utf-8-sig") + ".").splitlines())
+        raise ConfigError(
+            f"cannot read config {path}: line {lineno} is not UTF-8: "
+            f"cannot decode byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
+    return _build_config(_parse_lines(text.splitlines(), str(path)))
 
 
 def config_values(cfg: ScenarioConfig) -> dict[str, object]:
@@ -162,12 +172,11 @@ def _summary_json(cfg: ScenarioConfig, result: McResult, predictors) -> str:
 
 
 def _csv(columns: dict[str, np.ndarray]) -> str:
-    # One format call per row, on the row's Python floats, which format as
-    # `_fmt` formats numpy's; only one row of them is alive at a time.
-    row = ",".join(["{:.6g}"] * len(columns)).format
+    # One `%` per row, on the row's Python floats, which format as `_fmt`
+    # formats numpy's; only one row of them is alive at a time.
+    row = ",".join(["%.6g"] * len(columns)) + "\n"
     table = np.column_stack(list(columns.values()))
-    rows = [",".join(columns)] + [row(*values.tolist()) for values in table]
-    return "\n".join(rows) + "\n"
+    return "".join([",".join(columns) + "\n"] + [row % tuple(values.tolist()) for values in table])
 
 
 def _error_series_csv(result: McResult, predictors) -> str:
@@ -232,6 +241,10 @@ def run_command(
 # ----------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Imported here: only `main` parses flags, and a batch run through
+    # `run_command` need not load argparse.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="vhd-sim",
         description="Monte Carlo comparison of outage-time trajectory predictors.",

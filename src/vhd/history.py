@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .kinematics import AX, AY, PX, PY, VX, VY, STATE_DIM
 
@@ -87,9 +86,20 @@ class PolyModel:
 
     def _derivative(self, t, order: int) -> np.ndarray:
         """`order`-th time derivative of (p_x, p_y) at t; shape (..., *t.shape, 2)."""
+        # numpy.polynomial's polyder rows and polyval's Horner loop, written
+        # out so that a batch never imports numpy.polynomial.
         tau = (np.asarray(t, dtype=float) - self.t_ref) / self.t_scale
-        values = npoly.polyval(tau, npoly.polyder(np.moveaxis(self.coef, -2, 0), order)) / self.t_scale**order
-        return np.moveaxis(values, self.coef.ndim - 2, -1)
+        c = np.moveaxis(self.coef, -2, 0)
+        if order >= len(c):
+            c = c[:1] * 0
+        else:
+            for _ in range(order):
+                c = np.stack([j * c[j] for j in range(1, len(c))])
+        c = c.reshape(c.shape + (1,) * np.ndim(tau))
+        values = c[-1] + tau * 0
+        for row in c[-2::-1]:
+            values = row + values * tau
+        return np.moveaxis(values / self.t_scale**order, self.coef.ndim - 2, -1)
 
     def position(self, t) -> np.ndarray:
         """Fitted/extrapolated (p_x, p_y) at time t (scalar or array)."""

@@ -78,6 +78,21 @@ class ConfigError(Exception):
 # configuration
 # ----------------------------------------------------------------------
 
+def _full_rank(A: np.ndarray) -> bool:
+    """`np.linalg.matrix_rank(A) == len(A)` for a symmetric A, certified
+    without an SVD where possible: 1/||A^-1||_F bounds the least singular
+    value from below and ||A||_F * len(A) * eps bounds matrix_rank's
+    tolerance from above, and a 100x margin covers inv's rounding. The
+    first SVD of a process pages in ~1 MB of LAPACK, so it runs only when
+    the certificate fails."""
+    try:
+        if 1.0 / np.linalg.norm(np.linalg.inv(A)) > 100.0 * np.linalg.norm(A) * len(A) * np.finfo(float).eps:
+            return True
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.matrix_rank(A) == len(A)
+
+
 def _key(key: str, default):
     """A ScenarioConfig field that the config file sets with `key`."""
     return field(default=default, metadata={"key": key})
@@ -210,7 +225,7 @@ class ScenarioConfig:
             raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
         # A rank-deficient V^T V makes the window fit noise, which the outage amplifies.
         V = _vandermonde(self.window_steps * self.dt, self.poly_degree + 1)[0]
-        if np.linalg.matrix_rank(V.T @ V) <= self.poly_degree:
+        if not _full_rank(V.T @ V):
             raise ValueError("ScenarioConfig invariant: poly_degree is too high: the window fit's normal matrix is rank-deficient")
         # The schedule grows with outage age, so its last step bounds it.
         try:

@@ -368,6 +368,24 @@ class TestMain:
         assert main(["--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("raw", "line"),
+        [
+            (b"sim.mc_runs = 2 # caf\xe9\n", 1),
+            (b"\xef\xbb\xbfsim.mc_runs = 2\r\n\r\n# caf\xe9\n", 3),
+            (b"sim.mc_runs = 2\n\xff\n", 2),
+        ],
+        ids=["latin-1 comment", "bom and crlf", "bad first byte"],
+    )
+    def test_a_file_that_is_not_utf8_exits_2_naming_its_line(self, tmp_path, capsys, raw, line):
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(raw)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg_path}: line {line} is not UTF-8: ")
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "ghost.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from vhd import (
+    PolyModel,
     Trajectory,
     fit_polynomial,
     lagrange_extrapolate,
@@ -320,3 +321,28 @@ class TestBlockWindow:
         assert paths.shape == (len(runs), t.size, 2)
         for r, w in enumerate(runs):
             np.testing.assert_array_equal(paths[r], lagrange_extrapolate(w, t, node_count))
+
+
+class TestPolyModelEvaluation:
+    """`PolyModel` writes out numpy.polynomial's derivative rows and Horner
+    loop; every value must equal that oracle's bit for bit."""
+
+    @staticmethod
+    def oracle(poly, t, order):
+        tau = (np.asarray(t, dtype=float) - poly.t_ref) / poly.t_scale
+        values = npoly.polyval(tau, npoly.polyder(np.moveaxis(poly.coef, -2, 0), order)) / poly.t_scale**order
+        return np.moveaxis(values, poly.coef.ndim - 2, -1)
+
+    @pytest.mark.parametrize("degree", range(9))
+    @pytest.mark.parametrize("block", [False, True], ids=["single", "block"])
+    def test_derivatives_equal_the_numpy_polynomial_oracle(self, degree, block):
+        rng = np.random.default_rng(degree)
+        shape = (4, degree + 1, 2) if block else (degree + 1, 2)
+        coef = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        poly = PolyModel(coef, t_ref=3.7, t_scale=2.3, window_end=6.0)
+        methods = {0: poly.position, 1: poly.velocity, 2: poly.acceleration, 3: lambda t: poly._derivative(t, 3)}
+        for t in (5.1, np.float64(-2.0), np.linspace(0.0, 20.0, 7), np.linspace(0.0, 5.0, 6).reshape(2, 3)):
+            for order, evaluate in methods.items():
+                got, want = evaluate(t), self.oracle(poly, t, order)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (degree, order, np.shape(t))

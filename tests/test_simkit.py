@@ -19,6 +19,7 @@ from vhd import (
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model, propagate_truth
 from vhd import simkit
+from vhd.history import _vandermonde
 from vhd.simkit import PREDICTORS, ConfigError, _run_seeds, _tracking_updates
 
 SMALL = ScenarioConfig(
@@ -141,6 +142,31 @@ class TestScenarioConfig:
     def test_grid_alignment_enforced(self):
         with pytest.raises(ValueError, match="multiple of dt"):
             ScenarioConfig(dt=0.3)
+
+    def test_rank_decision_equals_matrix_rank(self):
+        # The certificate may only skip the SVD, never change its verdict.
+        for count in range(2, 121):
+            times = 0.1 * np.arange(count)
+            for degree in range(min(count - 1, 30) + 1):
+                V = _vandermonde(times, degree + 1)[0]
+                A = V.T @ V
+                assert simkit._full_rank(A) == (np.linalg.matrix_rank(A) > degree), (count, degree)
+
+    def test_default_config_is_certified_without_an_svd(self, monkeypatch):
+        calls = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def recording(A):
+            calls.append(len(A))
+            return matrix_rank(A)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", recording)
+        ScenarioConfig()
+        assert calls == []
+        # On the default 51-sample window degree 19 still has full rank, but
+        # only the SVD can tell.
+        assert ScenarioConfig(poly_degree=19).poly_degree == 19
+        assert calls == [20]
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
