@@ -46,21 +46,14 @@ class GaussianBelief:
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
     # Halve before adding: P + P.T overflows for entries above half the
-    # float range even when their mean does not. swapaxes transposes each
-    # matrix of a stack, where .T would reverse every axis.
+    # float range even when their mean does not.
     h = 0.5 * P
-    return h + h.swapaxes(-1, -2)
-
-
-def _predicted_cov(cov: np.ndarray, model: CaModel) -> np.ndarray:
-    """F P F^T + Q, symmetrized, of one covariance or a stack of them; the
-    stacked matmul rounds each matrix as the 2-D one does."""
-    return _symmetrize(model.F @ cov @ model.F.T + model.Q)
+    return h + h.T
 
 
 def predict(b: GaussianBelief, model: CaModel) -> GaussianBelief:
-    """Time update: mean' = F mean, cov' = F cov F^T + Q."""
-    return GaussianBelief(model.F @ b.mean, _predicted_cov(b.cov, model))
+    """Time update: mean' = F mean, cov' = F cov F^T + Q, symmetrized."""
+    return GaussianBelief(model.F @ b.mean, _symmetrize(model.F @ b.cov @ model.F.T + model.Q))
 
 
 def _cholesky_or_raise(S: np.ndarray, what: str) -> np.ndarray:
@@ -70,19 +63,14 @@ def _cholesky_or_raise(S: np.ndarray, what: str) -> np.ndarray:
         raise np.linalg.LinAlgError(f"{what} is singular or not positive definite") from exc
 
 
-def _innovation(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H P and the innovation covariance S = H P H^T + R, unchecked. H P is
-    computed once: H P H^T is (H P) H^T."""
-    HP = H @ cov
-    return HP, _symmetrize(HP @ H.T + R)
-
-
 def _kalman_gain(cov: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """K = P H^T S^-1 with S = H P H^T + R, through a solve against S.
+    """K = P H^T S^-1 with S = H P H^T + R, through a solve against S. H P is
+    computed once: H P H^T is (H P) H^T.
 
     Raises numpy.linalg.LinAlgError when S is not positive definite.
     """
-    HP, S = _innovation(cov, R, H)
+    HP = H @ cov
+    S = _symmetrize(HP @ H.T + R)
     _cholesky_or_raise(S, "innovation covariance")
     return np.linalg.solve(S, HP).T
 
@@ -92,12 +80,6 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-def _joseph_cov(cov: np.ndarray, K: np.ndarray, R: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Posterior covariance (I - K H) P (I - K H)^T + K R K^T, symmetrized."""
-    A = _identity(cov.shape[0]) - K @ H
-    return _symmetrize(A @ cov @ A.T + K @ R @ K.T)
 
 
 def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> GaussianBelief:
@@ -117,9 +99,10 @@ def update(b: GaussianBelief, z: np.ndarray, R: np.ndarray, H: np.ndarray) -> Ga
         If the innovation covariance H P H^T + R is not positive definite.
     """
     K = _kalman_gain(b.cov, R, H)
+    A = _identity(b.cov.shape[0]) - K @ H
 
     innovation = z - H @ b.mean
-    return GaussianBelief(b.mean + K @ innovation, _joseph_cov(b.cov, K, R, H))
+    return GaussianBelief(b.mean + K @ innovation, _symmetrize(A @ b.cov @ A.T + K @ R @ K.T))
 
 
 def open_loop_predict(b: GaussianBelief, model: CaModel, steps: int) -> list[GaussianBelief]:

@@ -17,12 +17,13 @@ independent and a Monte Carlo aggregate is identical whether the runs
 execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
-not on the data. `run_block` computes every gain once, before any draw,
-then runs a block of seeds in lockstep as one stack of means; each run of
-its record equals `run_scenario`'s for the same seed bit for bit, but for
-the `vhd` path, whose outage gains it computes per axis in floats.
-`run_scenario` is the straightforward per-run reference that the tests
-compare it against.
+not on the data. `_gain_schedule` steps it once per axis in floats, before
+any draw. `run_block` then runs a block of seeds in lockstep as one stack
+of means. `run_scenario` is the per-run reference that the tests compare it
+against: its tracking takes its gains from the same schedule, one 1-D mean
+at a time, and its outage steps numpy's 6x6 beliefs. So each run of a
+block's record equals `run_scenario`'s for the same seed bit for bit, but
+for the `vhd` path, whose outage gains differ in the last bits.
 """
 
 from __future__ import annotations
@@ -34,15 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import (
-    GaussianBelief,
-    _innovation,
-    _joseph_cov,
-    _predicted_cov,
-    open_loop_predict,
-    predict,
-    update,
-)
+from .estimator import GaussianBelief, open_loop_predict
 from .history import Trajectory, _vandermonde, fit_polynomial, lagrange_extrapolate
 from .kinematics import (
     AX,
@@ -59,9 +52,6 @@ from .kinematics import (
 from .outage import adaptive_variance, run_outage
 
 PREDICTORS = ("ukf", "lagrange", "vhd")
-
-# Initial belief covariance per axis: sigma 1 m, 0.5 m/s, 0.2 m/s^2.
-_P0_DIAG = (1.0, 0.25, 0.04, 1.0, 0.25, 0.04)
 
 _GRID_TOL = 1e-9
 
@@ -400,26 +390,6 @@ class OnsetState:
     truth: Trajectory
 
 
-def _measurement_models(cfg: ScenarioConfig, model: CaModel) -> tuple[tuple, tuple]:
-    """The (R, H) of the accelerometer update (white noise only: the bias is
-    unmodeled) and of the position fix update."""
-    return ((np.diag([cfg.accel_white_noise**2] * 2), accel_measurement_matrix()),
-            (np.diag([cfg.position_fix_noise**2] * 2), model.H))
-
-
-def _tracking_updates(cfg: ScenarioConfig, model: CaModel, imu: np.ndarray, fixes: np.ndarray):
-    """The tracking schedule of one run: each step 1 .. onset_step with its
-    ordered updates (z, R, H), the accelerometer reading `imu[step]`, then on
-    a fix step the position fix `fixes[row]`."""
-    acc, fix = _measurement_models(cfg, model)
-    fix_row = {int(s): k for k, s in enumerate(cfg.fix_steps)}
-    for i in range(1, cfg.onset_step + 1):
-        updates = [(imu[i], *acc)]
-        if i in fix_row:
-            updates.append((fixes[fix_row[i]], *fix))
-        yield i, updates
-
-
 def _window(cfg: ScenarioConfig, truth: Trajectory, means: np.ndarray) -> tuple[Trajectory, np.ndarray]:
     """The history window, which ends at the onset mean, and the tracking error
     of one run's (onset_step + 1, 6) tracked means or a block's (runs, ...).
@@ -431,21 +401,30 @@ def _window(cfg: ScenarioConfig, truth: Trajectory, means: np.ndarray) -> tuple[
 
 
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
-    """Run the tracking filter from t = 0 to the outage onset: per step,
-    `predict`, then `update` with each update of the tracking schedule."""
+    """Run the tracking filter from t = 0 to the outage onset, one run's 1-D
+    mean at a time, with the gains and the onset covariance of
+    `_tracking_schedule`: per step, `predict`'s `F @ m`, then `update`'s
+    `m + K @ (z - H @ m)` with the accelerometer reading and, on a fix step,
+    the position fix."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
+    gains, covs, step_rows = _tracking_schedule(cfg, model)
     truth = generate_truth(cfg)
     meas = simulate_measurements(truth, cfg, seed)
 
-    belief = GaussianBelief(truth.states[0].copy(), np.diag(_P0_DIAG))
+    H_acc, fixes = accel_measurement_matrix(), iter(meas.fix_values)
+    fix_step = np.zeros(cfg.onset_step + 1, dtype=bool)
+    fix_step[cfg.fix_steps] = True
     means = np.empty((cfg.onset_step + 1, STATE_DIM))
-    means[0] = belief.mean
-    for i, updates in _tracking_updates(cfg, model, meas.imu_accel, meas.fix_values):
-        belief = predict(belief, model)
-        for z, R, H in updates:
-            belief = update(belief, z, R, H)
-        means[i] = belief.mean
-    return OnsetState(belief, *_window(cfg, truth, means), model, truth)
+    means[0] = m = truth.states[0].copy()
+    for i, row in enumerate(step_rows, 1):
+        m = model.F @ m
+        m = m + gains[row] @ (meas.imu_accel[i] - H_acc @ m)
+        if fix_step[i]:
+            m = m + gains[row + 1] @ (next(fixes) - model.H @ m)
+        means[i] = m
+    cov = np.zeros((STATE_DIM, STATE_DIM))
+    cov[:3, :3] = cov[3:, 3:] = covs[-1][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+    return OnsetState(GaussianBelief(m, cov), *_window(cfg, truth, means), model, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,18 +478,12 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
 
 
 # ----------------------------------------------------------------------
-# block of runs in lockstep
+# gain schedule
 # ----------------------------------------------------------------------
 
 def _overflow(what: str, step: int | None = None) -> ConfigError:
     at = "" if step is None else f" at step {step}"
     return ConfigError(f"the filter {what} is not finite{at}: the config's values overflow the filter")
-
-
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise _overflow(what)
-    return values
 
 
 def _singular(step: int) -> ConfigError:
@@ -519,49 +492,24 @@ def _singular(step: int) -> ConfigError:
     return ConfigError(f"the filter innovation covariance is singular or not positive definite at step {step}")
 
 
-def _tracking_error(cfg: ScenarioConfig, model: CaModel) -> ConfigError:
-    """The ConfigError of a config whose tracking covariances fail a check,
-    named by the reference: `predict`, then `update` over the tracking
-    schedule from the initial covariance, with zero readings, which do not
-    enter the covariances. The step at which it raises is the step named."""
-    zeros = np.zeros((cfg.onset_step + 1, 2))
-    belief = GaussianBelief(np.zeros(STATE_DIM), np.diag(_P0_DIAG))
-    try:
-        for step, updates in _tracking_updates(cfg, model, zeros, zeros):
-            belief = predict(belief, model)
-            for z, R, H in updates:
-                belief = update(belief, z, R, H)
-    except np.linalg.LinAlgError:  # a ValueError, so caught first
-        return _singular(step)
-    except ValueError:
-        return _overflow("covariance", step)
-    raise AssertionError("the reference tracks a config whose tracking schedule fails its check")
-
-
-def _covariance_step(cov: np.ndarray, model: CaModel, updates, covs: list, S: list):
-    """The covariance half of `predict`, then of one `update` per (R, H),
-    unchecked: appends each covariance to `covs` and each innovation
-    covariance to `S`. Returns the covariance and the gain of each update.
-    A solve that finds an S exactly singular raises numpy.linalg.LinAlgError."""
-    covs.append(_predicted_cov(cov, model))
-    gains = []
-    for R, H in updates:
-        HP, S_k = _innovation(covs[-1], R, H)
-        S.append(S_k)
-        gains.append(np.linalg.solve(S_k, HP).T)
-        covs.append(_joseph_cov(covs[-1], gains[-1], R, H))
-    return covs[-1], gains
-
-
 # The unique entries of a symmetric 3x3 covariance block, in the order the
-# outage schedule keeps them.
+# schedules keep them.
 _AXIS_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+# The initial belief covariance of either axis, as `_AXIS_ENTRIES`: sigma
+# 1 m, 0.5 m/s, 0.2 m/s^2, uncorrelated.
+_P0_AXIS = (1.0, 0.0, 0.0, 0.25, 0.0, 0.04)
+
+
+def _axis_model(model: CaModel) -> tuple[tuple, tuple]:
+    """F's (dt, dt^2 / 2) and the `_AXIS_ENTRIES` of Q's block, as floats."""
+    return (float(model.F[0, 1]), float(model.F[0, 2])), tuple(float(model.Q[e]) for e in _AXIS_ENTRIES)
 
 
 def _axis_predicted(p: tuple, f: tuple, q: tuple) -> tuple:
-    """`_predicted_cov` of one axis's 3x3 block in floats: (F P) F^T + Q, from
-    and to the six `_AXIS_ENTRIES` of P, with F's (dt, dt^2 / 2) as `f` and
-    the entries of Q's block as `q`."""
+    """`predict`'s covariance of one axis's 3x3 block in floats: (F P) F^T + Q,
+    from and to the six `_AXIS_ENTRIES` of P, with F's (dt, dt^2 / 2) as `f`
+    and the entries of Q's block as `q`."""
     p00, p01, p02, p11, p12, p22 = p
     dt, h = f
     # Rows 0 and 1 of F P; row 2 is P's.
@@ -572,10 +520,10 @@ def _axis_predicted(p: tuple, f: tuple, q: tuple) -> tuple:
 
 
 def _axis_fix(p: tuple, r: float) -> tuple[tuple, float, tuple]:
-    """`update`'s covariance half for one axis's position fix of variance r,
-    in floats: the Joseph covariance (I - k H) P (I - k H)^T + r k k^T, the
-    innovation variance s = p00 + r and the gain k = P[:, 0] / s. An s of 0
-    gives a NaN gain, and so a NaN covariance."""
+    """`update`'s covariance half for one axis's measurement of entry 0 with
+    variance r, in floats: the Joseph covariance (I - k H) P (I - k H)^T +
+    r k k^T, the innovation variance s = p00 + r and the gain k = P[:, 0] / s.
+    An s of 0 gives a NaN gain, and so a NaN covariance."""
     p00, p01, p02, p11, p12, p22 = p
     s = p00 + r
     k0, k1, k2 = (p00 / s, p01 / s, p02 / s) if s else (math.nan,) * 3
@@ -590,88 +538,136 @@ def _axis_fix(p: tuple, r: float) -> tuple[tuple, float, tuple]:
     return cov, s, (k0, k1, k2)
 
 
+def _check(table: np.ndarray, s: int, steps) -> None:
+    """Raise the reference's ConfigError at the first failing row of a
+    schedule's table, naming the row's step, `steps[row]`.
+
+    Column s of a row is an update's innovation variance and the next three
+    its gain; every other column is a covariance entry, and those before s
+    come before the update. A row fails on a covariance entry that is not
+    finite (an overflow) or on s <= 0 (a singular S, unless an entry before
+    s is not finite). A NaN or infinite s passes, as it passes
+    `np.linalg.cholesky` in `update`; a NaN one makes the covariance after
+    it NaN."""
+    covs = np.delete(table, np.s_[s : s + 4], axis=1)
+    ok = np.isfinite(covs).all(axis=1) & ~(table[:, s] <= 0.0)
+    if not ok.all():
+        row = int(ok.argmin())
+        if table[row, s] <= 0.0 and np.isfinite(table[row, :s]).all():
+            raise _singular(int(steps[row]))
+        raise _overflow("covariance", int(steps[row]))
+
+
+def _gains(k: np.ndarray) -> np.ndarray:
+    """The (rows, 6, 2) gains of per-axis (rows, 3) gains k: the x axis's
+    update in column 0, the y axis's in column 1."""
+    gains = np.zeros((len(k), STATE_DIM, 2))
+    gains[:, :3, 0] = gains[:, 3:, 1] = k
+    return gains
+
+
+def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tracking half of `_gain_schedule`, as `_outage_schedule` computes
+    the outage half: per axis, in floats.
+
+    Each step 1 .. onset_step predicts, takes the accelerometer update and,
+    on a fix step (`cfg.fix_steps`), the position fix. The accelerometer
+    measures an axis's entry 2 with variance accel_white_noise^2: it is
+    `_axis_fix` on the block permuted so that entry 2 comes first. The fix
+    measures entry 0 with variance position_fix_noise^2. Each update appends
+    one row to one table: its step, s, k (in state order) and the covariance
+    after it. One mask checks the table (`_check`).
+
+    Every full fix period has the same updates, so its start covariance sets
+    its rows. Once a period starts where an earlier one started, every later
+    full period repeats the cycle between them and computes nothing; the
+    last segment, from the last fix to the onset, is always computed.
+
+    Returns each row's (6, 2) gain and the six `_AXIS_ENTRIES` of the
+    covariance after it, and each step's row of its accelerometer update; a
+    fix step's fix update is the next row. The last row is the onset step's,
+    so its covariance is the onset covariance."""
+    f, q = _axis_model(model)
+    r_acc, r_fix = cfg.accel_white_noise**2, cfg.position_fix_noise**2
+    period, full = min(cfg.fix_period_steps, cfg.onset_step), cfg.fix_steps.size
+    rows = array("d")
+
+    def segment(cov: tuple, first: int, count: int, fix: bool) -> tuple:
+        for i in range(first, first + count):
+            p00, p01, p02, p11, p12, p22 = _axis_predicted(cov, f, q)
+            (c22, c02, c12, c00, c01, c11), s, (k2, k0, k1) = _axis_fix((p22, p02, p12, p00, p01, p11), r_acc)
+            cov = (c00, c01, c02, c11, c12, c22)
+            rows.extend((i, s, k0, k1, k2, *cov))
+        if fix:
+            cov, s, k = _axis_fix(cov, r_fix)
+            rows.extend((i, s, *k, *cov))
+        return cov
+
+    # starts[p] is the covariance at the start of full period p; seen maps
+    # each to its period.
+    starts, seen = [_P0_AXIS], {}
+    while len(starts) <= full and starts[-1] not in seen:
+        seen[starts[-1]] = len(starts) - 1
+        starts.append(segment(starts[-1], (len(starts) - 1) * period + 1, period, True))
+    done = len(starts) - 1
+    # The computed period whose rows each full period takes, and whose start
+    # the last segment takes.
+    source = np.arange(full + 1)
+    if done < full:
+        cycle_start = seen[starts[-1]]
+        source[done:] = cycle_start + (source[done:] - cycle_start) % (done - cycle_start)
+    segment(starts[source[-1]], full * period + 1, cfg.onset_step - full * period, False)
+    table = np.frombuffer(rows).reshape(-1, 11)
+    _check(table, 1, table[:, 0])
+    periods = (source[:-1, None] * (period + 1) + np.arange(period)).ravel()
+    last = done * (period + 1) + np.arange(cfg.onset_step - full * period)
+    return _gains(table[:, 2:5]), table[:, 5:], np.concatenate([periods, last])
+
+
 def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The outage half of `_gain_schedule`, from the (6, 6) onset covariance,
-    as in open_loop_predict and run_outage.
+    """The outage half of `_gain_schedule`, from the onset covariance's six
+    `_AXIS_ENTRIES`, as in open_loop_predict and run_outage.
 
     The onset covariance is two equal 3x3 blocks with a zero cross block, and
     F, Q and each outage update (a position fix with R = r I) keep it so. So
     each predictor's step is that of one axis, in floats: six covariance
     entries, and for `vhd` one innovation variance s and one gain k.
 
-    Each step appends its 16 floats (`ukf`'s entries, `vhd`'s, s and k) to
-    one array, and one mask checks them all: every float finite and s > 0.
-    The first failing row names the step, with the reference's error: the
-    predicted pair, then S, then the `vhd` covariance. An s of 0 has a NaN
-    gain and `vhd` covariance, so its row is named singular as a negative
-    s is. A NaN s passes S's check, as a NaN S passes `np.linalg.cholesky`
-    in `update`."""
-    f = (float(model.F[0, 1]), float(model.F[0, 2]))
-    q = tuple(float(model.Q[e]) for e in _AXIS_ENTRIES)
-    ukf = vhd = tuple(float(onset[e]) for e in _AXIS_ENTRIES)
+    Each step appends its 16 floats (`ukf`'s entries, s, k and `vhd`'s
+    entries) to one array, and one mask checks them all (`_check`)."""
+    f, q = _axis_model(model)
+    ukf = vhd = tuple(onset.tolist())
     rows = array("d")
     for k in range(1, cfg.outage_steps + 1):
         ukf = _axis_predicted(ukf, f, q)
         vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(cfg, k * cfg.dt))
-        rows.extend((*ukf, *vhd, s, *gain))
+        rows.extend((*ukf, s, *gain, *vhd))
     table = np.frombuffer(rows).reshape(-1, 16)
-    ok = np.isfinite(table).all(axis=1) & (table[:, 12] > 0.0)
-    if not ok.all():
-        bad = int(ok.argmin())
-        step = cfg.onset_step + bad + 1
-        if np.isfinite(table[bad, :6]).all() and table[bad, 12] <= 0.0:
-            raise _singular(step)
-        raise _overflow("covariance", step)  # the row is not finite
-    gains = np.zeros((len(table), STATE_DIM, 2))
-    gains[:, :3, 0] = gains[:, 3:, 1] = table[:, 13:]
-    return gains, table[:, :12].reshape(-1, 2, 6)
+    _check(table, 6, range(cfg.onset_step + 1, cfg.onset_step + 1 + len(table)))
+    return _gains(table[:, 7:10]), np.delete(table, np.s_[6:10], axis=1).reshape(-1, 2, 6)
 
 
-def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[list[list[np.ndarray]], np.ndarray, np.ndarray]:
-    """Every gain of a run, from the config alone: the tracking gains as one
-    list, whose entry i - 1 holds step i's (6, 2) gains (the accelerometer
-    gain, then on a fix step the fix gain); the (T, 6, 2) `vhd` gains of the
-    outage; and the (T, 2, 6) `ukf` and `vhd` covariances after each outage
-    step, as the six `_AXIS_ENTRIES` of either 3x3 block (`_outage_schedule`).
+def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every gain of a run, from the config alone: the tracking gains and
+    each step's row of them (`_tracking_schedule`); the (T, 6, 2) `vhd` gains
+    of the outage; and the (T, 2, 6) `ukf` and `vhd` covariances after each
+    outage step, as the six `_AXIS_ENTRIES` of either 3x3 block
+    (`_outage_schedule`). Both halves step one axis in floats, and one mask
+    checks each half's table: a config that overflows the filter, or makes
+    an innovation covariance singular, raises ConfigError at the step at
+    which the reference fails."""
+    gains, covs, step_rows = _tracking_schedule(cfg, model)
+    return gains, step_rows, *_outage_schedule(cfg, model, covs[-1])
 
-    The tracking steps are computed one fix period at a time, in segments
-    that end at each fix step and, last, at the onset step, which has no fix.
-    Nothing is checked as it is computed: each computed segment is checked
-    once, by one stacked cholesky over its innovation covariances and one
-    isfinite over its covariances, and the outage once. A config that
-    overflows the filter, or makes its innovation covariance singular,
-    raises ConfigError: on a failed segment, or a solve that finds an S
-    exactly singular, the reference's own tracking names the step
-    (`_tracking_error`); in the outage, the first failing row of the mask
-    does.
 
-    The covariance recurrence is deterministic, and every full segment has
-    the same updates. So once one ends at the covariance it began with, each
-    later full segment takes its gain lists (the same objects); the last
-    segment is always computed."""
-    models = _measurement_models(cfg, model)
-    cov, tracking, cycle, start = np.diag(_P0_DIAG), [], None, 1
-    for end in [*cfg.fix_steps.tolist(), cfg.onset_step]:
-        full = end < cfg.onset_step
-        if cycle and full:
-            tracking += cycle
-        else:
-            began, covs, S, segment = cov, [], [], []
-            try:
-                for i in range(start, end + 1):
-                    # the step that ends a full segment also takes its fix
-                    cov, gains = _covariance_step(cov, model, models[: 1 + (full and i == end)], covs, S)
-                    segment.append(gains)
-                np.linalg.cholesky(S)
-            except np.linalg.LinAlgError:
-                raise _tracking_error(cfg, model) from None
-            if not np.isfinite(covs).all():
-                raise _tracking_error(cfg, model)
-            if full and np.array_equal(cov, began):
-                cycle = segment
-            tracking += segment
-        start = end + 1
-    return tracking, *_outage_schedule(cfg, model, cov)
+# ----------------------------------------------------------------------
+# block of runs in lockstep
+# ----------------------------------------------------------------------
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise _overflow(what)
+    return values
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -684,25 +680,25 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     the truth is generated once, each seed gets its own measurements, and
     each run is a linear recurrence on its mean. The block's means advance
     at once, as one (runs, 6, 1) stack of columns: the stacked matmul in
-    `F @ m` and `m + K @ (z - H @ m)` rounds each column as `predict` and
-    `update` round a 1-D mean (`einsum` or `M @ F.T` would not, and the
-    polynomial extrapolations amplify that). The tracking loop enumerates the
-    schedule's one gain list per step and applies a step's second gain, its
-    fix gain, to the next stacked fix. The window fit and the Lagrange
+    `F @ m` and `m + K @ (z - H @ m)` rounds each column as track_to_outage's
+    loop rounds a 1-D mean (`einsum` or `M @ F.T` would not, and the
+    polynomial extrapolations amplify that). The tracking loop takes each
+    step's gain row of the schedule, and on a fix step applies the next
+    row's gain to the next stacked fix. The window fit and the Lagrange
     interpolant are each one broadcast solve for the block.
 
-    The tracking gains are the reference's bit for bit. The outage `vhd`
-    gains are computed per axis in floats (`_outage_schedule`), so they, and
-    the `vhd` path, differ from the reference's in the last bits: the path
-    by about 1e-12 m over a 300 s outage.
+    The tracking gains and onset covariance are the reference's own, from
+    `_tracking_schedule`, so the tracked means and the window are its bit
+    for bit. The outage `vhd` gains are computed per axis in floats
+    (`_outage_schedule`), where the reference's `run_outage` uses numpy's
+    6x6 products, so they, and the `vhd` path, differ from the reference's
+    in the last bits: the path by about 1e-12 m over a 300 s outage.
 
-    `GaussianBelief` checks every belief of the reference for finiteness;
-    here `_gain_schedule` checks the covariances, once per computed fix
-    period while tracking and once for the outage, and the means are
-    checked once per phase. A config that overflows the filter, or makes its
-    innovation covariance singular, raises ConfigError, before any draw if
-    the covariance is at fault; a tracking failure names the step at which
-    the reference's own tracking fails. A config whose truth is not finite
+    `_gain_schedule` checks the covariances with one mask per phase, and the
+    means are checked once per phase. A config that overflows the filter, or
+    makes its innovation covariance singular, raises ConfigError, before any
+    draw if the covariance is at fault, naming the step at which the
+    reference fails. A config whose truth is not finite
     raises ConfigError before any sensor stream is drawn, and one whose
     accelerometer readings are not finite (their bias walk overflows)
     before any tracking, naming the block's first such step. The whole block
@@ -711,7 +707,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    tracking_gains, vhd_gains, _ = _gain_schedule(cfg, model)
+    tracking_gains, step_rows, vhd_gains, _ = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
     finite = np.isfinite(truth.states).all(axis=1)
     if not finite.all():
@@ -725,16 +721,18 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     # Each step as in track_to_outage: the accelerometer update, then the
     # next fix on a fix step, with the expressions of `predict` and `update`.
     H_acc, H = accel_measurement_matrix(), model.H
+    fix_step = np.zeros(cfg.onset_step + 1, dtype=bool)
+    fix_step[cfg.fix_steps] = True
     tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM, 1))
     tracked[:, 0] = means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
-    for i, gains in enumerate(tracking_gains, 1):
+    for i, row in enumerate(step_rows, 1):
         means = model.F @ means
-        means = means + gains[0] @ (imu[i] - H_acc @ means)
-        if len(gains) > 1:
-            means = means + gains[1] @ (next(fixes) - H @ means)
+        means = means + tracking_gains[row] @ (imu[i] - H_acc @ means)
+        if fix_step[i]:
+            means = means + tracking_gains[row + 1] @ (next(fixes) - H @ means)
         tracked[:, i] = means
     window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
-    del meas, imu, fixes, tracked, tracking_gains
+    del meas, imu, fixes, tracked, tracking_gains, step_rows
 
     # Outage, as in open_loop_predict and run_outage.
     T = cfg.outage_steps

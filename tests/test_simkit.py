@@ -20,7 +20,8 @@ from vhd import (
 from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model, propagate_truth
 from vhd import simkit
 from vhd.history import _vandermonde
-from vhd.simkit import PREDICTORS, ConfigError, _run_seeds, _tracking_updates
+from vhd.estimator import GaussianBelief, predict, update
+from vhd.simkit import PREDICTORS, ConfigError, _run_seeds
 
 SMALL = ScenarioConfig(
     duration=40.0,
@@ -51,9 +52,9 @@ ENGINE_CONFIGS = {
     "fix_rate 2": ScenarioConfig(fix_rate=2.0),
     "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
     "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
-    # The tracking covariance repeats from step 754 on, so these onsets
-    # come after the replayed cycle: on a fix boundary (with no fix at the
-    # onset step) and off it.
+    # The tracking covariance at the end of fix period 79 (step 790) is the
+    # one at the end of period 77, so these onsets come after the replayed
+    # cycle: on a fix boundary (with no fix at the onset step) and off it.
     "onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0),
     "onset 100.5 s": ScenarioConfig(outage_start=100.5, duration=140.5),
     # Without process noise the covariance keeps shrinking and never repeats.
@@ -73,6 +74,44 @@ def accel_bias(truth, cfg, seed):
     bias = simulate_measurements(truth, cfg, seed).imu_accel - accel
     bias[np.any(accel != 0.0, axis=1)] = np.nan
     return bias
+
+
+def plain_tracking_updates(cfg):
+    """The tracking schedule by the per-step rule, with no reuse: per step
+    1 .. onset_step, the predicted covariance, the accelerometer update
+    (`_axis_fix` on the block permuted so that entry 2 comes first) and, on
+    a multiple of the fix period before the onset, the position fix. Returns
+    each step's list of (gain, covariance) pairs, both in state order."""
+    f, q = simkit._axis_model(ca_model(cfg.dt, cfg.sigma_jerk))
+    cov, steps = (1.0, 0.0, 0.0, 0.25, 0.0, 0.04), []
+    for i in range(1, cfg.onset_step + 1):
+        p00, p01, p02, p11, p12, p22 = simkit._axis_predicted(cov, f, q)
+        (c22, c02, c12, c00, c01, c11), _, (k2, k0, k1) = simkit._axis_fix(
+            (p22, p02, p12, p00, p01, p11), cfg.accel_white_noise**2
+        )
+        cov = (c00, c01, c02, c11, c12, c22)
+        updates = [((k0, k1, k2), cov)]
+        if i % cfg.fix_period_steps == 0 and i < cfg.onset_step:
+            cov, _, k = simkit._axis_fix(cov, cfg.position_fix_noise**2)
+            updates.append((k, cov))
+        steps.append(updates)
+    return steps
+
+
+def assert_tracking_schedule_is_plain(cfg):
+    """`_tracking_schedule`'s rows equal `plain_tracking_updates`'s bit for
+    bit: each step's row and, on a fix step, the next row."""
+    gains, covs, step_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+    plain = plain_tracking_updates(cfg)
+    assert len(step_rows) == len(plain) == cfg.onset_step
+    for first, updates in zip(step_rows.tolist(), plain):
+        for row, (k, cov) in enumerate(updates, first):
+            want = np.zeros((6, 2))
+            want[:3, 0] = want[3:, 1] = k
+            np.testing.assert_array_equal(gains[row], want)
+            assert covs[row].tolist() == list(cov)
+    assert covs[-1].tolist() == list(plain[-1][-1][1])
+    return gains
 
 
 class TestSensorConfig:
@@ -431,24 +470,20 @@ class TestTrackToOutage:
 
     @pytest.mark.parametrize("cfg", GRID_CONFIGS)
     def test_tracking_updates_follow_the_per_step_rule(self, cfg):
-        # the rule as a loop over steps: the accelerometer reading on every
+        # the rule as a loop over steps: the accelerometer update on every
         # step, then a position fix on the fix steps
-        model = ca_model(cfg.dt, cfg.sigma_jerk)
-        fix_steps = list(cfg.fix_steps)
-        imu = np.arange(2.0 * (cfg.onset_step + 1)).reshape(-1, 2)
-        fixes = -1.0 - np.arange(2.0 * len(fix_steps)).reshape(-1, 2)
-        R_imu = np.diag([cfg.accel_white_noise**2] * 2)
-        R_fix = np.diag([cfg.position_fix_noise**2] * 2)
-        schedule = list(_tracking_updates(cfg, model, imu, fixes))
-        assert [i for i, _ in schedule] == list(range(1, cfg.onset_step + 1))
-        for i, updates in schedule:
-            want = [(imu[i], R_imu, accel_measurement_matrix())]
-            if i in fix_steps:
-                want.append((fixes[fix_steps.index(i)], R_fix, model.H))
-            assert len(updates) == len(want)
-            for got, expected in zip(updates, want):
-                for a, b in zip(got, expected):
-                    np.testing.assert_array_equal(a, b)
+        assert_tracking_schedule_is_plain(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ENGINE_CONFIGS["onset 100 s"], ScenarioConfig(outage_start=1000.0, duration=1040.0)],
+        ids=["onset 100 s", "1000 s track"],
+    )
+    def test_reused_tracking_schedule_equals_the_plain_loop(self, cfg):
+        # Both tracks replay the 2-cycle of fix periods 78 and 79, and still
+        # equal a loop that computes every step.
+        gains = assert_tracking_schedule_is_plain(cfg)
+        assert len(gains) == 79 * (cfg.fix_period_steps + 1) + cfg.fix_period_steps
 
     def test_tracking_error_series_shape(self):
         cfg = ScenarioConfig()
@@ -586,15 +621,18 @@ FILTER_ERRORS = {
         ScenarioConfig(sigma_jerk=0.0, accel_white_noise=0.0),
         SINGULAR.format(2),
     ),
-    # These two fail while tracking, where no solve finds S exactly
-    # singular: only the checks of the fix periods see them.
+    # These two fail while tracking in the other two ways: a covariance
+    # entry overflows, or, with exact fixes, the position variance after the
+    # accelerometer update rounds to -6.9e-17, and the fix's innovation
+    # variance at step 50 is that residue (numpy's 6x6 products left one of
+    # the other sign until step 60).
     "sigma_jerk and sensor noises 1.3e154": (
         ScenarioConfig(sigma_jerk=1.3e154, position_fix_noise=1.3e154, accel_white_noise=1.3e154),
         OVERFLOW.format(11),
     ),
     "sigma_jerk 0, exact fixes, accel_white_noise 1e150": (
         dataclasses.replace(SMALL, sigma_jerk=0.0, position_fix_noise=0.0, accel_white_noise=1e150),
-        SINGULAR.format(60),
+        SINGULAR.format(50),
     ),
 }
 
@@ -639,38 +677,73 @@ class TestRunBlock:
         np.testing.assert_array_equal(cov[3:, :3], 0.0)
 
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
-    def test_tracking_gains_are_one_list_per_step(self, name):
-        # Entry i - 1 holds step i's gains: the accelerometer gain, then the
-        # fix gain exactly on the fix steps.
+    def test_tracking_gains_are_one_row_per_update(self, name):
+        # Step i's row holds its accelerometer gain, and on a fix step the
+        # next row holds its fix gain; every row is some update's.
         cfg = ENGINE_CONFIGS[name]
-        tracking = simkit._gain_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))[0]
-        assert len(tracking) == cfg.onset_step
-        assert [i for i, gains in enumerate(tracking, 1) if len(gains) == 2] == cfg.fix_steps.tolist()
-        assert {len(gains) for gains in tracking} <= {1, 2}
-        assert all(K.shape == (6, 2) for gains in tracking for K in gains)
+        gains, covs, step_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        assert step_rows.shape == (cfg.onset_step,)
+        assert gains.shape == (len(covs), 6, 2) and covs.shape == (len(covs), 6)
+        np.testing.assert_array_equal(gains[:, :3, 0], gains[:, 3:, 1])
+        np.testing.assert_array_equal(gains[:, 3:, 0], 0.0)
+        np.testing.assert_array_equal(gains[:, :3, 1], 0.0)
+        fix_rows = step_rows[cfg.fix_steps - 1] + 1
+        assert set(step_rows.tolist()) | set(fix_rows.tolist()) == set(range(len(gains)))
+        assert not set(step_rows.tolist()) & set(fix_rows.tolist())
+        replayed = [i for i in range(1, cfg.onset_step + 1) if step_rows[i - 1] in step_rows[: i - 1]]
         if name == "onset 100 s":
-            # The covariance repeats from step 754, so the fix period of steps
-            # 751 .. 760 ends where it began, and each later full period up
-            # to the last fix (990) replays its lists; the steps after the
-            # last fix are computed.
-            period = cfg.fix_period_steps
-            replayed = [i for i in range(period + 1, cfg.onset_step + 1) if tracking[i - 1] is tracking[i - 1 - period]]
-            assert replayed == list(range(761, 991))
+            # The covariance at the end of fix period 79 (step 790) is the one
+            # at the end of period 77, so each later full period up to the last
+            # fix (990) takes the rows of the period two before it; the steps
+            # after the last fix are computed.
+            assert replayed == list(range(791, 991))
+            np.testing.assert_array_equal(step_rows[790:990], step_rows[770:970])
+        elif name not in ("onset 100.5 s", "fix_rate 2, onset 100 s"):
+            # The other tracks end before a period's start repeats, or, without
+            # process noise, the covariance keeps shrinking and never repeats.
+            assert replayed == []
 
     def test_converged_tracking_gains_are_replayed(self, monkeypatch):
         cfg = ENGINE_CONFIGS["onset 100 s"]
         calls = []
-        innovation = simkit._innovation
+        axis_fix = simkit._axis_fix
 
-        def counted_innovation(*args):
+        def counted_axis_fix(*args):
             calls.append(args)
-            return innovation(*args)
+            return axis_fix(*args)
 
-        monkeypatch.setattr(simkit, "_innovation", counted_innovation)
-        simkit._gain_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        # Computing every tracking step takes one gain per step plus one per
-        # fix; the outage computes its vhd gains per axis, without _innovation.
+        monkeypatch.setattr(simkit, "_axis_fix", counted_axis_fix)
+        simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        # Computing every tracking step takes one update per step plus one per
+        # fix; the replayed periods take none.
         assert len(calls) < cfg.onset_step
+
+    @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+    def test_tracking_covariances_equal_the_reference_beliefs(self, name):
+        # Every row's per-axis entries equal both 3x3 blocks of a plain
+        # predict/update chain's 6x6 covariances to COV_RTOL, and the cross
+        # blocks are 0; readings of 0 do not enter the covariances.
+        cfg = ENGINE_CONFIGS[name]
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        _, covs, step_rows = simkit._tracking_schedule(cfg, model)
+        fix_steps = set(cfg.fix_steps.tolist())
+        R_imu = np.diag([cfg.accel_white_noise**2] * 2)
+        R_fix = np.diag([cfg.position_fix_noise**2] * 2)
+        belief = GaussianBelief(np.zeros(6), np.diag([1.0, 0.25, 0.04] * 2))
+        got, ref = [], []
+        for i, row in enumerate(step_rows.tolist(), 1):
+            belief = update(predict(belief, model), np.zeros(2), R_imu, accel_measurement_matrix())
+            got.append(covs[row])
+            ref.append(belief.cov)
+            if i in fix_steps:
+                belief = update(belief, np.zeros(2), R_fix, model.H)
+                got.append(covs[row + 1])
+                ref.append(belief.cov)
+        ref = np.array(ref)
+        np.testing.assert_array_equal(ref[:, :3, 3:], 0.0)
+        for block in (ref[:, :3, :3], ref[:, 3:, 3:]):
+            want = np.stack([block[:, a, b] for a, b in simkit._AXIS_ENTRIES], axis=-1)
+            np.testing.assert_allclose(np.array(got), want, rtol=COV_RTOL, atol=0.0)
 
     def test_a_block_is_fitted_and_recorded_once(self, monkeypatch):
         names = ("generate_truth", "fit_polynomial", "lagrange_extrapolate", "_window", "_record")
@@ -764,14 +837,17 @@ class TestRunBlock:
     @pytest.mark.parametrize(
         ("cfg", "fails"),
         [
-            *((cfg, True) for cfg, _ in FILTER_ERRORS.values()),
-            *((cfg, True) for cfg, _ in TRUTH_ERRORS.values()),
-            # The vhd covariance collapses to rounding level, and the engine's
-            # per-axis floats find s non-positive one step after the
-            # reference's 6x6 S fails (605 against 604).
-            (ScenarioConfig(sigma_jerk=0.0, r_base=1e-31), True),
-            (ScenarioConfig(position_fix_noise=9.5e153), False),
-            (STREAM_OVERFLOW, True),
+            *((cfg, (True, True)) for cfg, _ in FILTER_ERRORS.values()),
+            *((cfg, (True, True)) for cfg, _ in TRUTH_ERRORS.values()),
+            # The one config on which the two differ: the vhd covariance
+            # collapses to rounding level, where the sign of s is set by the
+            # last bits. Exact arithmetic from the onset covariance keeps s > 0
+            # (8.8e-31 at step 605); the engine's per-axis floats find s < 0 at
+            # step 605, and the reference's 6x6 products, from the schedule's
+            # onset covariance, keep S > 0 to the outage end.
+            (ScenarioConfig(sigma_jerk=0.0, r_base=1e-31), (True, False)),
+            (ScenarioConfig(position_fix_noise=9.5e153), (False, False)),
+            (STREAM_OVERFLOW, (True, True)),
         ],
         ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153",
              "accel_bias_walk 7e307"],
@@ -786,9 +862,10 @@ class TestRunBlock:
 
         with np.errstate(all="ignore"):
             engine = raises(lambda: run_block(cfg, [cfg.base_seed]), ConfigError)
-            # a LinAlgError is a ValueError
-            reference = raises(lambda: run_scenario(cfg, cfg.base_seed), ValueError)
-        assert engine == reference == fails
+            # The reference's tracking schedule raises ConfigError; a
+            # non-finite belief raises ValueError, and a LinAlgError is one.
+            reference = raises(lambda: run_scenario(cfg, cfg.base_seed), (ConfigError, ValueError))
+        assert (engine, reference) == fails
 
     @pytest.mark.parametrize("bad_step", [1, 123, 400])
     def test_a_non_finite_vhd_noise_names_its_outage_step(self, monkeypatch, no_draws, bad_step):
@@ -809,10 +886,8 @@ class TestRunBlock:
         # 0, so the step's gain is NaN and the check of s names the step.
         cfg, bad_step = ScenarioConfig(), 123
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        before = simkit._gain_schedule(cfg, model)[2][bad_step - 2, 1]
-        f = (model.F[0, 1], model.F[0, 2])
-        q = tuple(model.Q[e] for e in simkit._AXIS_ENTRIES)
-        p00 = float(simkit._axis_predicted(tuple(before), f, q)[0])
+        before = simkit._gain_schedule(cfg, model)[3][bad_step - 2, 1]
+        p00 = simkit._axis_predicted(tuple(before.tolist()), *simkit._axis_model(model))[0]
         variance = simkit.adaptive_variance
 
         def cancelling_variance(params, elapsed):
@@ -837,7 +912,7 @@ class TestRunBlock:
         # Every step's per-axis entries equal both 3x3 blocks of the
         # reference's 6x6 beliefs to COV_RTOL, and the cross blocks are 0.
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        covs = simkit._gain_schedule(cfg, model)[2]
+        covs = simkit._gain_schedule(cfg, model)[3]
         onset = track_to_outage(cfg, cfg.base_seed)
         T = cfg.outage_steps
         ukf = open_loop_predict(onset.belief, model, T)

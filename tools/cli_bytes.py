@@ -15,13 +15,14 @@ so every key's path from the file to the bundle is compared. An error
 case runs a config that cannot run, or a file that does not parse, and
 requires the same exit code, the same stderr and the same output
 directory, written or not, on both sides; each case that differs is
-named. The configs that cannot run fail the filter in the outage in
-both ways an outage step can fail its check, a covariance that overflows
-and an innovation variance that is not positive, and, while tracking, in
-each of the three ways a fix period can fail its check: a solve that
-finds S exactly singular, a covariance that overflows, and an S that
-only the Cholesky check rejects. Exit status
-is 0 when every bundle and every error is identical and 1 otherwise.
+named. Each phase's covariances are checked by one mask over its table
+of per-axis floats, which fails a row on a covariance entry that is not
+finite or on an innovation variance s <= 0. The configs that cannot run
+fail it both ways in each phase: in the outage, a covariance that
+overflows and an s that turns negative; while tracking, an s of exactly
+0, a covariance that overflows, and an s that turns negative. Exit
+status is 0 when every bundle and every error is identical and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -76,12 +77,14 @@ CASES = {
 # noise and a virtual-fix variance below rounding, the `vhd` innovation
 # variance turns negative (step 605, a step set by rounding in the last
 # bits, so it is compared between checkouts on one machine and nowhere
-# pinned); while tracking, at its second step (a solve finds S singular),
-# in its second fix period (the covariance overflows), and, on the tests'
-# short geometry, at the onset step (only the Cholesky check rejects S); the
-# file does not parse: an int key given a float, a float key given nan, an
-# unknown key, and a key set twice. Both sides must exit with the same code
-# and stderr, and write the same output directory or none.
+# pinned); while tracking, at its second step (with no process or
+# accelerometer noise, s is exactly 0), in its second fix period (the
+# covariance overflows), and, on the tests' short geometry with exact
+# fixes, at step 50 (the fix's s is a negative rounding residue, so this
+# step too is set by the last bits); the file does not parse: an int key
+# given a float, a float key given nan, an unknown key, and a key set
+# twice. Both sides must exit with the same code and stderr, and write the
+# same output directory or none.
 ERROR_CASES = {
     "sigma_jerk 1e151 (step 925)": ["sim.sigma_jerk = 1e151"],
     "sigma_jerk 0, vhd.r_base 1e-31 (outage step 605)": ["sim.sigma_jerk = 0", "vhd.r_base = 1e-31"],
@@ -89,7 +92,7 @@ ERROR_CASES = {
     "sigma_jerk and sensor noises 1.3e154 (step 11)": [
         "sim.sigma_jerk = 1.3e154", "sensor.position_fix_noise = 1.3e154", "sensor.accel_white_noise = 1.3e154",
     ],
-    "short run, sigma_jerk 0, position_fix_noise 0, accel_white_noise 1e150 (step 60)": [
+    "short run, sigma_jerk 0, position_fix_noise 0, accel_white_noise 1e150 (step 50)": [
         "sim.duration = 40", "sim.outage_start = 20", "sim.outage_duration = 10", "sim.history_window = 20",
         "traj.turn_start = 10", "traj.turn_duration = 5",
         "sim.sigma_jerk = 0", "sensor.position_fix_noise = 0", "sensor.accel_white_noise = 1e150",
