@@ -21,7 +21,8 @@ not on the data. `_gain_schedule` steps it once per axis in floats, before
 any draw. `run_block` then runs a block of seeds in lockstep as one stack
 of means. `run_scenario` is the per-run reference that the tests compare it
 against: its tracking takes its gains from the same schedule, one 1-D mean
-at a time, and its outage steps numpy's 6x6 beliefs. So each run of a
+at a time, and its outage, once the schedule has checked its
+covariances, steps numpy's 6x6 beliefs. So each run of a
 block's record equals `run_scenario`'s for the same seed bit for bit, but
 for the `vhd` path, whose outage gains differ in the last bits.
 """
@@ -407,20 +408,18 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     `m + K @ (z - H @ m)` with the accelerometer reading and, on a fix step,
     the position fix."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    gains, covs, step_rows = _tracking_schedule(cfg, model)
+    gains, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
     truth = generate_truth(cfg)
     meas = simulate_measurements(truth, cfg, seed)
 
     H_acc, fixes = accel_measurement_matrix(), iter(meas.fix_values)
-    fix_step = np.zeros(cfg.onset_step + 1, dtype=bool)
-    fix_step[cfg.fix_steps] = True
     means = np.empty((cfg.onset_step + 1, STATE_DIM))
     means[0] = m = truth.states[0].copy()
-    for i, row in enumerate(step_rows, 1):
+    for i, (row, fix) in enumerate(zip(acc_rows, fix_rows), 1):
         m = model.F @ m
         m = m + gains[row] @ (meas.imu_accel[i] - H_acc @ m)
-        if fix_step[i]:
-            m = m + gains[row + 1] @ (next(fixes) - model.H @ m)
+        if fix >= 0:
+            m = m + gains[fix] @ (next(fixes) - model.H @ m)
         means[i] = m
     cov = np.zeros((STATE_DIM, STATE_DIM))
     cov[:3, :3] = cov[3:, 3:] = covs[-1][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
@@ -468,9 +467,17 @@ def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
-    """Track to onset, then branch the three predictors over the outage."""
+    """Track to onset, then branch the three predictors over the outage.
+
+    Before the outage, the engine's `_outage_schedule` checks its
+    covariances, so a config that overflows the filter or makes an
+    innovation covariance singular fails with the engine's ConfigError. The
+    6x6 beliefs alone would not always: where the `vhd` covariance collapses
+    to rounding level, the sign of s is set by the last bits, and their
+    products may keep it positive where the schedule's floats do not."""
     onset = track_to_outage(cfg, seed)
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
+    _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])
     ukf = [b0] + open_loop_predict(b0, model, T)
     vhd = [b0] + run_outage(b0, onset.window, cfg, T, model, degree=cfg.poly_degree)
     means = [np.array([b.mean for b in beliefs]) for beliefs in (ukf, vhd)]
@@ -566,7 +573,7 @@ def _gains(k: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
     """The tracking half of `_gain_schedule`, as `_outage_schedule` computes
     the outage half: per axis, in floats.
 
@@ -584,9 +591,11 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     last segment, from the last fix to the onset, is always computed.
 
     Returns each row's (6, 2) gain and the six `_AXIS_ENTRIES` of the
-    covariance after it, and each step's row of its accelerometer update; a
-    fix step's fix update is the next row. The last row is the onset step's,
-    so its covariance is the onset covariance."""
+    covariance after it, and per step 1 .. onset_step the row of its
+    accelerometer update and the row of its fix update, -1 on a step without
+    a fix: the means loops read the fix steps from these rows alone. The
+    last row is the onset step's, so its covariance is the onset
+    covariance."""
     f, q = _axis_model(model)
     r_acc, r_fix = cfg.accel_white_noise**2, cfg.position_fix_noise**2
     period, full = min(cfg.fix_period_steps, cfg.onset_step), cfg.fix_steps.size
@@ -621,7 +630,9 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     _check(table, 1, table[:, 0])
     periods = (source[:-1, None] * (period + 1) + np.arange(period)).ravel()
     last = done * (period + 1) + np.arange(cfg.onset_step - full * period)
-    return _gains(table[:, 2:5]), table[:, 5:], np.concatenate([periods, last])
+    fix_rows = np.full(cfg.onset_step, -1)
+    fix_rows[period - 1 : full * period : period] = source[:-1] * (period + 1) + period
+    return _gains(table[:, 2:5]), table[:, 5:], np.concatenate([periods, last]), fix_rows
 
 
 def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -647,17 +658,17 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
     return _gains(table[:, 7:10]), np.delete(table, np.s_[6:10], axis=1).reshape(-1, 2, 6)
 
 
-def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
     """Every gain of a run, from the config alone: the tracking gains and
-    each step's row of them (`_tracking_schedule`); the (T, 6, 2) `vhd` gains
-    of the outage; and the (T, 2, 6) `ukf` and `vhd` covariances after each
-    outage step, as the six `_AXIS_ENTRIES` of either 3x3 block
-    (`_outage_schedule`). Both halves step one axis in floats, and one mask
+    each step's accelerometer and fix rows of them (`_tracking_schedule`);
+    the (T, 6, 2) `vhd` gains of the outage; and the (T, 2, 6) `ukf` and
+    `vhd` covariances after each outage step, as the six `_AXIS_ENTRIES` of
+    either 3x3 block (`_outage_schedule`). Both halves step one axis in floats, and one mask
     checks each half's table: a config that overflows the filter, or makes
     an innovation covariance singular, raises ConfigError at the step at
     which the reference fails."""
-    gains, covs, step_rows = _tracking_schedule(cfg, model)
-    return gains, step_rows, *_outage_schedule(cfg, model, covs[-1])
+    gains, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
+    return gains, acc_rows, fix_rows, *_outage_schedule(cfg, model, covs[-1])
 
 
 # ----------------------------------------------------------------------
@@ -683,9 +694,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     `F @ m` and `m + K @ (z - H @ m)` rounds each column as track_to_outage's
     loop rounds a 1-D mean (`einsum` or `M @ F.T` would not, and the
     polynomial extrapolations amplify that). The tracking loop takes each
-    step's gain row of the schedule, and on a fix step applies the next
-    row's gain to the next stacked fix. The window fit and the Lagrange
-    interpolant are each one broadcast solve for the block.
+    step's accelerometer gain row of the schedule, and on a step with a fix
+    row applies that row's gain to the next stacked fix. The window fit and
+    the Lagrange interpolant are each one broadcast solve for the block.
 
     The tracking gains and onset covariance are the reference's own, from
     `_tracking_schedule`, so the tracked means and the window are its bit
@@ -707,7 +718,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     """
     seeds = [int(s) for s in seeds]
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    tracking_gains, step_rows, vhd_gains, _ = _gain_schedule(cfg, model)
+    tracking_gains, acc_rows, fix_rows, vhd_gains, _ = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
     finite = np.isfinite(truth.states).all(axis=1)
     if not finite.all():
@@ -721,18 +732,16 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     # Each step as in track_to_outage: the accelerometer update, then the
     # next fix on a fix step, with the expressions of `predict` and `update`.
     H_acc, H = accel_measurement_matrix(), model.H
-    fix_step = np.zeros(cfg.onset_step + 1, dtype=bool)
-    fix_step[cfg.fix_steps] = True
     tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM, 1))
     tracked[:, 0] = means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
-    for i, row in enumerate(step_rows, 1):
+    for i, (row, fix) in enumerate(zip(acc_rows, fix_rows), 1):
         means = model.F @ means
         means = means + tracking_gains[row] @ (imu[i] - H_acc @ means)
-        if fix_step[i]:
-            means = means + tracking_gains[row + 1] @ (next(fixes) - H @ means)
+        if fix >= 0:
+            means = means + tracking_gains[fix] @ (next(fixes) - H @ means)
         tracked[:, i] = means
     window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
-    del meas, imu, fixes, tracked, tracking_gains, step_rows
+    del meas, imu, fixes, tracked, tracking_gains, acc_rows, fix_rows
 
     # Outage, as in open_loop_predict and run_outage.
     T = cfg.outage_steps

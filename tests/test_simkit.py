@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_
 from vhd import simkit
 from vhd.history import _vandermonde
 from vhd.estimator import GaussianBelief, predict, update
+from vhd.outage import adaptive_noise
 from vhd.simkit import PREDICTORS, ConfigError, _run_seeds
 
 SMALL = ScenarioConfig(
@@ -100,12 +102,13 @@ def plain_tracking_updates(cfg):
 
 def assert_tracking_schedule_is_plain(cfg):
     """`_tracking_schedule`'s rows equal `plain_tracking_updates`'s bit for
-    bit: each step's row and, on a fix step, the next row."""
-    gains, covs, step_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+    bit: each step's accelerometer row and, on a fix step, its fix row."""
+    gains, covs, acc_rows, fix_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
     plain = plain_tracking_updates(cfg)
-    assert len(step_rows) == len(plain) == cfg.onset_step
-    for first, updates in zip(step_rows.tolist(), plain):
-        for row, (k, cov) in enumerate(updates, first):
+    assert len(acc_rows) == len(fix_rows) == len(plain) == cfg.onset_step
+    for acc, fix, updates in zip(acc_rows.tolist(), fix_rows.tolist(), plain):
+        assert (fix >= 0) == (len(updates) == 2)
+        for row, (k, cov) in zip((acc, fix), updates):
             want = np.zeros((6, 2))
             want[:3, 0] = want[3:, 1] = k
             np.testing.assert_array_equal(gains[row], want)
@@ -636,6 +639,58 @@ FILTER_ERRORS = {
     ),
 }
 
+# No process noise and a virtual-fix variance below rounding: the vhd
+# covariance collapses to rounding level within five outage steps, and the
+# schedule finds s < 0 at step 605, where exact arithmetic keeps s > 0.
+COLLAPSE = ScenarioConfig(sigma_jerk=0.0, r_base=1e-31)
+
+
+def plain_chain_failure(cfg):
+    """The error a plain 6x6 `predict`/`update` chain from the initial
+    belief meets, in the schedule's words, or None: the tracking updates,
+    then the ukf and vhd outage chains from the chain's own onset belief.
+    It shares nothing with the schedule; readings of 0 do not enter the
+    covariances."""
+    model = ca_model(cfg.dt, cfg.sigma_jerk)
+    fix_steps = set(cfg.fix_steps.tolist())
+    R_imu = np.diag([cfg.accel_white_noise**2] * 2)
+    R_fix = np.diag([cfg.position_fix_noise**2] * 2)
+    belief = GaussianBelief(np.zeros(6), np.diag([1.0, 0.25, 0.04] * 2))
+    step = 0
+    try:
+        with np.errstate(all="ignore"):
+            for step in range(1, cfg.onset_step + 1):
+                belief = update(predict(belief, model), np.zeros(2), R_imu, accel_measurement_matrix())
+                if step in fix_steps:
+                    belief = update(belief, np.zeros(2), R_fix, model.H)
+            ukf = vhd = belief
+            for k in range(1, cfg.outage_steps + 1):
+                step = cfg.onset_step + k
+                ukf = predict(ukf, model)
+                vhd = update(predict(vhd, model), np.zeros(2), adaptive_noise(cfg, k * cfg.dt), model.H)
+    except np.linalg.LinAlgError:
+        return SINGULAR.format(step)
+    except ValueError:
+        return OVERFLOW.format(step)
+    return None
+
+
+# Each FILTER_ERRORS config, and COLLAPSE, with the step at which
+# `plain_chain_failure` meets the same error. Where a covariance overflows
+# or s is exactly 0 it is the schedule's step; where s is a rounding
+# residue, numpy's products and the schedule's floats reach a negative one
+# at different steps (60 against 50, 604 against 605).
+CHAIN_FAILURES = {
+    "sigma_jerk 1e151": (*FILTER_ERRORS["sigma_jerk 1e151"], 925),
+    "sigma_jerk 0, accel_white_noise 0": (*FILTER_ERRORS["sigma_jerk 0, accel_white_noise 0"], 2),
+    "sigma_jerk and sensor noises 1.3e154": (*FILTER_ERRORS["sigma_jerk and sensor noises 1.3e154"], 11),
+    "sigma_jerk 0, exact fixes, accel_white_noise 1e150": (
+        *FILTER_ERRORS["sigma_jerk 0, exact fixes, accel_white_noise 1e150"],
+        60,
+    ),
+    "sigma_jerk 0, r_base 1e-31": (COLLAPSE, SINGULAR.format(605), 604),
+}
+
 TRUTH = "the truth is not finite at step {}: the config's trajectory or current overflows it"
 
 # Configs whose truth is not finite, each with the error run_block raises.
@@ -681,23 +736,28 @@ class TestRunBlock:
         # Step i's row holds its accelerometer gain, and on a fix step the
         # next row holds its fix gain; every row is some update's.
         cfg = ENGINE_CONFIGS[name]
-        gains, covs, step_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        assert step_rows.shape == (cfg.onset_step,)
+        gains, covs, acc_rows, fix_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        assert acc_rows.shape == fix_rows.shape == (cfg.onset_step,)
         assert gains.shape == (len(covs), 6, 2) and covs.shape == (len(covs), 6)
         np.testing.assert_array_equal(gains[:, :3, 0], gains[:, 3:, 1])
         np.testing.assert_array_equal(gains[:, 3:, 0], 0.0)
         np.testing.assert_array_equal(gains[:, :3, 1], 0.0)
-        fix_rows = step_rows[cfg.fix_steps - 1] + 1
-        assert set(step_rows.tolist()) | set(fix_rows.tolist()) == set(range(len(gains)))
-        assert not set(step_rows.tolist()) & set(fix_rows.tolist())
-        replayed = [i for i in range(1, cfg.onset_step + 1) if step_rows[i - 1] in step_rows[: i - 1]]
+        # The steps with a fix row are the config's fix steps, and each fix
+        # row follows its step's accelerometer row.
+        np.testing.assert_array_equal(np.flatnonzero(fix_rows >= 0) + 1, cfg.fix_steps)
+        fixes = fix_rows[cfg.fix_steps - 1]
+        np.testing.assert_array_equal(fixes, acc_rows[cfg.fix_steps - 1] + 1)
+        assert set(acc_rows.tolist()) | set(fixes.tolist()) == set(range(len(gains)))
+        assert not set(acc_rows.tolist()) & set(fixes.tolist())
+        replayed = [i for i in range(1, cfg.onset_step + 1) if acc_rows[i - 1] in acc_rows[: i - 1]]
         if name == "onset 100 s":
             # The covariance at the end of fix period 79 (step 790) is the one
             # at the end of period 77, so each later full period up to the last
             # fix (990) takes the rows of the period two before it; the steps
             # after the last fix are computed.
             assert replayed == list(range(791, 991))
-            np.testing.assert_array_equal(step_rows[790:990], step_rows[770:970])
+            np.testing.assert_array_equal(acc_rows[790:990], acc_rows[770:970])
+            np.testing.assert_array_equal(fix_rows[790:990], fix_rows[770:970])
         elif name not in ("onset 100.5 s", "fix_rate 2, onset 100 s"):
             # The other tracks end before a period's start repeats, or, without
             # process noise, the covariance keeps shrinking and never repeats.
@@ -725,19 +785,19 @@ class TestRunBlock:
         # blocks are 0; readings of 0 do not enter the covariances.
         cfg = ENGINE_CONFIGS[name]
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        _, covs, step_rows = simkit._tracking_schedule(cfg, model)
+        _, covs, acc_rows, fix_rows = simkit._tracking_schedule(cfg, model)
         fix_steps = set(cfg.fix_steps.tolist())
         R_imu = np.diag([cfg.accel_white_noise**2] * 2)
         R_fix = np.diag([cfg.position_fix_noise**2] * 2)
         belief = GaussianBelief(np.zeros(6), np.diag([1.0, 0.25, 0.04] * 2))
         got, ref = [], []
-        for i, row in enumerate(step_rows.tolist(), 1):
+        for i, (row, fix) in enumerate(zip(acc_rows.tolist(), fix_rows.tolist()), 1):
             belief = update(predict(belief, model), np.zeros(2), R_imu, accel_measurement_matrix())
             got.append(covs[row])
             ref.append(belief.cov)
             if i in fix_steps:
                 belief = update(belief, np.zeros(2), R_fix, model.H)
-                got.append(covs[row + 1])
+                got.append(covs[fix])
                 ref.append(belief.cov)
         ref = np.array(ref)
         np.testing.assert_array_equal(ref[:, :3, 3:], 0.0)
@@ -825,9 +885,9 @@ class TestRunBlock:
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
 
-    # The schedule checks its covariances once per computed fix period and
-    # once for the outage; the error must still name the step and the check
-    # at which checking each covariance as it is computed would have stopped.
+    # The schedule checks each phase's table with one mask; the error must
+    # still name the step and the check at which checking each covariance as
+    # it is computed would have stopped.
     @pytest.mark.parametrize(("cfg", "message"), list(FILTER_ERRORS.values()), ids=list(FILTER_ERRORS))
     def test_a_filter_error_names_its_step_before_any_draw(self, no_draws, cfg, message):
         with pytest.raises(ConfigError) as info:
@@ -837,17 +897,15 @@ class TestRunBlock:
     @pytest.mark.parametrize(
         ("cfg", "fails"),
         [
-            *((cfg, (True, True)) for cfg, _ in FILTER_ERRORS.values()),
-            *((cfg, (True, True)) for cfg, _ in TRUTH_ERRORS.values()),
-            # The one config on which the two differ: the vhd covariance
-            # collapses to rounding level, where the sign of s is set by the
-            # last bits. Exact arithmetic from the onset covariance keeps s > 0
-            # (8.8e-31 at step 605); the engine's per-axis floats find s < 0 at
-            # step 605, and the reference's 6x6 products, from the schedule's
-            # onset covariance, keep S > 0 to the outage end.
-            (ScenarioConfig(sigma_jerk=0.0, r_base=1e-31), (True, False)),
-            (ScenarioConfig(position_fix_noise=9.5e153), (False, False)),
-            (STREAM_OVERFLOW, (True, True)),
+            *((cfg, True) for cfg, _ in FILTER_ERRORS.values()),
+            *((cfg, True) for cfg, _ in TRUTH_ERRORS.values()),
+            # The vhd covariance collapses to rounding level, where the sign
+            # of s is set by the last bits: the reference fails at step 605
+            # by the engine's check of its outage covariances, and a plain
+            # 6x6 chain at step 604 (see CHAIN_FAILURES).
+            (COLLAPSE, True),
+            (ScenarioConfig(position_fix_noise=9.5e153), False),
+            (STREAM_OVERFLOW, True),
         ],
         ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153",
              "accel_bias_walk 7e307"],
@@ -862,10 +920,17 @@ class TestRunBlock:
 
         with np.errstate(all="ignore"):
             engine = raises(lambda: run_block(cfg, [cfg.base_seed]), ConfigError)
-            # The reference's tracking schedule raises ConfigError; a
-            # non-finite belief raises ValueError, and a LinAlgError is one.
+            # The schedule's checks raise ConfigError; a non-finite belief
+            # raises ValueError, and a LinAlgError is one.
             reference = raises(lambda: run_scenario(cfg, cfg.base_seed), (ConfigError, ValueError))
-        assert (engine, reference) == fails
+        assert engine == reference == fails
+
+    @pytest.mark.parametrize("name", list(CHAIN_FAILURES))
+    def test_a_plain_chain_fails_as_the_schedule_does(self, name):
+        # The same error as the engine's, at the chain's step; the engine's
+        # own message is held by the two tests above.
+        cfg, message, step = CHAIN_FAILURES[name]
+        assert plain_chain_failure(cfg) == re.sub(r"at step \d+", f"at step {step}", message)
 
     @pytest.mark.parametrize("bad_step", [1, 123, 400])
     def test_a_non_finite_vhd_noise_names_its_outage_step(self, monkeypatch, no_draws, bad_step):
@@ -886,7 +951,7 @@ class TestRunBlock:
         # 0, so the step's gain is NaN and the check of s names the step.
         cfg, bad_step = ScenarioConfig(), 123
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        before = simkit._gain_schedule(cfg, model)[3][bad_step - 2, 1]
+        before = simkit._gain_schedule(cfg, model)[-1][bad_step - 2, 1]
         p00 = simkit._axis_predicted(tuple(before.tolist()), *simkit._axis_model(model))[0]
         variance = simkit.adaptive_variance
 
@@ -912,7 +977,7 @@ class TestRunBlock:
         # Every step's per-axis entries equal both 3x3 blocks of the
         # reference's 6x6 beliefs to COV_RTOL, and the cross blocks are 0.
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        covs = simkit._gain_schedule(cfg, model)[3]
+        covs = simkit._gain_schedule(cfg, model)[-1]
         onset = track_to_outage(cfg, cfg.base_seed)
         T = cfg.outage_steps
         ukf = open_loop_predict(onset.belief, model, T)
