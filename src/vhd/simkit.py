@@ -18,13 +18,16 @@ execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `_gain_schedule` steps it once per axis in floats, before
-any draw. `run_block` then runs a block of seeds in lockstep as one stack
-of means. `run_scenario` is the per-run reference that the tests compare it
-against: its tracking takes its gains from the same schedule, one 1-D mean
-at a time, and its outage, once the schedule has checked its
-covariances, steps numpy's 6x6 beliefs. So each run of a
-block's record equals `run_scenario`'s for the same seed bit for bit, but
-for the `vhd` path, whose outage gains differ in the last bits.
+any draw, and a step's predict and update fold into a transition of the
+config alone: a run's mean is the linear recurrence m_i = M_i m_{i-1} +
+K_i z_i. `run_block` then runs a block of seeds in lockstep as one stack
+of means, with every step's K_i z_i written before its loop. `run_scenario`
+is the per-run reference that the tests compare it against: its tracking
+takes its gains and transitions from the same schedule, one 1-D mean at a
+time, and its outage, once the schedule has checked its covariances, steps
+numpy's 6x6 beliefs. So each run of a block's record equals
+`run_scenario`'s for the same seed bit for bit, but for the `vhd` path,
+whose outage gains and transitions differ in the last bits.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .kinematics import (
     STATE_DIM,
     VX,
     VY,
-    accel_measurement_matrix,
     ca_model,
 )
 from .outage import adaptive_variance, run_outage
@@ -404,20 +406,21 @@ def _window(cfg: ScenarioConfig, truth: Trajectory, means: np.ndarray) -> tuple[
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     """Run the tracking filter from t = 0 to the outage onset, one run's 1-D
     mean at a time, with the gains and the onset covariance of
-    `_tracking_schedule`: per step, `predict`'s `F @ m`, then `update`'s
-    `m + K @ (z - H @ m)` with the accelerometer reading and, on a fix step,
-    the position fix."""
+    `_tracking_schedule`: per step, the predict and the accelerometer update
+    folded into `m = M @ m + K @ z` with the row's `_tracking_transitions`
+    M, then, on a fix step, `update`'s `m + K @ (z - H @ m)` with the
+    position fix."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     gains, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
+    transitions = _tracking_transitions(gains, model)
     truth = generate_truth(cfg)
     meas = simulate_measurements(truth, cfg, seed)
 
-    H_acc, fixes = accel_measurement_matrix(), iter(meas.fix_values)
+    fixes = iter(meas.fix_values)
     means = np.empty((cfg.onset_step + 1, STATE_DIM))
     means[0] = m = truth.states[0].copy()
     for i, (row, fix) in enumerate(zip(acc_rows, fix_rows), 1):
-        m = model.F @ m
-        m = m + gains[row] @ (meas.imu_accel[i] - H_acc @ m)
+        m = transitions[row] @ m + gains[row] @ meas.imu_accel[i]
         if fix >= 0:
             m = m + gains[fix] @ (next(fixes) - model.H @ m)
         means[i] = m
@@ -565,14 +568,6 @@ def _check(table: np.ndarray, s: int, steps) -> None:
         raise _overflow("covariance", int(steps[row]))
 
 
-def _gains(k: np.ndarray) -> np.ndarray:
-    """The (rows, 6, 2) gains of per-axis (rows, 3) gains k: the x axis's
-    update in column 0, the y axis's in column 1."""
-    gains = np.zeros((len(k), STATE_DIM, 2))
-    gains[:, :3, 0] = gains[:, 3:, 1] = k
-    return gains
-
-
 def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
     """The tracking half of `_gain_schedule`, as `_outage_schedule` computes
     the outage half: per axis, in floats.
@@ -632,12 +627,16 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     last = done * (period + 1) + np.arange(cfg.onset_step - full * period)
     fix_rows = np.full(cfg.onset_step, -1)
     fix_rows[period - 1 : full * period : period] = source[:-1] * (period + 1) + period
-    return _gains(table[:, 2:5]), table[:, 5:], np.concatenate([periods, last]), fix_rows
+    # Each row's (6, 2) gain: the x axis's update in column 0, the y axis's in column 1.
+    gains = np.zeros((len(table), STATE_DIM, 2))
+    gains[:, :3, 0] = gains[:, 3:, 1] = table[:, 2:5]
+    return gains, table[:, 5:], np.concatenate([periods, last]), fix_rows
 
 
 def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The outage half of `_gain_schedule`, from the onset covariance's six
-    `_AXIS_ENTRIES`, as in open_loop_predict and run_outage.
+    `_AXIS_ENTRIES`, as in open_loop_predict and run_outage: the (T, 3)
+    `vhd` gain k of each step's update of either axis, and the covariances.
 
     The onset covariance is two equal 3x3 blocks with a zero cross block, and
     F, Q and each outage update (a position fix with R = r I) keep it so. So
@@ -655,13 +654,13 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
         rows.extend((*ukf, s, *gain, *vhd))
     table = np.frombuffer(rows).reshape(-1, 16)
     _check(table, 6, range(cfg.onset_step + 1, cfg.onset_step + 1 + len(table)))
-    return _gains(table[:, 7:10]), np.delete(table, np.s_[6:10], axis=1).reshape(-1, 2, 6)
+    return table[:, 7:10].copy(), np.delete(table, np.s_[6:10], axis=1).reshape(-1, 2, 6)
 
 
 def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
     """Every gain of a run, from the config alone: the tracking gains and
     each step's accelerometer and fix rows of them (`_tracking_schedule`);
-    the (T, 6, 2) `vhd` gains of the outage; and the (T, 2, 6) `ukf` and
+    the (T, 3) per-axis `vhd` gains of the outage; and the (T, 2, 6) `ukf` and
     `vhd` covariances after each outage step, as the six `_AXIS_ENTRIES` of
     either 3x3 block (`_outage_schedule`). Both halves step one axis in floats, and one mask
     checks each half's table: a config that overflows the filter, or makes
@@ -669,6 +668,18 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...
     which the reference fails."""
     gains, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
     return gains, acc_rows, fix_rows, *_outage_schedule(cfg, model, covs[-1])
+
+
+def _tracking_transitions(gains: np.ndarray, model: CaModel) -> np.ndarray:
+    """The (rows, 6, 6) mean transition M = (I - K H_acc) F of each tracking
+    gain row K: a step's predict and accelerometer update take a mean m to
+    M m + K z. It depends on the config alone, as the gains do. F keeps each
+    acceleration, so H_acc F = H_acc and M is F less K in the acceleration
+    columns: `(I - K @ H_acc) @ F` gives the same bits, but through two
+    temporaries of M's size."""
+    transitions = np.repeat(model.F[None], len(gains), axis=0)
+    transitions[..., [AX, AY]] -= gains
+    return transitions
 
 
 # ----------------------------------------------------------------------
@@ -687,23 +698,28 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     run_scenario(cfg, seeds[k]), bit for bit but for the `vhd` path (see
     below).
 
-    `_gain_schedule` computes each gain once, before anything is drawn. Then
-    the truth is generated once, each seed gets its own measurements, and
-    each run is a linear recurrence on its mean. The block's means advance
-    at once, as one (runs, 6, 1) stack of columns: the stacked matmul in
-    `F @ m` and `m + K @ (z - H @ m)` rounds each column as track_to_outage's
-    loop rounds a 1-D mean (`einsum` or `M @ F.T` would not, and the
-    polynomial extrapolations amplify that). The tracking loop takes each
-    step's accelerometer gain row of the schedule, and on a step with a fix
-    row applies that row's gain to the next stacked fix. The window fit and
-    the Lagrange interpolant are each one broadcast solve for the block.
+    `_gain_schedule` computes each gain once, before anything is drawn, and
+    each step's predict and update fold into a transition of the config
+    alone: `m_i = M_i m_{i-1} + K_i z_i`. Then the truth is generated once,
+    each seed gets its own measurements, and each run is that linear
+    recurrence on its mean. Every step's measurement term `K_i z_i` is
+    written before the loop, one exact product per entry; the loop then
+    adds one stacked product per step. The block's means are one
+    (runs, 6, 1) stack of columns: the stacked matmul rounds each column as
+    track_to_outage's loop rounds a 1-D mean (`einsum` or `m @ M.T` would
+    not, and the polynomial extrapolations amplify that). On a fix step the
+    tracking loop applies the fix row's gain to the next stacked fix, as
+    `update` does. The window fit and the Lagrange interpolant are each one
+    broadcast solve for the block.
 
-    The tracking gains and onset covariance are the reference's own, from
-    `_tracking_schedule`, so the tracked means and the window are its bit
-    for bit. The outage `vhd` gains are computed per axis in floats
-    (`_outage_schedule`), where the reference's `run_outage` uses numpy's
-    6x6 products, so they, and the `vhd` path, differ from the reference's
-    in the last bits: the path by about 1e-12 m over a 300 s outage.
+    The tracking gains, transitions and onset covariance are the
+    reference's own (`_tracking_schedule`, `_tracking_transitions`), so the
+    tracked means and the window are its bit for bit. The outage `ukf` means
+    step `F @ m` as `open_loop_predict` does. The `vhd` means step per axis
+    with the (T, 3, 3) transitions `(I - k e0^T) F` of the per-axis float
+    gains (`_outage_schedule`), where the reference's `run_outage` uses
+    numpy's 6x6 `predict` and `update`, so the `vhd` path differs from the
+    reference's in the last bits: by about 1e-12 m over a 300 s outage.
 
     `_gain_schedule` checks the covariances with one mask per phase, and the
     means are checked once per phase. A config that overflows the filter, or
@@ -717,46 +733,58 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     is all such a config reports.
     """
     seeds = [int(s) for s in seeds]
+    runs = len(seeds)
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    tracking_gains, acc_rows, fix_rows, vhd_gains, _ = _gain_schedule(cfg, model)
+    gains, acc_rows, fix_rows, vhd_gains, _ = _gain_schedule(cfg, model)
+    transitions = _tracking_transitions(gains, model)
+    # The vhd update of an axis measures its entry 0 with gain k, so its
+    # transition (I - k e0^T) F is F less k times F's row 0.
+    vhd_transitions = vhd_gains[:, :, None] * -model.F[0, :3]
+    vhd_transitions += model.F[:3, :3]
     truth = generate_truth(cfg)
     finite = np.isfinite(truth.states).all(axis=1)
     if not finite.all():
         raise ConfigError(f"the truth is not finite at step {np.argmin(finite)}: the config's trajectory or current overflows it")
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
-    imu = np.stack([ms.imu_accel for ms in meas], axis=1)[..., None]
+    imu = np.stack([ms.imu_accel for ms in meas])
     fixes = iter(np.stack([ms.fix_values for ms in meas], axis=1)[..., None])
-    finite = np.isfinite(imu).all(axis=(1, 2, 3))
+    del meas
+    finite = np.isfinite(imu).all(axis=(0, 2))
     if not finite.all():
         raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
-    # Each step as in track_to_outage: the accelerometer update, then the
-    # next fix on a fix step, with the expressions of `predict` and `update`.
-    H_acc, H = accel_measurement_matrix(), model.H
-    tracked = np.empty((len(seeds), cfg.onset_step + 1, STATE_DIM, 1))
-    tracked[:, 0] = means = np.tile(truth.states[0][:, None], (len(seeds), 1, 1))
-    for i, (row, fix) in enumerate(zip(acc_rows, fix_rows), 1):
-        means = model.F @ means
-        means = means + tracking_gains[row] @ (imu[i] - H_acc @ means)
+    # Each step as in track_to_outage: every step's accelerometer term K z
+    # first, one exact product per entry; then per step the transition and,
+    # on a fix step, `update`'s expression with the next fix.
+    tracked = np.empty((runs, cfg.onset_step + 1, STATE_DIM, 1))
+    tracked[:, 0] = truth.states[0][:, None]
+    np.multiply(gains[acc_rows, :3, 0][:, None], imu[:, 1:, :, None], out=tracked.reshape(runs, -1, 2, 3)[:, 1:])
+    del imu
+    # The loops walk views of one step's (runs, 6, 1) means.
+    steps = np.moveaxis(tracked, 1, 0)
+    for prev, means, row, fix in zip(steps, steps[1:], acc_rows, fix_rows):
+        means += transitions[row] @ prev
         if fix >= 0:
-            means = means + tracking_gains[fix] @ (next(fixes) - H @ means)
-        tracked[:, i] = means
+            means += gains[fix] @ (next(fixes) - model.H @ means)
     window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
-    del meas, imu, fixes, tracked, tracking_gains, acc_rows, fix_rows
+    # prev and means are views of tracked, and would keep it alive.
+    del fixes, tracked, steps, prev, means, gains, transitions, acc_rows, fix_rows
 
     # Outage, as in open_loop_predict and run_outage.
     T = cfg.outage_steps
     poly = fit_polynomial(window, cfg.poly_degree)
-    # (T, runs, 2, 1): the virtual fixes of each outage step, one column per run
-    virtual = np.moveaxis(poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt), 1, 0)[..., None]
-    # The ukf and vhd means advance as one (2, runs, 6, 1) stack; the vhd half
-    # then takes its update.
-    paths = np.empty((2, len(seeds), T + 1, STATE_DIM, 1))
+    # (runs, T, 2): the virtual fixes of each outage step
+    virtual = poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt)
+    paths = np.empty((2, runs, T + 1, STATE_DIM, 1))
     paths[:, :, 0] = window.states[:, -1, :, None]
-    means = paths[:, :, 0]
-    for k, z, K in zip(range(1, T + 1), virtual, vhd_gains):
-        means = model.F @ means
-        means[1] = means[1] + K @ (z - H @ means[1])
-        paths[:, :, k] = means
+    # The vhd means as one (3, 1) column per run and axis: every step's K z
+    # first, then one product per step for both axes.
+    vhd = paths[1].reshape(runs, T + 1, 2, 3, 1)
+    np.multiply(vhd_gains[:, None], virtual[..., None], out=vhd[:, 1:, ..., 0])
+    del virtual
+    ukf, vhd = np.moveaxis(paths[0], 1, 0), np.moveaxis(vhd, 1, 0)
+    for ukf_prev, ukf_means, vhd_prev, vhd_means, M in zip(ukf, ukf[1:], vhd, vhd[1:], vhd_transitions):
+        np.matmul(model.F, ukf_prev, out=ukf_means)
+        vhd_means += M @ vhd_prev
     ukf, vhd = _finite(paths, "means")[..., 0]
     return _record(cfg, np.array(seeds), truth, window, tracking_err, ukf, vhd)
 

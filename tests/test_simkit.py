@@ -488,6 +488,34 @@ class TestTrackToOutage:
         gains = assert_tracking_schedule_is_plain(cfg)
         assert len(gains) == 79 * (cfg.fix_period_steps + 1) + cfg.fix_period_steps
 
+    @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+    def test_window_and_onset_mean_equal_a_predict_update_chain(self, name):
+        # The reference folds each step's predict and accelerometer update
+        # into one transition, with the schedule's per-axis float gains. A
+        # plain chain of `predict` and `update` on the same seed's readings
+        # rounds otherwise and computes its own 6x6 gains, so it holds the
+        # means to a bound fixed from float64 eps: 64 eps of the chain's
+        # largest mean entry (measured: 13.7 eps with no fix before the
+        # onset, at most 4.2 eps otherwise, and 3.6 eps on a 1000 s track).
+        cfg = ENGINE_CONFIGS[name]
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        onset = track_to_outage(cfg, cfg.base_seed)
+        meas = simulate_measurements(onset.truth, cfg, cfg.base_seed)
+        fixes, fix_steps = iter(meas.fix_values), set(cfg.fix_steps.tolist())
+        R_imu = np.diag([cfg.accel_white_noise**2] * 2)
+        R_fix = np.diag([cfg.position_fix_noise**2] * 2)
+        belief = GaussianBelief(onset.truth.states[0], np.diag([1.0, 0.25, 0.04] * 2))
+        chain = [belief.mean]
+        for i in range(1, cfg.onset_step + 1):
+            belief = update(predict(belief, model), meas.imu_accel[i], R_imu, accel_measurement_matrix())
+            if i in fix_steps:
+                belief = update(belief, next(fixes), R_fix, model.H)
+            chain.append(belief.mean)
+        chain = np.array(chain)
+        atol = 64 * np.finfo(float).eps * np.abs(chain).max()
+        np.testing.assert_allclose(onset.window.states, chain[cfg.window_steps], rtol=0.0, atol=atol)
+        np.testing.assert_allclose(onset.belief.mean, chain[-1], rtol=0.0, atol=atol)
+
     def test_tracking_error_series_shape(self):
         cfg = ScenarioConfig()
         onset = track_to_outage(cfg, seed=1234)
@@ -587,9 +615,9 @@ class TestRunScenario:
 
 
 # How far the engine's vhd path may lie from run_scenario's, in meters: the
-# per-axis float recurrence rounds the outage gains differently from numpy's
-# 6x6 products (measured: 9.1e-13 m over a 300 s outage, 5.7e-14 m on the
-# default config).
+# per-axis float recurrence rounds the outage gains, and the per-axis
+# transitions the means, differently from numpy's 6x6 products (measured:
+# 9.1e-13 m over a 300 s outage, 1.1e-13 m on the default config).
 VHD_ATOL = 1e-10
 
 # How far the per-axis outage covariances may lie from the reference
@@ -762,6 +790,16 @@ class TestRunBlock:
             # The other tracks end before a period's start repeats, or, without
             # process noise, the covariance keeps shrinking and never repeats.
             assert replayed == []
+
+    @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+    def test_tracking_transitions_are_the_folded_predict_and_update(self, name):
+        # Bit for bit numpy's (I - K H_acc) F, which the transitions write
+        # out as F less K in the acceleration columns.
+        cfg = ENGINE_CONFIGS[name]
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        gains = simkit._tracking_schedule(cfg, model)[0]
+        want = (np.eye(6) - gains @ accel_measurement_matrix()) @ model.F
+        np.testing.assert_array_equal(simkit._tracking_transitions(gains, model), want)
 
     def test_converged_tracking_gains_are_replayed(self, monkeypatch):
         cfg = ENGINE_CONFIGS["onset 100 s"]
