@@ -22,7 +22,6 @@ from .history import (
     Trajectory,
     fit_polynomial,
     lagrange_extrapolate,
-    residual_covariance,
 )
 from .kinematics import (
     CaModel,
@@ -33,7 +32,6 @@ from .kinematics import (
     propagate_truth,
 )
 from .outage import (
-    VirtualUpdateDiagnostic,
     adaptive_noise,
     run_outage,
     vhd_outage_step,
@@ -68,7 +66,6 @@ __all__ = [
     "RunRecord",
     "ScenarioConfig",
     "Trajectory",
-    "VirtualUpdateDiagnostic",
     "adaptive_noise",
     "ca_model",
     "ca_process_noise",
@@ -83,7 +80,6 @@ __all__ = [
     "open_loop_predict",
     "predict",
     "propagate_truth",
-    "residual_covariance",
     "rmse",
     "run_block",
     "run_outage",

@@ -1,4 +1,5 @@
-"""Gaussian beliefs, Kalman predict/update, and KL-divergence diagnostics.
+"""Gaussian beliefs, Kalman predict/update, and the Gaussian KL divergence
+with its minimizing virtual measurement.
 
 All operations are pure functions over immutable values. Covariances are
 kept exactly symmetric by construction (Joseph-form update followed by an
@@ -21,7 +22,8 @@ class GaussianBelief:
 
     Dimension is not fixed; the tracking code uses 6-D states but every
     operation below works for any consistent (mean, cov) pair. The same
-    type serves as the history target of the KL diagnostics.
+    type is the target of `kl_optimal_virtual_measurement`, whose
+    optimality acceptance gate 5 checks.
     """
 
     mean: np.ndarray

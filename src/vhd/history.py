@@ -2,9 +2,8 @@
 
 The history window is a `Trajectory` of the filter's most recent state
 estimates at a fixed sampling cadence. During an outage the window is
-compressed into a small least-squares polynomial in both position axes;
-that polynomial supplies both the extrapolated positions and, through its
-derivatives, a smoothed full state at the window end.
+compressed into a small least-squares polynomial in both position axes,
+which supplies the extrapolated positions.
 
 All fits run on a centered, scaled time basis tau = (t - t_ref) / t_scale
 with tau in [-1, 1] over the window, which keeps the normal equations and
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import AX, AY, PX, PY, VX, VY, STATE_DIM
+from .kinematics import AX, AY, PX, PY, STATE_DIM
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,43 +83,18 @@ class PolyModel:
     def degree(self) -> int:
         return self.coef.shape[-2] - 1
 
-    def _derivative(self, t, order: int) -> np.ndarray:
-        """`order`-th time derivative of (p_x, p_y) at t; shape (..., *t.shape, 2)."""
-        # numpy.polynomial's polyder rows and polyval's Horner loop, written
-        # out so that a batch never imports numpy.polynomial.
+    def position(self, t) -> np.ndarray:
+        """Fitted/extrapolated (p_x, p_y) at time t (scalar or array); shape
+        (..., *t.shape, 2)."""
+        # numpy.polynomial's polyval Horner loop, written out so that a batch
+        # never imports numpy.polynomial.
         tau = (np.asarray(t, dtype=float) - self.t_ref) / self.t_scale
         c = np.moveaxis(self.coef, -2, 0)
-        if order >= len(c):
-            c = c[:1] * 0
-        else:
-            for _ in range(order):
-                c = np.stack([j * c[j] for j in range(1, len(c))])
         c = c.reshape(c.shape + (1,) * np.ndim(tau))
         values = c[-1] + tau * 0
         for row in c[-2::-1]:
             values = row + values * tau
-        return np.moveaxis(values / self.t_scale**order, self.coef.ndim - 2, -1)
-
-    def position(self, t) -> np.ndarray:
-        """Fitted/extrapolated (p_x, p_y) at time t (scalar or array)."""
-        return self._derivative(t, 0)
-
-    def velocity(self, t) -> np.ndarray:
-        return self._derivative(t, 1)
-
-    def acceleration(self, t) -> np.ndarray:
-        return self._derivative(t, 2)
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Full 6-D state from the polynomial and its first two derivatives."""
-        p = self.position(t)
-        v = self.velocity(t)
-        a = self.acceleration(t)
-        s = np.zeros(STATE_DIM)
-        s[PX], s[PY] = p
-        s[VX], s[VY] = v
-        s[AX], s[AY] = a
-        return s
+        return np.moveaxis(values, self.coef.ndim - 2, -1)
 
 
 def _vandermonde(times: np.ndarray, columns: int) -> tuple[np.ndarray, float, float]:
@@ -148,27 +122,6 @@ def fit_polynomial(w: Trajectory, degree: int = 2) -> PolyModel:
         raise ValueError(f"need at least {degree + 1} samples to fit degree {degree}, have {n}")
     V, t_ref, t_scale = _vandermonde(w.times, degree + 1)
     return PolyModel(np.linalg.solve(V.T @ V, V.T @ w.positions), t_ref, t_scale, float(w.times[-1]))
-
-
-def residual_covariance(w: Trajectory, p: PolyModel) -> np.ndarray:
-    """Unbiased 2x2 covariance of the position fit residuals.
-
-    Residuals are observed minus fitted positions over the whole window.
-    The normalization accounts for the fitted coefficients (n - degree - 1
-    degrees of freedom), and each diagonal entry is floored at 1e-6 m^2 so
-    noise-free data cannot produce a degenerate measurement covariance.
-    """
-    n = len(w)
-    dof = n - (p.degree + 1)
-    if dof < 1:
-        raise ValueError(f"need at least {p.degree + 2} samples for residual covariance, have {n}")
-    residuals = w.positions - p.position(w.times)
-    cov = (residuals.T @ residuals) / dof
-    cov = 0.5 * (cov + cov.T)
-    floor = 1e-6
-    cov[0, 0] = max(cov[0, 0], floor)
-    cov[1, 1] = max(cov[1, 1], floor)
-    return cov
 
 
 def lagrange_extrapolate(w: Trajectory, t, node_count: int = 8) -> np.ndarray:

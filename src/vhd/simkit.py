@@ -388,19 +388,17 @@ class OnsetState:
 
     belief: GaussianBelief
     window: Trajectory
-    tracking_err: np.ndarray
     model: CaModel
     truth: Trajectory
 
 
-def _window(cfg: ScenarioConfig, truth: Trajectory, means: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-    """The history window, which ends at the onset mean, and the tracking error
-    of one run's (onset_step + 1, 6) tracked means or a block's (runs, ...).
-    `np.take` lays each run's samples out as one run's are, so a block's fit
-    rounds as each run's would."""
+def _window(cfg: ScenarioConfig, means: np.ndarray) -> Trajectory:
+    """The history window, which ends at the onset mean, of one run's
+    (onset_step + 1, 6) tracked means or a block's (runs, ...). `np.take`
+    lays each run's samples out as one run's are, so a block's fit rounds as
+    each run's would."""
     samples = cfg.window_steps
-    err = means[..., [PX, PY]] - truth.positions[: cfg.onset_step + 1]
-    return Trajectory(samples * cfg.dt, np.take(means, samples, axis=-2)), np.hypot(err[..., 0], err[..., 1])
+    return Trajectory(samples * cfg.dt, np.take(means, samples, axis=-2))
 
 
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
@@ -426,7 +424,7 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
         means[i] = m
     cov = np.zeros((STATE_DIM, STATE_DIM))
     cov[:3, :3] = cov[3:, 3:] = covs[-1][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
-    return OnsetState(GaussianBelief(m, cov), *_window(cfg, truth, means), model, truth)
+    return OnsetState(GaussianBelief(m, cov), _window(cfg, means), model, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,7 +434,7 @@ class RunRecord:
     All sequences share the outage timestamps; index 0 is the shared
     branch point at onset, where every predictor coincides with the
     filter's last belief. For a block, `seed` is a (runs,) array and
-    `paths`, `errors` and `tracking_err` have a leading run axis, as
+    `paths` and `errors` have a leading run axis, as
     `Trajectory.states` does; `times` and `truth_xy` are shared.
     """
 
@@ -445,18 +443,17 @@ class RunRecord:
     truth_xy: np.ndarray
     paths: dict[str, np.ndarray]
     errors: dict[str, np.ndarray]
-    tracking_err: np.ndarray
 
     def run(self, k: int) -> RunRecord:
         """Run k of a block's record, in copies: it keeps none of the block's
         per-run arrays alive."""
         return RunRecord(int(self.seed[k]), self.times, self.truth_xy,
                          {name: path[k].copy() for name, path in self.paths.items()},
-                         {name: err[k].copy() for name, err in self.errors.items()}, self.tracking_err[k].copy())
+                         {name: err[k].copy() for name, err in self.errors.items()})
 
 
 def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
-            tracking_err: np.ndarray, ukf: np.ndarray, vhd: np.ndarray) -> RunRecord:
+            ukf: np.ndarray, vhd: np.ndarray) -> RunRecord:
     """One run's record from its (T + 1, 6) ukf and vhd means, or a block's from
     (runs, T + 1, 6) ones. Row 0 of the means is the onset belief; it also
     opens the Lagrange path."""
@@ -466,7 +463,7 @@ def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
     lagrange = lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)
     paths = {"ukf": ukf, "lagrange": np.concatenate([ukf[..., :1, :], lagrange], axis=-2), "vhd": vhd}
     errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=-1) for name in PREDICTORS}
-    return RunRecord(seed, times, truth_xy, paths, errors, tracking_err)
+    return RunRecord(seed, times, truth_xy, paths, errors)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
@@ -482,9 +479,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])
     ukf = [b0] + open_loop_predict(b0, model, T)
-    vhd = [b0] + run_outage(b0, onset.window, cfg, T, model, degree=cfg.poly_degree)
+    vhd = [b0] + run_outage(b0, onset.window, cfg, T, model)
     means = [np.array([b.mean for b in beliefs]) for beliefs in (ukf, vhd)]
-    return _record(cfg, seed, onset.truth, onset.window, onset.tracking_err, *means)
+    return _record(cfg, seed, onset.truth, onset.window, *means)
 
 
 # ----------------------------------------------------------------------
@@ -765,7 +762,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
         means += transitions[row] @ prev
         if fix >= 0:
             means += gains[fix] @ (next(fixes) - model.H @ means)
-    window, tracking_err = _window(cfg, truth, _finite(tracked, "means")[..., 0])
+    window = _window(cfg, _finite(tracked, "means")[..., 0])
     # prev and means are views of tracked, and would keep it alive.
     del fixes, tracked, steps, prev, means, gains, transitions, acc_rows, fix_rows
 
@@ -786,7 +783,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
         np.matmul(model.F, ukf_prev, out=ukf_means)
         vhd_means += M @ vhd_prev
     ukf, vhd = _finite(paths, "means")[..., 0]
-    return _record(cfg, np.array(seeds), truth, window, tracking_err, ukf, vhd)
+    return _record(cfg, np.array(seeds), truth, window, ukf, vhd)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,8 @@ from vhd import (
     fit_polynomial,
     lagrange_extrapolate,
     make_state,
-    residual_covariance,
 )
-from vhd.kinematics import AX, AY, PX, PY, VX, VY
+from vhd.kinematics import PX, PY
 
 QUAD_X = np.array([3.0, 2.0, 0.5])
 QUAD_Y = np.array([-1.0, 0.5, -0.25])
@@ -80,21 +79,6 @@ class TestFit:
         np.testing.assert_allclose(fitted[:, 0], npoly.polyval(times, QUAD_X), atol=1e-9)
         np.testing.assert_allclose(fitted[:, 1], npoly.polyval(times, QUAD_Y), atol=1e-9)
 
-    def test_exact_quadratic_derivatives(self):
-        times = 0.5 * np.arange(30)
-        p = fit_polynomial(quad_window(times), degree=2)
-        t = 7.25
-        # d/dt of 3 + 2t + 0.5 t^2 and of -1 + 0.5 t - 0.25 t^2
-        np.testing.assert_allclose(p.velocity(t), [2.0 + t, 0.5 - 0.5 * t], atol=1e-9)
-        np.testing.assert_allclose(p.acceleration(t), [1.0, -0.5], atol=1e-9)
-
-    def test_constant_data_has_zero_derivatives(self):
-        w = position_window(np.arange(20.0), 4.0, -2.0)
-        p = fit_polynomial(w, degree=2)
-        np.testing.assert_allclose(p.position(19.0), [4.0, -2.0], atol=1e-9)
-        np.testing.assert_allclose(p.velocity(19.0), [0.0, 0.0], atol=1e-9)
-        np.testing.assert_allclose(p.acceleration(19.0), [0.0, 0.0], atol=1e-9)
-
     def test_noisy_quadratic_coefficients_recovered(self):
         # sigma = 0.1 m on 500 samples; generating coefficients must come
         # back within 0.05 per term on every seed
@@ -114,16 +98,6 @@ class TestFit:
                     back[: len(term)] += c * term
                 worst = max(worst, np.abs(back - gen).max())
         assert worst < 0.05
-
-    @pytest.mark.parametrize(
-        "degree, derivative", [(0, "velocity"), (0, "acceleration"), (1, "acceleration")]
-    )
-    def test_derivatives_above_the_degree_are_zero(self, degree, derivative):
-        p = fit_polynomial(quad_window(np.arange(10.0)), degree=degree)
-        assert p.degree == degree and p.coef.shape == (degree + 1, 2)
-        evaluate = getattr(p, derivative)
-        np.testing.assert_array_equal(evaluate(4.5), np.zeros(2))
-        np.testing.assert_array_equal(evaluate(np.linspace(0.0, 20.0, 7)), np.zeros((7, 2)))
 
     def test_insufficient_samples_rejected(self):
         w = position_window([0.0, 1.0], 0.0)
@@ -148,26 +122,15 @@ class TestFit:
         V = np.vander(tau, 3, increasing=True)
         assert np.linalg.cond(V.T @ V) < 1e6
 
-    def test_smoothed_state_matches_model_at_window_end(self):
-        times = 0.5 * np.arange(30)
-        p = fit_polynomial(quad_window(times), degree=2)
-        s = p.state_at(p.window_end)
-        end = times[-1]
-        np.testing.assert_allclose(
-            [s[PX], s[PY]], [npoly.polyval(end, QUAD_X), npoly.polyval(end, QUAD_Y)],
-            atol=1e-9,
-        )
-        np.testing.assert_allclose([s[VX], s[VY]], [2.0 + end, 0.5 - 0.5 * end], atol=1e-9)
-        np.testing.assert_allclose([s[AX], s[AY]], [1.0, -0.5], atol=1e-9)
-
-
 class TestExtrapolate:
     def test_boundary_continuity(self):
         times = 0.5 * np.arange(30)
         p = fit_polynomial(quad_window(times), degree=2)
-        s = p.state_at(p.window_end)
+        end = times[-1]
         np.testing.assert_allclose(p.position(p.window_end + 1e-9), p.position(p.window_end), atol=1e-6)
-        np.testing.assert_allclose(p.position(p.window_end), [s[PX], s[PY]], atol=1e-12)
+        np.testing.assert_allclose(
+            p.position(p.window_end), [npoly.polyval(end, QUAD_X), npoly.polyval(end, QUAD_Y)], atol=1e-9
+        )
 
     def test_linear_slope_carries_forward(self):
         k = np.arange(20.0)
@@ -183,38 +146,6 @@ class TestExtrapolate:
                 [npoly.polyval(t, QUAD_X), npoly.polyval(t, QUAD_Y)],
                 rtol=1e-9,
             )
-
-
-class TestResidualCovariance:
-    def test_noise_free_data_hits_the_floor(self):
-        times = 0.5 * np.arange(30)
-        w = quad_window(times)
-        cov = residual_covariance(w, fit_polynomial(w, degree=2))
-        assert cov[0, 0] == 1e-6
-        assert cov[1, 1] == 1e-6
-
-    def test_unit_noise_is_recovered(self):
-        times = 0.1 * np.arange(500)
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            w = quad_window(times, noise=1.0, rng=rng)
-            cov = residual_covariance(w, fit_polynomial(w, degree=2))
-            assert 0.8 <= cov[0, 0] <= 1.2
-            assert 0.8 <= cov[1, 1] <= 1.2
-
-    def test_symmetric_psd(self):
-        rng = np.random.default_rng(21)
-        times = np.arange(40.0)
-        w = quad_window(times, noise=0.5, rng=rng)
-        cov = residual_covariance(w, fit_polynomial(w, degree=2))
-        np.testing.assert_array_equal(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() >= 0.0
-
-    def test_too_few_samples_for_dof(self):
-        w = quad_window(np.array([0.0, 1.0, 2.0]))
-        p = fit_polynomial(w, degree=2)
-        with pytest.raises(ValueError, match="residual covariance"):
-            residual_covariance(w, p)
 
 
 class TestLagrange:
@@ -310,8 +241,7 @@ class TestBlockWindow:
         for r, w in enumerate(runs):
             one = fit_polynomial(w, degree)
             np.testing.assert_array_equal(poly.coef[r], one.coef)
-            for name in ("position", "velocity", "acceleration"):
-                np.testing.assert_array_equal(getattr(poly, name)(t)[r], getattr(one, name)(t))
+            np.testing.assert_array_equal(poly.position(t)[r], one.position(t))
 
     @pytest.mark.parametrize("node_count", [2, 8, 12])
     def test_lagrange_equals_the_per_run_paths(self, node_count):
@@ -324,25 +254,22 @@ class TestBlockWindow:
 
 
 class TestPolyModelEvaluation:
-    """`PolyModel` writes out numpy.polynomial's derivative rows and Horner
-    loop; every value must equal that oracle's bit for bit."""
+    """`PolyModel` writes out numpy.polynomial's Horner loop; every position
+    must equal that oracle's bit for bit."""
 
     @staticmethod
-    def oracle(poly, t, order):
+    def oracle(poly, t):
         tau = (np.asarray(t, dtype=float) - poly.t_ref) / poly.t_scale
-        values = npoly.polyval(tau, npoly.polyder(np.moveaxis(poly.coef, -2, 0), order)) / poly.t_scale**order
-        return np.moveaxis(values, poly.coef.ndim - 2, -1)
+        return np.moveaxis(npoly.polyval(tau, np.moveaxis(poly.coef, -2, 0)), poly.coef.ndim - 2, -1)
 
     @pytest.mark.parametrize("degree", range(9))
     @pytest.mark.parametrize("block", [False, True], ids=["single", "block"])
-    def test_derivatives_equal_the_numpy_polynomial_oracle(self, degree, block):
+    def test_positions_equal_the_numpy_polynomial_oracle(self, degree, block):
         rng = np.random.default_rng(degree)
         shape = (4, degree + 1, 2) if block else (degree + 1, 2)
         coef = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
         poly = PolyModel(coef, t_ref=3.7, t_scale=2.3, window_end=6.0)
-        methods = {0: poly.position, 1: poly.velocity, 2: poly.acceleration, 3: lambda t: poly._derivative(t, 3)}
         for t in (5.1, np.float64(-2.0), np.linspace(0.0, 20.0, 7), np.linspace(0.0, 5.0, 6).reshape(2, 3)):
-            for order, evaluate in methods.items():
-                got, want = evaluate(t), self.oracle(poly, t, order)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), (degree, order, np.shape(t))
+            got, want = poly.position(t), self.oracle(poly, t)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (degree, np.shape(t))

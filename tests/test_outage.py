@@ -188,14 +188,16 @@ class TestRunOutage:
         np.testing.assert_array_equal(seq[0].mean, want.mean)
         np.testing.assert_array_equal(seq[0].cov, want.cov)
 
-    def test_matches_manual_loop_with_single_fit(self):
+    @pytest.mark.parametrize("degree", [2, 0])
+    def test_matches_manual_loop_with_single_fit(self, degree):
+        # the config's poly_degree sets the fit
         w = line_window()
         model = ca_model(0.1, 0.5)
         b = GaussianBelief(make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6))
-        params = ScenarioConfig()
+        params = ScenarioConfig(poly_degree=degree)
         seq = run_outage(b, w, params, 40, model)
 
-        poly = fit_polynomial(w, degree=2)
+        poly = fit_polynomial(w, degree)
         cur = b
         for k in range(1, 41):
             cur = vhd_outage_step(cur, poly, params, k * 0.1, model)
@@ -262,36 +264,3 @@ class TestRunOutage:
             z = poly.position(onset_t + 0.1 * k)
             assert np.linalg.norm(belief.mean[[0, 3]] - z) < 1e-2
 
-
-class TestDiagnostics:
-    def test_polynomial_value_is_near_optimal_but_distinct(self):
-        onset = track_to_outage(ScenarioConfig(), seed=1234)
-        diags = []
-        run_outage(
-            onset.belief,
-            onset.window,
-            ScenarioConfig(),
-            100,
-            onset.model,
-            diagnostics=diags,
-        )
-        assert len(diags) == 100
-        elapsed = np.array([d.elapsed for d in diags])
-        np.testing.assert_allclose(elapsed, 0.1 * np.arange(1, 101), rtol=1e-12)
-        for d in diags:
-            # the analytic argmin can never lose to the polynomial value
-            assert d.kl_opt <= d.kl_poly + 1e-12
-            assert d.delta == pytest.approx(np.linalg.norm(d.z_poly - d.z_kl))
-            assert d.kl_opt >= 0.0
-
-    def test_collecting_diagnostics_leaves_the_beliefs_unchanged(self):
-        onset = track_to_outage(ScenarioConfig(), seed=7)
-        params = ScenarioConfig()
-        diags = []
-        traced = run_outage(onset.belief, onset.window, params, 50, onset.model, diagnostics=diags)
-        plain = run_outage(onset.belief, onset.window, params, 50, onset.model)
-        poly = fit_polynomial(onset.window, degree=2)
-        for k, (a, b, d) in enumerate(zip(traced, plain, diags), start=1):
-            np.testing.assert_array_equal(a.mean, b.mean)
-            np.testing.assert_array_equal(a.cov, b.cov)
-            np.testing.assert_array_equal(d.z_poly, poly.position(poly.window_end + k * 0.1))

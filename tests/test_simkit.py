@@ -469,7 +469,9 @@ class TestTrackToOutage:
             np.testing.assert_array_equal(onset.window.states[-1], onset.belief.mean)
 
     def test_tracking_error_stays_small(self, default_block):
-        assert default_block.tracking_err[:, -1].mean() < 2.0
+        # row 0 of every path is the onset mean, so the error there is the
+        # position error of tracking
+        assert default_block.errors["ukf"][:, 0].mean() < 2.0
 
     @pytest.mark.parametrize("cfg", GRID_CONFIGS)
     def test_tracking_updates_follow_the_per_step_rule(self, cfg):
@@ -516,13 +518,6 @@ class TestTrackToOutage:
         np.testing.assert_allclose(onset.window.states, chain[cfg.window_steps], rtol=0.0, atol=atol)
         np.testing.assert_allclose(onset.belief.mean, chain[-1], rtol=0.0, atol=atol)
 
-    def test_tracking_error_series_shape(self):
-        cfg = ScenarioConfig()
-        onset = track_to_outage(cfg, seed=1234)
-        assert onset.tracking_err.shape == (cfg.onset_step + 1,)
-        assert onset.tracking_err[0] == 0.0
-        assert np.all(np.isfinite(onset.tracking_err))
-
 
 class TestRunScenario:
     def test_predictors_share_the_branch_point(self, default_block):
@@ -545,7 +540,6 @@ class TestRunScenario:
         )
         assert np.shape(rec.seed) == runs
         assert rec.truth_xy.shape == (cfg.outage_steps + 1, 2)
-        assert rec.tracking_err.shape == runs + (cfg.onset_step + 1,)
         for name in PREDICTORS:
             assert rec.paths[name].shape == runs + (cfg.outage_steps + 1, 2)
             assert rec.errors[name].shape == runs + (cfg.outage_steps + 1,)
@@ -631,7 +625,6 @@ def assert_records_equal(got, want, vhd_atol=0.0):
     assert got.seed == want.seed
     np.testing.assert_array_equal(got.times, want.times)
     np.testing.assert_array_equal(got.truth_xy, want.truth_xy)
-    np.testing.assert_array_equal(got.tracking_err, want.tracking_err)
     for name in PREDICTORS:
         atol = vhd_atol if name == "vhd" else 0.0
         np.testing.assert_allclose(got.paths[name], want.paths[name], rtol=0.0, atol=atol)
@@ -1019,7 +1012,7 @@ class TestRunBlock:
         onset = track_to_outage(cfg, cfg.base_seed)
         T = cfg.outage_steps
         ukf = open_loop_predict(onset.belief, model, T)
-        vhd = run_outage(onset.belief, onset.window, cfg, T, model, degree=cfg.poly_degree)
+        vhd = run_outage(onset.belief, onset.window, cfg, T, model)
         assert covs.shape == (T, 2, 6)
         for j, beliefs in enumerate((ukf, vhd)):
             ref = np.array([b.cov for b in beliefs])
@@ -1097,7 +1090,7 @@ class TestMonteCarlo:
 
     def test_designated_run_keeps_no_block_array_alive(self):
         run = monte_carlo(dataclasses.replace(SMALL, mc_runs=50)).designated_run
-        arrays = [run.times, run.truth_xy, run.tracking_err, *run.paths.values(), *run.errors.values()]
+        arrays = [run.times, run.truth_xy, *run.paths.values(), *run.errors.values()]
         for array in arrays:
             assert array.base is None or array.base.nbytes == array.nbytes
 
