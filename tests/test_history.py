@@ -122,6 +122,34 @@ class TestFit:
         V = np.vander(tau, 3, increasing=True)
         assert np.linalg.cond(V.T @ V) < 1e6
 
+    @pytest.mark.parametrize("degree", range(4))
+    def test_constant_data_is_held_at_every_horizon(self, degree):
+        p = fit_polynomial(position_window(np.arange(20.0), 4.0, -2.0), degree)
+        t = np.array([0.0, 19.0, 20.0, 60.0])
+        np.testing.assert_allclose(p.position(t), np.tile([4.0, -2.0], (t.size, 1)), atol=1e-9)
+
+    @pytest.mark.parametrize("degree", range(4))
+    @pytest.mark.parametrize("block", [False, True], ids=["single", "block"])
+    def test_polynomial_of_the_fit_degree_is_reproduced(self, degree, block):
+        # a degree-d fit of exact degree-d data is that polynomial, inside
+        # the window and 15 s past its end
+        rng = np.random.default_rng(degree)
+        gen = rng.normal(size=(3, degree + 1, 2)) * 0.5 ** np.arange(degree + 1)[:, None]
+
+        def exact(t):
+            return np.stack([np.stack([npoly.polyval(t, g[:, a]) for a in range(2)], axis=-1) for g in gen])
+
+        times = 0.5 * np.arange(30)
+        states = np.zeros((len(gen), times.size, 6))
+        states[..., [PX, PY]] = exact(times)
+        p = fit_polynomial(Trajectory(times, states if block else states[0]), degree)
+        assert p.degree == degree
+        assert p.coef.shape == ((len(gen),) if block else ()) + (degree + 1, 2)
+        t = np.concatenate([times, times[-1] + 0.1 * np.arange(1, 151)])
+        want = exact(t) if block else exact(t)[0]
+        np.testing.assert_allclose(p.position(t), want, rtol=1e-9, atol=1e-9)
+
+
 class TestExtrapolate:
     def test_boundary_continuity(self):
         times = 0.5 * np.arange(30)

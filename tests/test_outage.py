@@ -171,6 +171,14 @@ class TestRunOutage:
         with pytest.raises(ValueError, match="T_steps"):
             run_outage(b, w, ScenarioConfig(), 0, ca_model(0.1, 0.5))
 
+    def test_poly_degree_beyond_the_window_rejected(self):
+        # the fit takes its degree from the config, so a 3-sample window
+        # cannot carry a cubic
+        w = line_window(n=3)
+        b = GaussianBelief(make_state(), np.eye(6))
+        with pytest.raises(ValueError, match="at least 4 samples to fit degree 3"):
+            run_outage(b, w, ScenarioConfig(poly_degree=3), 5, ca_model(0.1, 0.5))
+
     def test_returns_one_belief_per_step(self):
         w = line_window()
         b = GaussianBelief(make_state(p_x=100.0, v_x=2.0, p_y=26.0, v_y=0.5), np.eye(6))
