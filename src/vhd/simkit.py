@@ -18,16 +18,16 @@ execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `_gain_schedule` steps it once per axis in floats, before
-any draw, and a step's predict and update fold into a transition of the
-config alone: a run's mean is the linear recurrence m_i = M_i m_{i-1} +
-K_i z_i. `run_block` then runs a block of seeds in lockstep as one stack
-of means, with every step's K_i z_i written before its loop. `run_scenario`
-is the per-run reference that the tests compare it against: its tracking
-takes its gains and transitions from the same schedule, one 1-D mean at a
-time, and its outage, once the schedule has checked its covariances, steps
-numpy's 6x6 beliefs. So each run of a block's record equals
-`run_scenario`'s for the same seed bit for bit, but for the `vhd` path,
-whose outage gains and transitions differ in the last bits.
+any draw, folds each tracking step into a per-axis map of the config alone
+and composes the maps of each window period into one: a run's mean at the
+end of a period is that map applied to the mean at its start and the
+period's readings. `run_block` steps a block of seeds in lockstep, one
+stacked product per period (`_track`). `run_scenario` is the per-run
+reference that the tests compare it against: its tracking is the same
+product for one run, and its outage, once the schedule has checked its
+covariances, steps numpy's 6x6 beliefs. So each run of a block's record
+equals `run_scenario`'s for the same seed bit for bit, but for the `vhd`
+path, whose outage gains and transitions differ in the last bits.
 """
 
 from __future__ import annotations
@@ -41,17 +41,7 @@ import numpy as np
 
 from .estimator import GaussianBelief, open_loop_predict
 from .history import Trajectory, _vandermonde, fit_polynomial, lagrange_extrapolate
-from .kinematics import (
-    AX,
-    AY,
-    CaModel,
-    PX,
-    PY,
-    STATE_DIM,
-    VX,
-    VY,
-    ca_model,
-)
+from .kinematics import AX, AY, CaModel, PX, PY, STATE_DIM, VX, VY, ca_model
 from .outage import adaptive_variance, run_outage
 
 PREDICTORS = ("ukf", "lagrange", "vhd")
@@ -393,38 +383,44 @@ class OnsetState:
 
 
 def _window(cfg: ScenarioConfig, means: np.ndarray) -> Trajectory:
-    """The history window, which ends at the onset mean, of one run's
-    (onset_step + 1, 6) tracked means or a block's (runs, ...). `np.take`
-    lays each run's samples out as one run's are, so a block's fit rounds as
-    each run's would."""
-    samples = cfg.window_steps
-    return Trajectory(samples * cfg.dt, np.take(means, samples, axis=-2))
+    """The history window, which ends at the onset mean: the last rows of
+    `_track`'s means of one run or a block. `np.take` lays each run's samples
+    out as one run's are, so a block's fit rounds as each run's would."""
+    return Trajectory(cfg.window_steps * cfg.dt, np.take(means, range(-cfg.window_capacity, 0), axis=-2))
+
+
+def _track(cfg: ScenarioConfig, composed: np.ndarray, segment: list, start, imu, fixes) -> np.ndarray:
+    """A block's (runs, periods + 1, 6) means at the start and at each window
+    period's end, from the (6,) start mean, its (runs, onset_step + 1, 2)
+    accelerometer readings and (runs, fixes, 2) position fixes. Each period's
+    readings lie after its start mean, per axis, as `_compose`'s map reads
+    them (0 for no fix), and one stacked product per period steps them."""
+    runs, c, periods = len(imu), cfg.window_period_steps, len(segment)
+    pad = periods * c - cfg.onset_step
+    buffer = np.zeros((periods + 1, runs, 2, 3 + 2 * c, 1))
+    buffer[0, :, :, :3, 0] = start.reshape(2, 3)
+    # (runs, periods, c, 2) views, in which step i lies at divmod(i - 1 + pad, c)
+    acc, fix = (buffer[:-1, :, :, first::2, 0].transpose(1, 0, 3, 2) for first in (3, 4))
+    acc[:, 0, pad:] = imu[:, 1 : c - pad + 1]
+    acc[:, 1:] = imu[:, c - pad + 1 :].reshape(runs, periods - 1, c, 2)
+    fix[(slice(None), *divmod(cfg.fix_steps - 1 + pad, c))] = fixes
+    for s, prev, means in zip(segment, buffer, buffer[1:, ..., :3, :]):
+        np.matmul(composed[s], prev, out=means)
+    return np.moveaxis(buffer[..., :3, 0], 0, 1).reshape(runs, periods + 1, STATE_DIM)
 
 
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
-    """Run the tracking filter from t = 0 to the outage onset, one run's 1-D
-    mean at a time, with the gains and the onset covariance of
-    `_tracking_schedule`: per step, the predict and the accelerometer update
-    folded into `m = M @ m + K @ z` with the row's `_tracking_transitions`
-    M, then, on a fix step, `update`'s `m + K @ (z - H @ m)` with the
-    position fix."""
+    """Run the tracking filter from t = 0 to the outage onset for one run,
+    with the maps, the onset covariance and the product `run_block` uses."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    gains, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
-    transitions = _tracking_transitions(gains, model)
+    maps, rows, onset = _tracking_maps(cfg, model)
     truth = generate_truth(cfg)
     meas = simulate_measurements(truth, cfg, seed)
-
-    fixes = iter(meas.fix_values)
-    means = np.empty((cfg.onset_step + 1, STATE_DIM))
-    means[0] = m = truth.states[0].copy()
-    for i, (row, fix) in enumerate(zip(acc_rows, fix_rows), 1):
-        m = transitions[row] @ m + gains[row] @ meas.imu_accel[i]
-        if fix >= 0:
-            m = m + gains[fix] @ (next(fixes) - model.H @ m)
-        means[i] = m
+    composed, segment = _compose(maps, rows, cfg.window_period_steps)
+    means = _track(cfg, composed, segment, truth.states[0], meas.imu_accel[None], meas.fix_values[None])[0]
     cov = np.zeros((STATE_DIM, STATE_DIM))
-    cov[:3, :3] = cov[3:, 3:] = covs[-1][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
-    return OnsetState(GaussianBelief(m, cov), _window(cfg, means), model, truth)
+    cov[:3, :3] = cov[3:, 3:] = onset[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+    return OnsetState(GaussianBelief(means[-1], cov), _window(cfg, means), model, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,12 +578,10 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     full period repeats the cycle between them and computes nothing; the
     last segment, from the last fix to the onset, is always computed.
 
-    Returns each row's (6, 2) gain and the six `_AXIS_ENTRIES` of the
+    Returns each row's per-axis gain k and the six `_AXIS_ENTRIES` of the
     covariance after it, and per step 1 .. onset_step the row of its
-    accelerometer update and the row of its fix update, -1 on a step without
-    a fix: the means loops read the fix steps from these rows alone. The
-    last row is the onset step's, so its covariance is the onset
-    covariance."""
+    accelerometer update and of its fix update, -1 on a step without a fix.
+    The last row is the onset step's, so its covariance is the onset's."""
     f, q = _axis_model(model)
     r_acc, r_fix = cfg.accel_white_noise**2, cfg.position_fix_noise**2
     period, full = min(cfg.fix_period_steps, cfg.onset_step), cfg.fix_steps.size
@@ -624,10 +618,7 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     last = done * (period + 1) + np.arange(cfg.onset_step - full * period)
     fix_rows = np.full(cfg.onset_step, -1)
     fix_rows[period - 1 : full * period : period] = source[:-1] * (period + 1) + period
-    # Each row's (6, 2) gain: the x axis's update in column 0, the y axis's in column 1.
-    gains = np.zeros((len(table), STATE_DIM, 2))
-    gains[:, :3, 0] = gains[:, 3:, 1] = table[:, 2:5]
-    return gains, table[:, 5:], np.concatenate([periods, last]), fix_rows
+    return table[:, 2:5], table[:, 5:], np.concatenate([periods, last]), fix_rows
 
 
 def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -655,28 +646,59 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
 
 
 def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
-    """Every gain of a run, from the config alone: the tracking gains and
-    each step's accelerometer and fix rows of them (`_tracking_schedule`);
-    the (T, 3) per-axis `vhd` gains of the outage; and the (T, 2, 6) `ukf` and
-    `vhd` covariances after each outage step, as the six `_AXIS_ENTRIES` of
-    either 3x3 block (`_outage_schedule`). Both halves step one axis in floats, and one mask
-    checks each half's table: a config that overflows the filter, or makes
-    an innovation covariance singular, raises ConfigError at the step at
-    which the reference fails."""
-    gains, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
-    return gains, acc_rows, fix_rows, *_outage_schedule(cfg, model, covs[-1])
+    """Every gain of a run, from the config alone: the tracking's composed
+    maps and each window period's segment of them (`_compose`); the (T, 3)
+    per-axis `vhd` gains of the outage; and the (T, 2, 6) `ukf` and `vhd`
+    covariances after each outage step, as the six `_AXIS_ENTRIES` of either
+    3x3 block (`_outage_schedule`). Both halves step one axis in floats, and
+    one mask checks each half's table: a config that overflows the filter, or
+    makes an innovation covariance singular, raises ConfigError at the step
+    at which the reference fails."""
+    maps, rows, onset = _tracking_maps(cfg, model)
+    return *_compose(maps, rows, cfg.window_period_steps), *_outage_schedule(cfg, model, onset)
 
 
-def _tracking_transitions(gains: np.ndarray, model: CaModel) -> np.ndarray:
-    """The (rows, 6, 6) mean transition M = (I - K H_acc) F of each tracking
-    gain row K: a step's predict and accelerometer update take a mean m to
-    M m + K z. It depends on the config alone, as the gains do. F keeps each
-    acceleration, so H_acc F = H_acc and M is F less K in the acceleration
-    columns: `(I - K @ H_acc) @ F` gives the same bits, but through two
-    temporaries of M's size."""
-    transitions = np.repeat(model.F[None], len(gains), axis=0)
-    transitions[..., [AX, AY]] -= gains
-    return transitions
+def _tracking_maps(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-axis (n + 1, 3, 5) maps [M | k_acc | k_fix] of
+    `_tracking_schedule`'s accelerometer rows, the identity last; each step's
+    map; and the onset covariance's six `_AXIS_ENTRIES`. A map takes an
+    axis's [m; z_acc; z_fix] to the step's mean: M = (I - k_acc e2^T) F is F
+    less k_acc in column 2, as F keeps each acceleration, and on a fix step
+    the position update makes it (I - k_fix e0^T) [M | k_acc], k_fix in
+    column 4."""
+    k, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
+    fixed = fix_rows >= 0
+    acc = np.ones(len(k), dtype=bool)
+    acc[fix_rows[fixed]] = False
+    maps = np.zeros((np.count_nonzero(acc) + 1, 3, 5))
+    maps[:-1, :, :3] = model.F[:3, :3]
+    maps[:-1, :, 2], maps[:-1, :, 3] = model.F[:3, 2] - k[acc], k[acc]
+    maps[-1, :, :3] = np.eye(3)
+    rows = (np.cumsum(acc) - 1)[acc_rows]
+    fix_maps, k_fix = rows[fixed], k[fix_rows[fixed]]
+    maps[fix_maps, :, :4] -= k_fix[:, :, None] * maps[fix_maps, :1, :4]
+    maps[fix_maps, :, 4] = k_fix
+    return maps, rows, covs[-1]
+
+
+def _compose(maps: np.ndarray, rows: np.ndarray, c: int) -> tuple[np.ndarray, list]:
+    """The per-axis (segments, 3, 3 + 2c) map of each distinct run of c
+    steps of `rows`, which takes an axis's [m; z_acc, z_fix of each step] to
+    its last mean, and each window period's segment. Identity steps (row -1)
+    pad the front, so that every segment ends on a window step. Each distinct
+    segment, keyed by its rows' bytes, is composed once, forward as a mean is
+    stepped: step t's maps, gathered for all segments, take every column."""
+    periods = np.concatenate([np.full(-len(rows) % c, -1), rows]).reshape(-1, c)
+    index: dict[bytes, int] = {}
+    segment = [index.setdefault(p.tobytes(), len(index)) for p in periods]
+    distinct = np.frombuffer(b"".join(index), dtype=periods.dtype).reshape(-1, c)
+    composed = np.zeros((len(distinct), 3, 3 + 2 * c))
+    composed[:, :, :3] = np.eye(3)
+    for t in range(c):
+        step = maps[distinct[:, t]]
+        composed[:, :, : 3 + 2 * t] = step[..., :3] @ composed[:, :, : 3 + 2 * t]
+        composed[:, :, 3 + 2 * t : 5 + 2 * t] = step[..., 3:]
+    return composed, segment
 
 
 # ----------------------------------------------------------------------
@@ -695,24 +717,16 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     run_scenario(cfg, seeds[k]), bit for bit but for the `vhd` path (see
     below).
 
-    `_gain_schedule` computes each gain once, before anything is drawn, and
-    each step's predict and update fold into a transition of the config
-    alone: `m_i = M_i m_{i-1} + K_i z_i`. Then the truth is generated once,
-    each seed gets its own measurements, and each run is that linear
-    recurrence on its mean. Every step's measurement term `K_i z_i` is
-    written before the loop, one exact product per entry; the loop then
-    adds one stacked product per step. The block's means are one
-    (runs, 6, 1) stack of columns: the stacked matmul rounds each column as
-    track_to_outage's loop rounds a 1-D mean (`einsum` or `m @ M.T` would
-    not, and the polynomial extrapolations amplify that). On a fix step the
-    tracking loop applies the fix row's gain to the next stacked fix, as
-    `update` does. The window fit and the Lagrange interpolant are each one
-    broadcast solve for the block.
-
-    The tracking gains, transitions and onset covariance are the
-    reference's own (`_tracking_schedule`, `_tracking_transitions`), so the
-    tracked means and the window are its bit for bit. The outage `ukf` means
-    step `F @ m` as `open_loop_predict` does. The `vhd` means step per axis
+    `_gain_schedule` computes each gain and each window period's composed
+    map once, before anything is drawn. Then the truth is generated once,
+    each seed gets its own measurements, and `_track` steps the block one
+    stacked product per period, as track_to_outage steps one run, so the
+    tracked means and the window are the reference's bit for bit: the
+    stacked matmul rounds each run's column as it would a block of one
+    (`einsum` or `m @ M.T` would not, and the polynomial extrapolations
+    amplify that). The window fit and the Lagrange interpolant are each one
+    broadcast solve for the block. The outage `ukf` means step `F @ m` as
+    `open_loop_predict` does. The `vhd` means step per axis
     with the (T, 3, 3) transitions `(I - k e0^T) F` of the per-axis float
     gains (`_outage_schedule`), where the reference's `run_outage` uses
     numpy's 6x6 `predict` and `update`, so the `vhd` path differs from the
@@ -732,8 +746,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     seeds = [int(s) for s in seeds]
     runs = len(seeds)
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    gains, acc_rows, fix_rows, vhd_gains, _ = _gain_schedule(cfg, model)
-    transitions = _tracking_transitions(gains, model)
+    composed, segment, vhd_gains, _ = _gain_schedule(cfg, model)
     # The vhd update of an axis measures its entry 0 with gain k, so its
     # transition (I - k e0^T) F is F less k times F's row 0.
     vhd_transitions = vhd_gains[:, :, None] * -model.F[0, :3]
@@ -744,27 +757,13 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
         raise ConfigError(f"the truth is not finite at step {np.argmin(finite)}: the config's trajectory or current overflows it")
     meas = [simulate_measurements(truth, cfg, s) for s in seeds]
     imu = np.stack([ms.imu_accel for ms in meas])
-    fixes = iter(np.stack([ms.fix_values for ms in meas], axis=1)[..., None])
+    fixes = np.stack([ms.fix_values for ms in meas])
     del meas
     finite = np.isfinite(imu).all(axis=(0, 2))
     if not finite.all():
         raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
-    # Each step as in track_to_outage: every step's accelerometer term K z
-    # first, one exact product per entry; then per step the transition and,
-    # on a fix step, `update`'s expression with the next fix.
-    tracked = np.empty((runs, cfg.onset_step + 1, STATE_DIM, 1))
-    tracked[:, 0] = truth.states[0][:, None]
-    np.multiply(gains[acc_rows, :3, 0][:, None], imu[:, 1:, :, None], out=tracked.reshape(runs, -1, 2, 3)[:, 1:])
-    del imu
-    # The loops walk views of one step's (runs, 6, 1) means.
-    steps = np.moveaxis(tracked, 1, 0)
-    for prev, means, row, fix in zip(steps, steps[1:], acc_rows, fix_rows):
-        means += transitions[row] @ prev
-        if fix >= 0:
-            means += gains[fix] @ (next(fixes) - model.H @ means)
-    window = _window(cfg, _finite(tracked, "means")[..., 0])
-    # prev and means are views of tracked, and would keep it alive.
-    del fixes, tracked, steps, prev, means, gains, transitions, acc_rows, fix_rows
+    window = _window(cfg, _finite(_track(cfg, composed, segment, truth.states[0], imu, fixes), "means"))
+    del imu, fixes, composed, segment
 
     # Outage, as in open_loop_predict and run_outage.
     T = cfg.outage_steps

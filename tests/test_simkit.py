@@ -64,6 +64,13 @@ ENGINE_CONFIGS = {
     # The fix period (1000 steps) is past the onset: one segment, no fix.
     "no fix before the onset": ScenarioConfig(fix_rate=0.01),
     "fix_rate 2, onset 100 s": ScenarioConfig(outage_start=100.0, duration=140.0, fix_rate=2.0),
+    # Window periods of other shapes: a 25-step fix period across 10-step
+    # periods, one step per period, 20 steps per period, and an onset off the
+    # window grid, whose first period is padded with identity steps.
+    "fix_rate 0.4": ScenarioConfig(fix_rate=0.4),
+    "dt 1, fix_rate 0.5": ScenarioConfig(dt=1.0, fix_rate=0.5),
+    "dt 0.05": ScenarioConfig(dt=0.05),
+    "dt 0.5, onset 60.5 s": ScenarioConfig(dt=0.5, outage_start=60.5, duration=110.5),
 }
 
 
@@ -109,9 +116,7 @@ def assert_tracking_schedule_is_plain(cfg):
     for acc, fix, updates in zip(acc_rows.tolist(), fix_rows.tolist(), plain):
         assert (fix >= 0) == (len(updates) == 2)
         for row, (k, cov) in zip((acc, fix), updates):
-            want = np.zeros((6, 2))
-            want[:3, 0] = want[3:, 1] = k
-            np.testing.assert_array_equal(gains[row], want)
+            assert gains[row].tolist() == list(k)
             assert covs[row].tolist() == list(cov)
     assert covs[-1].tolist() == list(plain[-1][-1][1])
     return gains
@@ -492,13 +497,13 @@ class TestTrackToOutage:
 
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_window_and_onset_mean_equal_a_predict_update_chain(self, name):
-        # The reference folds each step's predict and accelerometer update
-        # into one transition, with the schedule's per-axis float gains. A
-        # plain chain of `predict` and `update` on the same seed's readings
-        # rounds otherwise and computes its own 6x6 gains, so it holds the
-        # means to a bound fixed from float64 eps: 64 eps of the chain's
-        # largest mean entry (measured: 13.7 eps with no fix before the
-        # onset, at most 4.2 eps otherwise, and 3.6 eps on a 1000 s track).
+        # The reference steps each window period with one map, composed from
+        # its steps' folded predicts and updates with the schedule's per-axis
+        # float gains. A plain chain of `predict` and `update` on the same
+        # seed's readings rounds otherwise and computes its own 6x6 gains, so
+        # it holds the means to a bound fixed from float64 eps: 64 eps of the
+        # chain's largest mean entry (measured: 7.6 eps with no fix before the
+        # onset, at most 4.9 eps otherwise, and 2.7 eps on a 1000 s track).
         cfg = ENGINE_CONFIGS[name]
         model = ca_model(cfg.dt, cfg.sigma_jerk)
         onset = track_to_outage(cfg, cfg.base_seed)
@@ -759,10 +764,7 @@ class TestRunBlock:
         cfg = ENGINE_CONFIGS[name]
         gains, covs, acc_rows, fix_rows = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
         assert acc_rows.shape == fix_rows.shape == (cfg.onset_step,)
-        assert gains.shape == (len(covs), 6, 2) and covs.shape == (len(covs), 6)
-        np.testing.assert_array_equal(gains[:, :3, 0], gains[:, 3:, 1])
-        np.testing.assert_array_equal(gains[:, 3:, 0], 0.0)
-        np.testing.assert_array_equal(gains[:, :3, 1], 0.0)
+        assert gains.shape == (len(covs), 3) and covs.shape == (len(covs), 6)
         # The steps with a fix row are the config's fix steps, and each fix
         # row follows its step's accelerometer row.
         np.testing.assert_array_equal(np.flatnonzero(fix_rows >= 0) + 1, cfg.fix_steps)
@@ -779,20 +781,38 @@ class TestRunBlock:
             assert replayed == list(range(791, 991))
             np.testing.assert_array_equal(acc_rows[790:990], acc_rows[770:970])
             np.testing.assert_array_equal(fix_rows[790:990], fix_rows[770:970])
-        elif name not in ("onset 100.5 s", "fix_rate 2, onset 100 s"):
-            # The other tracks end before a period's start repeats, or, without
-            # process noise, the covariance keeps shrinking and never repeats.
+        elif name not in ("onset 100.5 s", "fix_rate 2, onset 100 s", "dt 1, fix_rate 0.5", "dt 0.5, onset 60.5 s"):
+            # Those replay a cycle too (with 1 s steps from step 33, with 0.5 s
+            # steps from step 67). The other tracks end before a period's start
+            # repeats, or, without process noise, the covariance keeps
+            # shrinking and never repeats.
             assert replayed == []
 
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
-    def test_tracking_transitions_are_the_folded_predict_and_update(self, name):
-        # Bit for bit numpy's (I - K H_acc) F, which the transitions write
-        # out as F less K in the acceleration columns.
+    def test_tracking_maps_are_the_folded_predict_and_updates(self, name):
+        # A step's map is [M | k_acc | 0] with numpy's M = (I - k_acc e2^T) F,
+        # bit for bit, which the maps write out as F less k_acc in column 2;
+        # on a fix step the fix's (I - k_fix e0^T) multiplies [M | k_acc]
+        # (the maps subtract k_fix times row 0: within 4 eps of the row) and
+        # k_fix is column 4. One map per accelerometer row, the identity last.
         cfg = ENGINE_CONFIGS[name]
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        gains = simkit._tracking_schedule(cfg, model)[0]
-        want = (np.eye(6) - gains @ accel_measurement_matrix()) @ model.F
-        np.testing.assert_array_equal(simkit._tracking_transitions(gains, model), want)
+        gains, covs, acc_rows, fix_rows = simkit._tracking_schedule(cfg, model)
+        maps, rows, onset = simkit._tracking_maps(cfg, model)
+        assert rows.shape == (cfg.onset_step,) and len(maps) == len(set(acc_rows.tolist())) + 1
+        np.testing.assert_array_equal(maps[-1], np.eye(3, 5))
+        np.testing.assert_array_equal(onset, covs[-1])
+        k = gains[acc_rows]
+        want = np.zeros((cfg.onset_step, 3, 5))
+        want[:, :, :3] = (np.eye(3) - k[:, :, None] * np.eye(3)[2]) @ model.F[:3, :3]
+        want[:, :, 3] = k
+        plain = fix_rows < 0
+        np.testing.assert_array_equal(maps[rows[plain]], want[plain])
+        k_fix = gains[fix_rows[~plain]]
+        want[~plain, :, :4] = (np.eye(3) - k_fix[:, :, None] * np.eye(3)[0]) @ want[~plain, :, :4]
+        want[~plain, :, 4] = k_fix
+        atol = 4 * np.finfo(float).eps * np.abs(want[~plain]).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(maps[rows[~plain]] - want[~plain]) <= atol)
 
     def test_converged_tracking_gains_are_replayed(self, monkeypatch):
         cfg = ENGINE_CONFIGS["onset 100 s"]
@@ -1020,6 +1040,58 @@ class TestRunBlock:
             for block in (ref[:, :3, :3], ref[:, 3:, 3:]):
                 want = np.stack([block[:, a, b] for a, b in simkit._AXIS_ENTRIES], axis=-1)
                 np.testing.assert_allclose(covs[:, j], want, rtol=COV_RTOL, atol=0.0)
+
+
+class TestCompose:
+    def test_identity_padding_keeps_a_mean_bit_exact(self):
+        # An onset off the window grid pads the first period with one
+        # identity step: its map is the first step's, bit for bit, with zero
+        # columns for the padding step's readings. Identity steps alone map
+        # [m; readings] to m bit for bit.
+        cfg = ENGINE_CONFIGS["dt 0.5, onset 60.5 s"]
+        maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
+        assert cfg.window_period_steps == 2 and len(segment) == (cfg.onset_step + 1) // 2
+        first = maps[rows[0]]
+        np.testing.assert_array_equal(composed[segment[0]], np.hstack([first[:, :3], np.zeros((3, 2)), first[:, 3:]]))
+        identity, segment = simkit._compose(maps, np.full(6, -1), 3)
+        assert segment == [0, 0]
+        m = np.array([1234.5678, -0.123, 3e-7])
+        column = np.r_[m, np.random.default_rng(5).normal(size=6)][:, None]
+        np.testing.assert_array_equal(identity[0] @ column, m[:, None])
+
+    @pytest.mark.parametrize("name", ["default", "fix_rate 0.4", "dt 0.05", "dt 0.5, onset 60.5 s"])
+    def test_a_composed_segment_equals_its_steps_one_at_a_time(self, name):
+        # Every period's composed map, applied to [m; readings], equals its
+        # step maps applied one at a time, identity padding first, within 8
+        # eps of the sum of the magnitudes of the composed product's terms.
+        cfg = ENGINE_CONFIGS[name]
+        c = cfg.window_period_steps
+        maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        composed, segment = simkit._compose(maps, rows, c)
+        padded = np.r_[np.full(len(segment) * c - len(rows), -1), rows].reshape(-1, c)
+        rng = np.random.default_rng(11)
+        for period, s in zip(padded, segment):
+            m, readings = rng.normal(0.0, 100.0, size=3), rng.normal(size=(c, 2))
+            want = m
+            for row, z in zip(period, readings):
+                want = maps[row] @ np.r_[want, z]
+            column = np.r_[m, readings.ravel()]
+            bound = 8 * np.finfo(float).eps * (np.abs(composed[s]) @ np.abs(column))
+            assert np.all(np.abs(composed[s] @ column - want) <= bound)
+
+    @pytest.mark.parametrize(
+        ("cfg", "periods", "distinct"),
+        [(ScenarioConfig(), 60, 60), (ScenarioConfig(outage_start=1000.0, duration=1040.0), 1000, 80)],
+        ids=["default", "1000 s track"],
+    )
+    def test_each_distinct_segment_is_composed_once(self, cfg, periods, distinct):
+        # The 1000 s track replays the 2-cycle of fix periods 78 and 79, so
+        # its 1000 periods take 80 distinct segments of 23 columns.
+        maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
+        assert len(segment) == periods and composed.shape == (distinct, 3, 23)
+        assert sorted(set(segment)) == list(range(distinct))
 
 
 class TestMonteCarlo:

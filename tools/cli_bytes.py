@@ -40,6 +40,8 @@ RUN_TIMEOUT_S = 600.0
 # Case name -> (config lines, extra CLI arguments). They cover the default
 # batch serially and through the pool, the two long workloads of the
 # benchmark, a denser fix rate with a high-degree fit and interpolant, a
+# finer step with a sparser fix rate and an onset off the window grid (a fix
+# inside a window period, and identity steps padding the first one), a
 # second geometry: a turn from t = 0 the other way, from another heading,
 # against a current from another direction, and every key set at once.
 CASES = {
@@ -50,6 +52,10 @@ CASES = {
     "fix_rate 2, degree 5, 12 nodes": (
         ["sensor.fix_rate = 2", "vhd.poly_degree = 5", "baseline.lagrange_nodes = 12"],
         ["--runs", "12"],
+    ),
+    "dt 0.05, fix_rate 0.4, onset 60.5": (
+        ["sim.dt = 0.05", "sensor.fix_rate = 0.4", "sim.outage_start = 60.5", "sim.duration = 110"],
+        ["--runs", "4"],
     ),
     "turn from 0 at -0.3 rad/s, heading 1.2, current at 200 deg": (
         ["traj.turn_start = 0", "traj.turn_rate = -0.3", "traj.initial_heading = 1.2", "current.heading_deg = 200"],
