@@ -125,6 +125,10 @@ _AGGREGATION_NOTE = (
 )
 
 
+# Rows per `%` in `_csv`: far fewer calls than one a row, far fewer live floats than one a table.
+_CSV_ROWS = 256
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -172,11 +176,12 @@ def _summary_json(cfg: ScenarioConfig, result: McResult, predictors) -> str:
 
 
 def _csv(columns: dict[str, np.ndarray]) -> str:
-    # One `%` per row, on the row's Python floats, which format as `_fmt`
-    # formats numpy's; only one row of them is alive at a time.
+    # One `%` per block of _CSV_ROWS rows, on the block's Python floats, which
+    # format as `_fmt` formats numpy's; only one block of them is alive at a time.
     row = ",".join(["%.6g"] * len(columns)) + "\n"
     table = np.column_stack(list(columns.values()))
-    return "".join([",".join(columns) + "\n"] + [row % tuple(values.tolist()) for values in table])
+    blocks = np.split(table, range(_CSV_ROWS, len(table), _CSV_ROWS))
+    return "".join([",".join(columns) + "\n"] + [row * len(part) % tuple(part.ravel().tolist()) for part in blocks])
 
 
 def _error_series_csv(result: McResult, predictors) -> str:

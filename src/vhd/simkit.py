@@ -18,16 +18,16 @@ execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `_gain_schedule` steps it once per axis in floats, before
-any draw, folds each tracking step into a per-axis map of the config alone
-and composes the maps of each window period into one: a run's mean at the
-end of a period is that map applied to the mean at its start and the
-period's readings. `run_block` steps a block of seeds in lockstep, one
-stacked product per period (`_track`). `run_scenario` is the per-run
-reference that the tests compare it against: its tracking is the same
-product for one run, and its outage, once the schedule has checked its
-covariances, steps numpy's 6x6 beliefs. So each run of a block's record
-equals `run_scenario`'s for the same seed bit for bit, but for the `vhd`
-path, whose outage gains and transitions differ in the last bits.
+any draw, folds each step into a per-axis map of the config alone and
+composes the maps of each window period, and of each block of `vhd` outage
+steps, into one: a run's mean at a period's end is that map applied to the
+mean at its start and the period's readings. `run_block` steps a block of
+seeds in lockstep, one stacked product per period (`_track`) and per
+outage block. `run_scenario` is the per-run reference that the tests
+compare it against: its tracking is the same product for one run, and its
+outage, once the schedule has checked its covariances, steps numpy's 6x6
+beliefs. So each run of a block's record equals `run_scenario`'s for the
+same seed bit for bit, but for the `vhd` path, which differs in the last bits.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ from .outage import adaptive_variance, run_outage
 PREDICTORS = ("ukf", "lagrange", "vhd")
 
 _GRID_TOL = 1e-9
+
+# Outage steps per composed `vhd` block; not the window period, whose c may be 1000.
+_OUTAGE_BLOCK = 10
 
 # Most steps a run may simulate (onset_step + outage_steps): about 1000x the
 # longest benchmark run, and far below a grid whose truth cannot be allocated.
@@ -450,12 +453,11 @@ class RunRecord:
 
 def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
             ukf: np.ndarray, vhd: np.ndarray) -> RunRecord:
-    """One run's record from its (T + 1, 6) ukf and vhd means, or a block's from
-    (runs, T + 1, 6) ones. Row 0 of the means is the onset belief; it also
+    """One run's record from its (T + 1, 2) ukf and vhd positions, or a
+    block's from (runs, T + 1, 2) ones. Row 0 is the onset mean's; it also
     opens the Lagrange path."""
     times = cfg.outage_start + np.arange(cfg.outage_steps + 1) * cfg.dt
     truth_xy = truth.states[cfg.onset_step :, [PX, PY]]  # the truth ends at the outage end
-    ukf, vhd = ukf[..., [PX, PY]], vhd[..., [PX, PY]]
     lagrange = lagrange_extrapolate(window, times[1:], cfg.lagrange_nodes)
     paths = {"ukf": ukf, "lagrange": np.concatenate([ukf[..., :1, :], lagrange], axis=-2), "vhd": vhd}
     errors = {name: np.linalg.norm(paths[name] - truth_xy, axis=-1) for name in PREDICTORS}
@@ -476,7 +478,7 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])
     ukf = [b0] + open_loop_predict(b0, model, T)
     vhd = [b0] + run_outage(b0, onset.window, cfg, T, model)
-    means = [np.array([b.mean for b in beliefs]) for beliefs in (ukf, vhd)]
+    means = [np.array([b.mean for b in beliefs])[:, [PX, PY]] for beliefs in (ukf, vhd)]
     return _record(cfg, seed, onset.truth, onset.window, *means)
 
 
@@ -647,15 +649,23 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
 
 def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
     """Every gain of a run, from the config alone: the tracking's composed
-    maps and each window period's segment of them (`_compose`); the (T, 3)
-    per-axis `vhd` gains of the outage; and the (T, 2, 6) `ukf` and `vhd`
+    maps and each window period's segment of them (`_compose`); the `vhd`
+    outage's blocks of `_OUTAGE_BLOCK` steps and their prefix rows, composed
+    alike; and the (T, 2, 6) `ukf` and `vhd`
     covariances after each outage step, as the six `_AXIS_ENTRIES` of either
     3x3 block (`_outage_schedule`). Both halves step one axis in floats, and
     one mask checks each half's table: a config that overflows the filter, or
     makes an innovation covariance singular, raises ConfigError at the step
     at which the reference fails."""
     maps, rows, onset = _tracking_maps(cfg, model)
-    return *_compose(maps, rows, cfg.window_period_steps), *_outage_schedule(cfg, model, onset)
+    gains, covs = _outage_schedule(cfg, model, onset)
+    # The vhd update of an axis measures its entry 0 with gain k, so its map
+    # [(I - k e0^T) F | k] is F less k times F's row 0; the identity last.
+    vhd = np.zeros((len(gains) + 1, 3, 4))
+    np.subtract(model.F[:3, :3], gains[:, :, None] * model.F[0, :3], out=vhd[:-1, :, :3])
+    vhd[:-1, :, 3], vhd[-1, :, :3] = gains, np.eye(3)
+    blocks, _, prefix = _compose(vhd, np.arange(len(gains)), _OUTAGE_BLOCK, prefix=True)
+    return *_compose(maps, rows, cfg.window_period_steps), blocks, prefix, covs
 
 
 def _tracking_maps(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -681,24 +691,30 @@ def _tracking_maps(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.
     return maps, rows, covs[-1]
 
 
-def _compose(maps: np.ndarray, rows: np.ndarray, c: int) -> tuple[np.ndarray, list]:
-    """The per-axis (segments, 3, 3 + 2c) map of each distinct run of c
-    steps of `rows`, which takes an axis's [m; z_acc, z_fix of each step] to
-    its last mean, and each window period's segment. Identity steps (row -1)
-    pad the front, so that every segment ends on a window step. Each distinct
-    segment, keyed by its rows' bytes, is composed once, forward as a mean is
-    stepped: step t's maps, gathered for all segments, take every column."""
+def _compose(maps: np.ndarray, rows: np.ndarray, c: int, prefix: bool = False) -> tuple:
+    """The per-axis (segments, 3, 3 + rc) map of each distinct run of c
+    steps of `rows` of the (n + 1, 3, 3 + r) `maps` (the identity last), which
+    takes an axis's [m; the r readings of each step] to its last mean, and
+    each run's segment. Identity steps (row -1) pad the front, so that every
+    segment ends on a run's last step. Each distinct segment, keyed by its
+    rows' bytes, is composed once, forward as a mean is stepped: step t's
+    maps, gathered for all segments, take every column. With `prefix`, also
+    each step's row 0 of its partial map, (segments, c, 3 + rc): its position."""
+    r = maps.shape[-1] - 3
     periods = np.concatenate([np.full(-len(rows) % c, -1), rows]).reshape(-1, c)
     index: dict[bytes, int] = {}
     segment = [index.setdefault(p.tobytes(), len(index)) for p in periods]
     distinct = np.frombuffer(b"".join(index), dtype=periods.dtype).reshape(-1, c)
-    composed = np.zeros((len(distinct), 3, 3 + 2 * c))
+    composed = np.zeros((len(distinct), 3, 3 + r * c))
     composed[:, :, :3] = np.eye(3)
+    firsts = np.empty((len(distinct), c if prefix else 0, 3 + r * c))
     for t in range(c):
         step = maps[distinct[:, t]]
-        composed[:, :, : 3 + 2 * t] = step[..., :3] @ composed[:, :, : 3 + 2 * t]
-        composed[:, :, 3 + 2 * t : 5 + 2 * t] = step[..., 3:]
-    return composed, segment
+        composed[:, :, : 3 + r * t] = step[..., :3] @ composed[:, :, : 3 + r * t]
+        composed[:, :, 3 + r * t : 3 + r * (t + 1)] = step[..., 3:]
+        if prefix:
+            firsts[:, t] = composed[:, 0]
+    return (composed, segment, firsts) if prefix else (composed, segment)
 
 
 # ----------------------------------------------------------------------
@@ -726,9 +742,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     (`einsum` or `m @ M.T` would not, and the polynomial extrapolations
     amplify that). The window fit and the Lagrange interpolant are each one
     broadcast solve for the block. The outage `ukf` means step `F @ m` as
-    `open_loop_predict` does. The `vhd` means step per axis
-    with the (T, 3, 3) transitions `(I - k e0^T) F` of the per-axis float
-    gains (`_outage_schedule`), where the reference's `run_outage` uses
+    `open_loop_predict` does. The `vhd` means step per axis, one product per
+    block of `_OUTAGE_BLOCK` steps of the float gains (`_outage_schedule`),
+    and each step's position is its block's prefix row's; `run_outage` steps
     numpy's 6x6 `predict` and `update`, so the `vhd` path differs from the
     reference's in the last bits: by about 1e-12 m over a 300 s outage.
 
@@ -746,11 +762,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     seeds = [int(s) for s in seeds]
     runs = len(seeds)
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    composed, segment, vhd_gains, _ = _gain_schedule(cfg, model)
-    # The vhd update of an axis measures its entry 0 with gain k, so its
-    # transition (I - k e0^T) F is F less k times F's row 0.
-    vhd_transitions = vhd_gains[:, :, None] * -model.F[0, :3]
-    vhd_transitions += model.F[:3, :3]
+    composed, segment, blocks, prefix, _ = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
     finite = np.isfinite(truth.states).all(axis=1)
     if not finite.all():
@@ -766,22 +778,30 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     del imu, fixes, composed, segment
 
     # Outage, as in open_loop_predict and run_outage.
-    T = cfg.outage_steps
+    T, B = cfg.outage_steps, _OUTAGE_BLOCK
     poly = fit_polynomial(window, cfg.poly_degree)
     # (runs, T, 2): the virtual fixes of each outage step
     virtual = poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt)
-    paths = np.empty((2, runs, T + 1, STATE_DIM, 1))
-    paths[:, :, 0] = window.states[:, -1, :, None]
-    # The vhd means as one (3, 1) column per run and axis: every step's K z
-    # first, then one product per step for both axes.
-    vhd = paths[1].reshape(runs, T + 1, 2, 3, 1)
-    np.multiply(vhd_gains[:, None], virtual[..., None], out=vhd[:, 1:, ..., 0])
-    del virtual
-    ukf, vhd = np.moveaxis(paths[0], 1, 0), np.moveaxis(vhd, 1, 0)
-    for ukf_prev, ukf_means, vhd_prev, vhd_means, M in zip(ukf, ukf[1:], vhd, vhd[1:], vhd_transitions):
-        np.matmul(model.F, ukf_prev, out=ukf_means)
-        vhd_means += M @ vhd_prev
-    ukf, vhd = _finite(paths, "means")[..., 0]
+    ukf = np.empty((runs, T + 1, STATE_DIM, 1))
+    ukf[:, 0] = window.states[:, -1, :, None]
+    steps = np.moveaxis(ukf, 1, 0)
+    for prev, means in zip(steps, steps[1:]):
+        np.matmul(model.F, prev, out=means)
+    # The vhd means per axis, as `_track` lays a period out: each block's
+    # start mean, then its virtual fixes, padded at the front as the blocks.
+    pad = len(blocks) * B - T
+    buffer = np.zeros((len(blocks) + 1, runs, 2, 3 + B, 1))
+    buffer[0, ..., :3, 0] = window.states[:, -1].reshape(runs, 2, 3)
+    buffer[:-1, ..., 3:, 0] = np.pad(virtual, ((0, 0), (pad, 0), (0, 0))).reshape(runs, -1, B, 2).transpose(1, 0, 3, 2)
+    for block, prev, starts in zip(blocks, buffer, buffer[1:, ..., :3, :]):
+        np.matmul(block, prev, out=starts)
+    # (blocks, runs, 2, B): every step's position, from its block's column
+    xy = (prefix[:, None, None] @ buffer[:-1])[..., 0]
+    del virtual, blocks, prefix
+    for values in (ukf, buffer, xy):
+        _finite(values, "means")
+    ukf = ukf[..., [PX, PY], 0]
+    vhd = np.concatenate([ukf[:, :1], xy.transpose(1, 0, 3, 2).reshape(runs, -1, 2)[:, pad:]], axis=1)
     return _record(cfg, np.array(seeds), truth, window, ukf, vhd)
 
 

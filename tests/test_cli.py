@@ -13,6 +13,7 @@ from vhd import ScenarioConfig, adaptive_noise
 from vhd.cli import (
     _SCHEMA,
     ConfigError,
+    _csv,
     _parse_lines,
     config_values,
     load_config,
@@ -230,6 +231,20 @@ class TestRunCommand:
         for cell in row:
             mantissa = cell.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 6
+
+    # Around one block of `_csv`'s rows per `%` (256), and a 300 s outage's
+    # 3001 rows; the cells take special values at the table's edges.
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 3001])
+    def test_csv_is_one_percent_per_row_byte_for_byte(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = {f"c{j}": rng.normal(size=rows) * 10.0 ** rng.integers(-320, 308, size=rows) for j in range(9)}
+        specials = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308]
+        for j, values in enumerate(columns.values()):
+            values[[0, -1]] = specials[j % len(specials)], specials[(j + 3) % len(specials)]
+        row = ",".join(["%.6g"] * len(columns)) + "\n"
+        table = np.column_stack(list(columns.values()))
+        want = ",".join(columns) + "\n" + "".join(row % tuple(values.tolist()) for values in table)
+        assert _csv(columns) == want
 
     def test_summary_json_structure(self, bundle):
         out, cfg = bundle

@@ -71,6 +71,11 @@ ENGINE_CONFIGS = {
     "dt 1, fix_rate 0.5": ScenarioConfig(dt=1.0, fix_rate=0.5),
     "dt 0.05": ScenarioConfig(dt=0.05),
     "dt 0.5, onset 60.5 s": ScenarioConfig(dt=0.5, outage_start=60.5, duration=110.5),
+    # Outages that are not a whole number of vhd blocks (`_OUTAGE_BLOCK`
+    # steps): one step, a single block padded with identity steps, and 407
+    # steps, whose first block is padded with 3.
+    "outage 0.1 s": ScenarioConfig(outage_duration=0.1),
+    "outage 40.7 s": ScenarioConfig(outage_duration=40.7),
 }
 
 
@@ -619,6 +624,10 @@ class TestRunScenario:
 # 9.1e-13 m over a 300 s outage, 1.1e-13 m on the default config).
 VHD_ATOL = 1e-10
 
+# The benchmark's bound on its designated run's distance from run_scenario's
+# paths, in meters (perfbench/run.py's DESIGNATED_ATOL_M).
+DESIGNATED_ATOL_M = 1e-9
+
 # How far the per-axis outage covariances may lie from the reference
 # beliefs' blocks, relative to each entry (measured: 3.2e-15).
 COV_RTOL = 1e-13
@@ -638,6 +647,7 @@ def assert_records_equal(got, want, vhd_atol=0.0):
 
 OVERFLOW = "the filter covariance is not finite at step {}: the config's values overflow the filter"
 SINGULAR = "the filter innovation covariance is singular or not positive definite at step {}"
+MEANS_OVERFLOW = "the filter means is not finite: the config's values overflow the filter"
 
 # Configs that break the filter, each with the error run_block raises.
 FILTER_ERRORS = {
@@ -896,6 +906,50 @@ class TestRunBlock:
         rec = run_scenario(cfg, SMALL.base_seed)
         assert_records_equal(run_block(cfg, [SMALL.base_seed]).run(0), rec, vhd_atol=VHD_ATOL)
 
+    def test_the_long_outage_run_is_the_reference_run_within_the_bench_tolerance(self):
+        # The benchmark's long_blackout geometry and seed: 300 s of composed
+        # vhd blocks stay within the bench's designated-run bound of the
+        # reference's 6x6 steps (measured: 1.1e-12 m), and the ukf and
+        # lagrange paths are the reference's bit for bit.
+        cfg = ScenarioConfig(duration=360.0, outage_duration=300.0, mc_runs=1)
+        got = run_block(cfg, [1234]).run(0)
+        assert_records_equal(got, run_scenario(cfg, 1234), vhd_atol=DESIGNATED_ATOL_M)
+
+    def test_virtual_fixes_that_overflow_raise_at_the_outage_means_check(self, monkeypatch):
+        # At 1e306 m/s the tracked window is finite, but its fit's normal
+        # equations overflow, so the virtual fixes and the vhd block starts
+        # and positions are not.
+        windows = []
+
+        def fit(window, degree, _fit=simkit.fit_polynomial):
+            windows.append(window)
+            return _fit(window, degree)
+
+        monkeypatch.setattr(simkit, "fit_polynomial", fit)
+        with pytest.raises(ConfigError) as info:
+            run_block(ScenarioConfig(cruise_speed=1e306), [1234, 7])
+        assert str(info.value) == MEANS_OVERFLOW
+        assert len(windows) == 1 and np.isfinite(windows[0].states).all()
+
+    @pytest.mark.parametrize("name", ["default", "outage 0.1 s", "outage 40.7 s"])
+    def test_a_last_virtual_fix_that_is_not_finite_raises_at_the_outage_means_check(self, monkeypatch, name):
+        # Only the last step's position, and the last block's end, are NaN:
+        # the check covers the tail of the last block.
+        class LastFixNaN:
+            def __init__(self, poly):
+                self.poly, self.window_end = poly, poly.window_end
+
+            def position(self, t):
+                z = self.poly.position(t)
+                z[..., -1, :] = np.nan
+                return z
+
+        fit = simkit.fit_polynomial
+        monkeypatch.setattr(simkit, "fit_polynomial", lambda window, degree: LastFixNaN(fit(window, degree)))
+        with pytest.raises(ConfigError) as info:
+            run_block(ENGINE_CONFIGS[name], [1234])
+        assert str(info.value) == MEANS_OVERFLOW
+
     def test_filter_overflow_raises_config_error(self):
         with pytest.raises(ConfigError, match="not finite"):
             run_block(ScenarioConfig(sigma_jerk=1e151), [1234])
@@ -957,9 +1011,11 @@ class TestRunBlock:
             (COLLAPSE, True),
             (ScenarioConfig(position_fix_noise=9.5e153), False),
             (STREAM_OVERFLOW, True),
+            # The window's fit overflows, and so the virtual fixes.
+            (ScenarioConfig(cruise_speed=1e306), True),
         ],
         ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153",
-             "accel_bias_walk 7e307"],
+             "accel_bias_walk 7e307", "cruise_speed 1e306"],
     )
     def test_the_engine_fails_where_the_reference_fails(self, cfg, fails):
         def raises(run, error):
@@ -1092,6 +1148,57 @@ class TestCompose:
         composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
         assert len(segment) == periods and composed.shape == (distinct, 3, 23)
         assert sorted(set(segment)) == list(range(distinct))
+
+
+def vhd_outage_maps(cfg):
+    """The per-axis (T + 1, 3, 4) maps [(I - k e0^T) F | k] of the vhd
+    outage steps, by numpy's products of the schedule's gains k, the
+    identity last."""
+    model = ca_model(cfg.dt, cfg.sigma_jerk)
+    gains = simkit._outage_schedule(cfg, model, simkit._tracking_maps(cfg, model)[2])[0]
+    maps = [np.hstack([(np.eye(3) - np.outer(k, np.eye(3)[0])) @ model.F[:3, :3], k[:, None]]) for k in gains]
+    return np.stack(maps + [np.eye(3, 4)])
+
+
+class TestOutageBlocks:
+    def test_outage_block_padding_keeps_a_start_mean_bit_exact(self):
+        # 407 steps pad the first block with 3 identity steps: their prefix
+        # rows take [m; z] to m's position bit for bit, and their readings'
+        # columns are 0. Identity steps alone map [m; z] to m bit for bit.
+        cfg, B = ENGINE_CONFIGS["outage 40.7 s"], simkit._OUTAGE_BLOCK
+        blocks, prefix = simkit._gain_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))[2:4]
+        pad = -cfg.outage_steps % B
+        assert pad == 3 and blocks.shape == (41, 3, 3 + B) and prefix.shape == (41, B, 3 + B)
+        np.testing.assert_array_equal(blocks[0, :, 3 : 3 + pad], 0.0)
+        np.testing.assert_array_equal(prefix[0, :, 3 : 3 + pad], 0.0)
+        m = np.array([1234.5678, -0.123, 3e-7])
+        column = np.r_[m, np.random.default_rng(5).normal(size=B)]
+        np.testing.assert_array_equal(prefix[0, :pad] @ column, m[0])
+        identity, segment, firsts = simkit._compose(vhd_outage_maps(cfg), np.full(2 * B, -1), B, prefix=True)
+        assert segment == [0, 0]
+        np.testing.assert_array_equal(identity[0] @ column, m)
+        np.testing.assert_array_equal(firsts[0] @ column, m[0])
+
+    @pytest.mark.parametrize("name", ["default", "outage 0.1 s", "outage 40.7 s"])
+    def test_outage_block_prefix_rows_equal_the_steps_one_at_a_time(self, name):
+        # Each block's prefix row t, applied to [m; z], equals its step maps
+        # applied one at a time up to step t, padding first, and the block's
+        # map equals them all, within 8 eps of the sum of the magnitudes of
+        # the composed product's terms. Every block is distinct, in order.
+        cfg, B = ENGINE_CONFIGS[name], simkit._OUTAGE_BLOCK
+        maps, T = vhd_outage_maps(cfg), cfg.outage_steps
+        blocks, segment, prefix = simkit._compose(maps, np.arange(T), B, prefix=True)
+        assert segment == list(range(-(-T // B)))
+        padded = np.r_[np.full(len(segment) * B - T, -1), np.arange(T)].reshape(-1, B)
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for rows, block, firsts in zip(padded, blocks, prefix):
+            m, z = rng.normal(0.0, 100.0, size=3), rng.normal(0.0, 100.0, size=B)
+            column, want = np.r_[m, z], m
+            for row, zt, first in zip(rows, z, firsts):
+                want = maps[row] @ np.r_[want, zt]
+                assert abs(first @ column - want[0]) <= 8 * eps * (np.abs(first) @ np.abs(column))
+            assert np.all(np.abs(block @ column - want) <= 8 * eps * (np.abs(block) @ np.abs(column)))
 
 
 class TestMonteCarlo:

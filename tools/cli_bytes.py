@@ -39,7 +39,9 @@ RUN_TIMEOUT_S = 600.0
 
 # Case name -> (config lines, extra CLI arguments). They cover the default
 # batch serially and through the pool, the two long workloads of the
-# benchmark, a denser fix rate with a high-degree fit and interpolant, a
+# benchmark, an outage that is not a whole number of vhd blocks (its first
+# block padded with identity steps) and whose CSVs end on a part-filled
+# block of rows, a denser fix rate with a high-degree fit and interpolant, a
 # finer step with a sparser fix rate and an onset off the window grid (a fix
 # inside a window period, and identity steps padding the first one), a
 # second geometry: a turn from t = 0 the other way, from another heading,
@@ -48,6 +50,7 @@ CASES = {
     "default": ([], []),
     "default --jobs 3": ([], ["--jobs", "3"]),
     "300 s outage": (["sim.duration = 360", "sim.outage_duration = 300"], ["--runs", "3"]),
+    "300.7 s outage": (["sim.duration = 361", "sim.outage_duration = 300.7"], ["--runs", "2"]),
     "1000 s track": (["sim.duration = 1040", "sim.outage_start = 1000"], ["--runs", "2"]),
     "fix_rate 2, degree 5, 12 nodes": (
         ["sensor.fix_rate = 2", "vhd.poly_degree = 5", "baseline.lagrange_nodes = 12"],
