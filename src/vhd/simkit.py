@@ -22,12 +22,14 @@ any draw, folds each step into a per-axis map of the config alone and
 composes the maps of each window period, and of each block of `vhd` outage
 steps, into one: a run's mean at a period's end is that map applied to the
 mean at its start and the period's readings. `run_block` steps a block of
-seeds in lockstep, one stacked product per period (`_track`) and per
-outage block. `run_scenario` is the per-run reference that the tests
-compare it against: its tracking is the same product for one run, and its
-outage, once the schedule has checked its covariances, steps numpy's 6x6
-beliefs. So each run of a block's record equals `run_scenario`'s for the
-same seed bit for bit, but for the `vhd` path, which differs in the last bits.
+seeds in lockstep, one stacked product per period (`_track`) and per `vhd`
+outage block; the `ukf` positions are a closed form of the onset mean
+(`_open_loop_positions`). `run_scenario` is the per-run reference that the
+tests compare it against: it shares the tracking product and the `ukf`
+closed form, and its `vhd` outage, once the schedule has checked its
+covariances, steps numpy's 6x6 beliefs. So each run of a block's record
+equals `run_scenario`'s for the same seed bit for bit, but for the `vhd`
+path, which differs in the last bits.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import GaussianBelief, open_loop_predict
+from .estimator import GaussianBelief
 from .history import Trajectory, _vandermonde, fit_polynomial, lagrange_extrapolate
 from .kinematics import AX, AY, CaModel, PX, PY, STATE_DIM, VX, VY, ca_model
 from .outage import adaptive_variance, run_outage
@@ -464,8 +466,25 @@ def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
     return RunRecord(seed, times, truth_xy, paths, errors)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _open_loop_positions(cfg: ScenarioConfig, onset: np.ndarray) -> np.ndarray:
+    """The `ukf` positions of the outage, (..., T + 1, 2), from (..., 6) onset
+    means: row 0 of F^k is [1, t, t^2 / 2] per axis, with t = k dt, so step
+    k's position is p + t v + (t^2 / 2) a. Row 0 is the onset mean's, copied:
+    `0 * v` would turn a -0.0 into 0.0. Every step is elementwise, so it
+    rounds alike for any number of runs and under any BLAS kernel."""
+    t = (np.arange(1, cfg.outage_steps + 1) * cfg.dt)[:, None]
+    p, v, a = (onset[..., None, [i, i + 3]] for i in (PX, VX, AX))
+    xy = np.empty(onset.shape[:-1] + (cfg.outage_steps + 1, 2))
+    xy[..., 0, :] = onset[..., [PX, PY]]
+    xy[..., 1:, :] = p + t * v + (t**2 / 2) * a
+    return xy
+
+
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
-    """Track to onset, then branch the three predictors over the outage.
+    """Track to onset, then branch the three predictors over the outage: the
+    `ukf` positions in closed form, as `run_block` computes them, and the
+    `vhd` path by numpy's 6x6 `predict` and `update`.
 
     Before the outage, the engine's `_outage_schedule` checks its
     covariances, so a config that overflows the filter or makes an
@@ -476,10 +495,9 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     onset = track_to_outage(cfg, seed)
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])
-    ukf = [b0] + open_loop_predict(b0, model, T)
+    ukf = _finite(_open_loop_positions(cfg, b0.mean), "means")
     vhd = [b0] + run_outage(b0, onset.window, cfg, T, model)
-    means = [np.array([b.mean for b in beliefs])[:, [PX, PY]] for beliefs in (ukf, vhd)]
-    return _record(cfg, seed, onset.truth, onset.window, *means)
+    return _record(cfg, seed, onset.truth, onset.window, ukf, np.array([b.mean for b in vhd])[:, [PX, PY]])
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +532,8 @@ def _axis_model(model: CaModel) -> tuple[tuple, tuple]:
 def _axis_predicted(p: tuple, f: tuple, q: tuple) -> tuple:
     """`predict`'s covariance of one axis's 3x3 block in floats: (F P) F^T + Q,
     from and to the six `_AXIS_ENTRIES` of P, with F's (dt, dt^2 / 2) as `f`
-    and the entries of Q's block as `q`."""
+    and the entries of Q's block as `q`. F^k has F's form with (k dt,
+    (k dt)^2 / 2), and `f` and `q` may be arrays of steps."""
     p00, p01, p02, p11, p12, p22 = p
     dt, h = f
     # Rows 0 and 1 of F P; row 2 is P's.
@@ -623,49 +642,58 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     return table[:, 2:5], table[:, 5:], np.concatenate([periods, last]), fix_rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The outage half of `_gain_schedule`, from the onset covariance's six
     `_AXIS_ENTRIES`, as in open_loop_predict and run_outage: the (T, 3)
-    `vhd` gain k of each step's update of either axis, and the covariances.
+    `vhd` gain k of each step's update of either axis, and the (T, 2, 6)
+    `ukf` and `vhd` covariances after each step.
 
     The onset covariance is two equal 3x3 blocks with a zero cross block, and
     F, Q and each outage update (a position fix with R = r I) keep it so. So
-    each predictor's step is that of one axis, in floats: six covariance
-    entries, and for `vhd` one innovation variance s and one gain k.
+    each predictor's step is that of one axis: six covariance entries, and
+    for `vhd` one innovation variance s and one gain k.
 
-    Each step appends its 16 floats (`ukf`'s entries, s, k and `vhd`'s
-    entries) to one array, and one mask checks them all (`_check`)."""
+    The `ukf` covariance after k steps is F(t) P F(t)^T + Q(t) with t = k dt,
+    as F and the white-jerk Q compose exactly over steps: `_axis_predicted`
+    with F(t)'s (t, t^2 / 2), on every step at once. Each Q(t) term is
+    grouped as q * (t**5 / 20), so that q * t**5 does not overflow on its
+    own. The `vhd` steps run in floats, each appending its 10 floats (s, k
+    and the entries) to one array. With the `ukf` entries first, they form
+    one 16-column table, and one mask checks it (`_check`)."""
     f, q = _axis_model(model)
-    ukf = vhd = tuple(onset.tolist())
+    vhd = p0 = tuple(onset.tolist())
     rows = array("d")
     for k in range(1, cfg.outage_steps + 1):
-        ukf = _axis_predicted(ukf, f, q)
         vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(cfg, k * cfg.dt))
-        rows.extend((*ukf, s, *gain, *vhd))
-    table = np.frombuffer(rows).reshape(-1, 16)
+        rows.extend((s, *gain, *vhd))
+    t, q = np.arange(1, cfg.outage_steps + 1) * cfg.dt, cfg.sigma_jerk**2
+    ukf = _axis_predicted(p0, (t, t**2 / 2), (q * (t**5 / 20), q * (t**4 / 8), q * (t**3 / 6),
+                                               q * (t**3 / 3), q * (t**2 / 2), q * t))
+    table = np.column_stack([*ukf, np.frombuffer(rows).reshape(-1, 10)])
+    del ukf, rows
     _check(table, 6, range(cfg.onset_step + 1, cfg.onset_step + 1 + len(table)))
     return table[:, 7:10].copy(), np.delete(table, np.s_[6:10], axis=1).reshape(-1, 2, 6)
 
 
 def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...]:
     """Every gain of a run, from the config alone: the tracking's composed
-    maps and each window period's segment of them (`_compose`); the `vhd`
+    maps and each window period's segment of them (`_compose`); and the `vhd`
     outage's blocks of `_OUTAGE_BLOCK` steps and their prefix rows, composed
-    alike; and the (T, 2, 6) `ukf` and `vhd`
-    covariances after each outage step, as the six `_AXIS_ENTRIES` of either
-    3x3 block (`_outage_schedule`). Both halves step one axis in floats, and
-    one mask checks each half's table: a config that overflows the filter, or
-    makes an innovation covariance singular, raises ConfigError at the step
-    at which the reference fails."""
+    alike. Both halves' covariances are checked, one mask per half's table
+    (`_tracking_schedule`, `_outage_schedule`): a config that overflows the
+    filter, or makes an innovation covariance singular, raises ConfigError
+    at the step at which the reference fails. The outage covariances are
+    dropped once checked: nothing in a batch reads them."""
     maps, rows, onset = _tracking_maps(cfg, model)
-    gains, covs = _outage_schedule(cfg, model, onset)
+    gains = _outage_schedule(cfg, model, onset)[0]
     # The vhd update of an axis measures its entry 0 with gain k, so its map
     # [(I - k e0^T) F | k] is F less k times F's row 0; the identity last.
     vhd = np.zeros((len(gains) + 1, 3, 4))
     np.subtract(model.F[:3, :3], gains[:, :, None] * model.F[0, :3], out=vhd[:-1, :, :3])
     vhd[:-1, :, 3], vhd[-1, :, :3] = gains, np.eye(3)
     blocks, _, prefix = _compose(vhd, np.arange(len(gains)), _OUTAGE_BLOCK, prefix=True)
-    return *_compose(maps, rows, cfg.window_period_steps), blocks, prefix, covs
+    return *_compose(maps, rows, cfg.window_period_steps), blocks, prefix
 
 
 def _tracking_maps(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -741,8 +769,9 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     stacked matmul rounds each run's column as it would a block of one
     (`einsum` or `m @ M.T` would not, and the polynomial extrapolations
     amplify that). The window fit and the Lagrange interpolant are each one
-    broadcast solve for the block. The outage `ukf` means step `F @ m` as
-    `open_loop_predict` does. The `vhd` means step per axis, one product per
+    broadcast solve for the block. The outage `ukf` positions are
+    `_open_loop_positions`' closed form, which run_scenario shares, on every
+    step and run at once. The `vhd` means step per axis, one product per
     block of `_OUTAGE_BLOCK` steps of the float gains (`_outage_schedule`),
     and each step's position is its block's prefix row's; `run_outage` steps
     numpy's 6x6 `predict` and `update`, so the `vhd` path differs from the
@@ -762,7 +791,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     seeds = [int(s) for s in seeds]
     runs = len(seeds)
     model = ca_model(cfg.dt, cfg.sigma_jerk)
-    composed, segment, blocks, prefix, _ = _gain_schedule(cfg, model)
+    composed, segment, blocks, prefix = _gain_schedule(cfg, model)
     truth = generate_truth(cfg)
     finite = np.isfinite(truth.states).all(axis=1)
     if not finite.all():
@@ -777,16 +806,13 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     window = _window(cfg, _finite(_track(cfg, composed, segment, truth.states[0], imu, fixes), "means"))
     del imu, fixes, composed, segment
 
-    # Outage, as in open_loop_predict and run_outage.
+    # Outage: the ukf positions in closed form, as in run_scenario; the vhd
+    # means as in run_outage.
     T, B = cfg.outage_steps, _OUTAGE_BLOCK
     poly = fit_polynomial(window, cfg.poly_degree)
     # (runs, T, 2): the virtual fixes of each outage step
     virtual = poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt)
-    ukf = np.empty((runs, T + 1, STATE_DIM, 1))
-    ukf[:, 0] = window.states[:, -1, :, None]
-    steps = np.moveaxis(ukf, 1, 0)
-    for prev, means in zip(steps, steps[1:]):
-        np.matmul(model.F, prev, out=means)
+    ukf = _open_loop_positions(cfg, window.states[:, -1])
     # The vhd means per axis, as `_track` lays a period out: each block's
     # start mean, then its virtual fixes, padded at the front as the blocks.
     pad = len(blocks) * B - T
@@ -800,7 +826,6 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     del virtual, blocks, prefix
     for values in (ukf, buffer, xy):
         _finite(values, "means")
-    ukf = ukf[..., [PX, PY], 0]
     vhd = np.concatenate([ukf[:, :1], xy.transpose(1, 0, 3, 2).reshape(runs, -1, 2)[:, pad:]], axis=1)
     return _record(cfg, np.array(seeds), truth, window, ukf, vhd)
 

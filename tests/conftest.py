@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from vhd import McResult, ScenarioConfig, monte_carlo, run_block
+from vhd import McResult, ScenarioConfig, monte_carlo, run_block, simkit
 
 settings.register_profile(
     "suite",
@@ -44,6 +44,21 @@ def default_block(default_cfg):
     """The block record of the default seed range, for per-run statistics.
     The lockstep engine builds it; TestRunBlock ties it to run_scenario."""
     return run_block(default_cfg, range(default_cfg.base_seed, default_cfg.base_seed + default_cfg.mc_runs))
+
+
+@pytest.fixture
+def exact_ukf(monkeypatch):
+    """Make every ukf path the truth, and so every ukf error 0, by
+    construction: a noise-free ukf path is the truth only within rounding."""
+    block_of = simkit.run_block
+
+    def exact(cfg, seeds):
+        block = block_of(cfg, seeds)
+        block.paths["ukf"][:] = block.truth_xy
+        block.errors["ukf"][:] = 0.0
+        return block
+
+    monkeypatch.setattr(simkit, "run_block", exact)
 
 
 _acceptance_lines: list[str] = []

@@ -431,9 +431,9 @@ class TestMain:
         assert "base_seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_ukf_rmse_runs_without_reductions(self, tmp_path, capsys):
-        # No current, no sensor noise and no turn: the open-loop path is
-        # exact, so there is no ukf RMSE to reduce.
+    def test_zero_ukf_rmse_runs_without_reductions(self, tmp_path, capsys, exact_ukf):
+        # No current, no sensor noise and no turn, and a ukf path that is the
+        # truth by construction: there is no ukf RMSE to reduce.
         cfg_path = tiny_cfg_file(
             tmp_path,
             "current.speed = 0\nsensor.position_fix_noise = 0\nsensor.accel_white_noise = 0\n"

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from vhd import (
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model, propagate_truth
 from vhd import simkit
+from vhd.cli import _summary_json, _summary_text
 from vhd.history import _vandermonde
 from vhd.estimator import GaussianBelief, predict, update
 from vhd.outage import adaptive_noise
@@ -77,6 +79,24 @@ ENGINE_CONFIGS = {
     "outage 0.1 s": ScenarioConfig(outage_duration=0.1),
     "outage 40.7 s": ScenarioConfig(outage_duration=40.7),
 }
+
+# The benchmark's long_blackout geometry: a 300 s outage after a 60 s track.
+LONG_BLACKOUT = ScenarioConfig(duration=360.0, outage_duration=300.0, mc_runs=1)
+
+
+def assert_open_loop_chain(cfg, xy, onset):
+    """(T + 1, 2) ukf positions equal an `open_loop_predict` chain from the
+    onset belief: row 0 bit for bit, and every later row within T eps of the
+    chain's largest coordinate. The closed form rounds each step's position
+    once, from the onset mean; the chain rounds `F @ m` at every step, so its
+    error may grow by about one eps of the path's magnitude a step. The bound
+    was fixed from that before measuring: the default config reads 0.18 of
+    it, the 300 s outage 0.06."""
+    chain = open_loop_predict(onset.belief, onset.model, cfg.outage_steps)
+    path = np.array([b.mean[[PX, PY]] for b in chain])
+    np.testing.assert_array_equal(xy[0], onset.belief.mean[[PX, PY]])
+    bound = cfg.outage_steps * np.finfo(float).eps * np.abs(path).max()
+    np.testing.assert_allclose(xy[1:], path, rtol=0.0, atol=bound)
 
 
 def accel_bias(truth, cfg, seed):
@@ -558,12 +578,11 @@ class TestRunScenario:
             )
 
     def test_open_loop_branch_is_reproducible(self, default_block):
+        # The block's ukf path is the open-loop chain's, within the chain's
+        # rounding (`assert_open_loop_chain`).
         cfg = ScenarioConfig()
         rec = default_block.run(0)
-        onset = track_to_outage(cfg, seed=rec.seed)
-        seq = open_loop_predict(onset.belief, onset.model, cfg.outage_steps)
-        path = np.array([[b.mean[PX], b.mean[PY]] for b in seq])
-        np.testing.assert_array_equal(rec.paths["ukf"][1:], path)
+        assert_open_loop_chain(cfg, rec.paths["ukf"], track_to_outage(cfg, seed=rec.seed))
 
     @pytest.mark.parametrize("cfg, seed", [(ScenarioConfig(), 1234), (SMALL, 77)])
     def test_lagrange_path_equals_the_per_step_oracle(self, cfg, seed):
@@ -911,9 +930,8 @@ class TestRunBlock:
         # vhd blocks stay within the bench's designated-run bound of the
         # reference's 6x6 steps (measured: 1.1e-12 m), and the ukf and
         # lagrange paths are the reference's bit for bit.
-        cfg = ScenarioConfig(duration=360.0, outage_duration=300.0, mc_runs=1)
-        got = run_block(cfg, [1234]).run(0)
-        assert_records_equal(got, run_scenario(cfg, 1234), vhd_atol=DESIGNATED_ATOL_M)
+        got = run_block(LONG_BLACKOUT, [1234]).run(0)
+        assert_records_equal(got, run_scenario(LONG_BLACKOUT, 1234), vhd_atol=DESIGNATED_ATOL_M)
 
     def test_virtual_fixes_that_overflow_raise_at_the_outage_means_check(self, monkeypatch):
         # At 1e306 m/s the tracked window is finite, but its fit's normal
@@ -1058,7 +1076,8 @@ class TestRunBlock:
         # 0, so the step's gain is NaN and the check of s names the step.
         cfg, bad_step = ScenarioConfig(), 123
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        before = simkit._gain_schedule(cfg, model)[-1][bad_step - 2, 1]
+        onset = simkit._tracking_maps(cfg, model)[2]
+        before = simkit._outage_schedule(cfg, model, onset)[1][bad_step - 2, 1]
         p00 = simkit._axis_predicted(tuple(before.tolist()), *simkit._axis_model(model))[0]
         variance = simkit.adaptive_variance
 
@@ -1084,7 +1103,7 @@ class TestRunBlock:
         # Every step's per-axis entries equal both 3x3 blocks of the
         # reference's 6x6 beliefs to COV_RTOL, and the cross blocks are 0.
         model = ca_model(cfg.dt, cfg.sigma_jerk)
-        covs = simkit._gain_schedule(cfg, model)[-1]
+        covs = simkit._outage_schedule(cfg, model, simkit._tracking_maps(cfg, model)[2])[1]
         onset = track_to_outage(cfg, cfg.base_seed)
         T = cfg.outage_steps
         ukf = open_loop_predict(onset.belief, model, T)
@@ -1201,6 +1220,35 @@ class TestOutageBlocks:
             assert np.all(np.abs(block @ column - want) <= 8 * eps * (np.abs(block) @ np.abs(column)))
 
 
+# The closed-form ukf outage on every engine geometry and over 300 s.
+OPEN_LOOP_CONFIGS = {**ENGINE_CONFIGS, "long_blackout": LONG_BLACKOUT}
+
+
+class TestOpenLoop:
+    @pytest.mark.parametrize("name", list(OPEN_LOOP_CONFIGS))
+    def test_open_loop_positions_are_the_predict_chain(self, name):
+        # The positions that run_block and run_scenario share, against
+        # numpy's 6x6 predict chain.
+        cfg = OPEN_LOOP_CONFIGS[name]
+        onset = track_to_outage(cfg, 1234)
+        assert_open_loop_chain(cfg, simkit._open_loop_positions(cfg, onset.belief.mean), onset)
+
+    @pytest.mark.parametrize("name", list(OPEN_LOOP_CONFIGS))
+    def test_open_loop_covariances_are_the_float_recurrence(self, name):
+        # The schedule's closed-form ukf entries, against `_axis_predicted`
+        # stepped once per outage step in floats, to COV_RTOL.
+        cfg = OPEN_LOOP_CONFIGS[name]
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        onset = simkit._tracking_maps(cfg, model)[2]
+        covs = simkit._outage_schedule(cfg, model, onset)[1][:, 0]
+        f, q = simkit._axis_model(model)
+        cov, want = tuple(onset.tolist()), []
+        for _ in range(cfg.outage_steps):
+            cov = simkit._axis_predicted(cov, f, q)
+            want.append(cov)
+        np.testing.assert_allclose(covs, want, rtol=COV_RTOL, atol=0.0)
+
+
 class TestMonteCarlo:
     def test_single_run_aggregate_equals_the_run(self):
         cfg = ScenarioConfig(
@@ -1249,16 +1297,33 @@ class TestMonteCarlo:
             assert serial.rmse_m[name] == parallel.rmse_m[name]
             assert serial.terminal_mean_m[name] == parallel.terminal_mean_m[name]
 
-    def test_zero_ukf_rmse_has_no_reduction(self):
+    def test_zero_ukf_rmse_has_no_reduction(self, exact_ukf):
+        # Every ukf error is 0: there is no baseline RMSE to reduce, and the
+        # writers print "--" for each reduction.
+        result = monte_carlo(SMALL)
+        assert result.rmse_m["ukf"] == 0.0
+        assert result.reduction_vs_ukf_pct == {}
+        for row in _summary_text(SMALL, result, PREDICTORS).splitlines()[-len(PREDICTORS):]:
+            assert row.split()[-1] == "--"
+        payload = json.loads(_summary_json(SMALL, result, PREDICTORS))
+        assert not any("reduction_vs_ukf_pct" in entry for entry in payload["predictors"].values())
+
+    @pytest.mark.parametrize(("heading", "speed"), [(0.0, 2.0), (0.0, 2.7), (1.2, 1.5)])
+    def test_a_noise_free_ukf_path_is_the_truth_within_rounding(self, heading, speed):
+        # No current, no sensor noise and no turn: the open-loop path is the
+        # truth but for rounding. The truth sums each step's rounded move,
+        # and the closed form rounds once from the onset mean, so the ukf
+        # RMSE is within T eps of the largest truth coordinate (fixed before
+        # measuring; these geometries read at most 0.28 of it).
         exact = dataclasses.replace(
             SMALL,
             current_speed=0.0,
             position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0,
-            turn_rate=0.0,
+            turn_rate=0.0, initial_heading=heading, cruise_speed=speed,
         )
         result = monte_carlo(exact)
-        assert result.rmse_m["ukf"] == 0.0
-        assert result.reduction_vs_ukf_pct == {}
+        truth_xy = result.designated_run.truth_xy
+        assert result.rmse_m["ukf"] <= exact.outage_steps * np.finfo(float).eps * np.abs(truth_xy).max()
 
     def test_bad_job_count_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
