@@ -18,18 +18,15 @@ execute serially or in parallel.
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `_gain_schedule` steps it once per axis in floats, before
-any draw, folds each step into a per-axis map of the config alone and
-composes the maps of each window period, and of each block of `vhd` outage
-steps, into one: a run's mean at a period's end is that map applied to the
-mean at its start and the period's readings. `run_block` steps a block of
-seeds in lockstep, one stacked product per period (`_track`) and per `vhd`
-outage block; the `ukf` positions are a closed form of the onset mean
-(`_open_loop_positions`). `run_scenario` is the per-run reference that the
-tests compare it against: it shares the tracking product and the `ukf`
-closed form, and its `vhd` outage, once the schedule has checked its
-covariances, steps numpy's 6x6 beliefs. So each run of a block's record
-equals `run_scenario`'s for the same seed bit for bit, but for the `vhd`
-path, which differs in the last bits.
+any draw, folds each update into a per-axis map of the config alone
+(`_fold`) and composes the maps of each window period, and of each block of
+`vhd` outage steps, into one. `run_block` steps a block of seeds in
+lockstep through them, one stacked product per period and per block
+(`_step`); the `ukf` positions are a closed form of the onset mean.
+`run_scenario` is the per-run reference that the tests compare it against:
+it shares the onset path (`_tracked`: the truth, the streams, their checks
+and the tracking) and the `ukf` closed form, and so the engine's errors; its
+`vhd` outage steps numpy's 6x6 beliefs, and differs in the last bits.
 """
 
 from __future__ import annotations
@@ -389,43 +386,71 @@ class OnsetState:
 
 def _window(cfg: ScenarioConfig, means: np.ndarray) -> Trajectory:
     """The history window, which ends at the onset mean: the last rows of
-    `_track`'s means of one run or a block. `np.take` lays each run's samples
-    out as one run's are, so a block's fit rounds as each run's would."""
+    `_tracked`'s means of one run or a block. `np.take` lays each run's
+    samples out as one run's are, so a block's fit rounds as each run's would."""
     return Trajectory(cfg.window_steps * cfg.dt, np.take(means, range(-cfg.window_capacity, 0), axis=-2))
 
 
-def _track(cfg: ScenarioConfig, composed: np.ndarray, segment: list, start, imu, fixes) -> np.ndarray:
-    """A block's (runs, periods + 1, 6) means at the start and at each window
-    period's end, from the (6,) start mean, its (runs, onset_step + 1, 2)
-    accelerometer readings and (runs, fixes, 2) position fixes. Each period's
-    readings lie after its start mean, per axis, as `_compose`'s map reads
-    them (0 for no fix), and one stacked product per period steps them."""
-    runs, c, periods = len(imu), cfg.window_period_steps, len(segment)
-    pad = periods * c - cfg.onset_step
-    buffer = np.zeros((periods + 1, runs, 2, 3 + 2 * c, 1))
-    buffer[0, :, :, :3, 0] = start.reshape(2, 3)
-    # (runs, periods, c, 2) views, in which step i lies at divmod(i - 1 + pad, c)
-    acc, fix = (buffer[:-1, :, :, first::2, 0].transpose(1, 0, 3, 2) for first in (3, 4))
-    acc[:, 0, pad:] = imu[:, 1 : c - pad + 1]
-    acc[:, 1:] = imu[:, c - pad + 1 :].reshape(runs, periods - 1, c, 2)
-    fix[(slice(None), *divmod(cfg.fix_steps - 1 + pad, c))] = fixes
+def _step(composed: np.ndarray, segment, start: np.ndarray, readings: np.ndarray, fixes=None) -> np.ndarray:
+    """Step a block of runs through `_compose`'s maps, one stacked product per
+    segment, from the (6,) or (runs, 6) start mean, a (runs, n, 2) reading of
+    each step 1 .. n and, with `fixes` (steps, (runs, len(steps), 2)), a
+    second reading of the fix steps (0 on the others). Returns the (segments
+    + 1, runs, 2, 3 + rc, 1) buffer: per axis, each segment's start mean and
+    its readings as its map reads them, padded at the front as `_compose` pads."""
+    r = 1 if fixes is None else 2
+    runs, n = readings.shape[:2]
+    c = (composed.shape[-1] - 3) // r
+    pad = len(segment) * c - n
+    buffer = np.zeros((len(segment) + 1, runs, 2, 3 + r * c, 1))
+    buffer[0, :, :, :3, 0] = start.reshape(-1, 2, 3)
+    # (runs, segments, c, 2) views of a reading column: step i lies at divmod(i - 1 + pad, c)
+    first = buffer[:-1, :, :, 3::r, 0].transpose(1, 0, 3, 2)
+    first[:, 0, pad:] = readings[:, : c - pad]
+    first[:, 1:] = readings[:, c - pad :].reshape(runs, -1, c, 2)
+    if fixes is not None:
+        steps, values = fixes
+        buffer[:-1, :, :, 4::2, 0].transpose(1, 0, 3, 2)[(slice(None), *divmod(steps - 1 + pad, c))] = values
     for s, prev, means in zip(segment, buffer, buffer[1:, ..., :3, :]):
         np.matmul(composed[s], prev, out=means)
-    return np.moveaxis(buffer[..., :3, 0], 0, 1).reshape(runs, periods + 1, STATE_DIM)
+    return buffer
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _tracked(cfg: ScenarioConfig, composed: np.ndarray, segment: list, seeds) -> tuple[Trajectory, np.ndarray]:
+    """The truth and a block's (runs, periods + 1, 6) means at the start and
+    at each window period's end: each seed's streams, stepped by `_step`.
+
+    A config whose truth is not finite raises ConfigError before any sensor
+    stream is drawn, and one whose accelerometer readings are not finite
+    (their bias walk overflows) before any tracking, naming the block's first
+    such step; means that are not finite raise it after. With numpy's
+    overflow and invalid-value warnings off, that error is all such a config
+    reports, from `run_block` and `track_to_outage` alike."""
+    truth = generate_truth(cfg)
+    finite = np.isfinite(truth.states).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"the truth is not finite at step {np.argmin(finite)}: the config's trajectory or current overflows it")
+    meas = [simulate_measurements(truth, cfg, s) for s in seeds]
+    imu = np.stack([ms.imu_accel for ms in meas])
+    fixes = np.stack([ms.fix_values for ms in meas])
+    del meas
+    finite = np.isfinite(imu).all(axis=(0, 2))
+    if not finite.all():
+        raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
+    buffer = _step(composed, segment, truth.states[0], imu[:, 1:], (cfg.fix_steps, fixes))
+    return truth, _finite(np.moveaxis(buffer[..., :3, 0], 0, 1).reshape(len(seeds), -1, STATE_DIM), "means")
 
 
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     """Run the tracking filter from t = 0 to the outage onset for one run,
-    with the maps, the onset covariance and the product `run_block` uses."""
+    with the maps, the onset covariance and the `_tracked` that `run_block` uses."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     maps, rows, onset = _tracking_maps(cfg, model)
-    truth = generate_truth(cfg)
-    meas = simulate_measurements(truth, cfg, seed)
-    composed, segment = _compose(maps, rows, cfg.window_period_steps)
-    means = _track(cfg, composed, segment, truth.states[0], meas.imu_accel[None], meas.fix_values[None])[0]
+    truth, means = _tracked(cfg, *_compose(maps, rows, cfg.window_period_steps), [seed])
     cov = np.zeros((STATE_DIM, STATE_DIM))
     cov[:3, :3] = cov[3:, 3:] = onset[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
-    return OnsetState(GaussianBelief(means[-1], cov), _window(cfg, means), model, truth)
+    return OnsetState(GaussianBelief(means[0, -1], cov), _window(cfg, means[0]), model, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,36 +712,34 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...
     dropped once checked: nothing in a batch reads them."""
     maps, rows, onset = _tracking_maps(cfg, model)
     gains = _outage_schedule(cfg, model, onset)[0]
-    # The vhd update of an axis measures its entry 0 with gain k, so its map
-    # [(I - k e0^T) F | k] is F less k times F's row 0; the identity last.
-    vhd = np.zeros((len(gains) + 1, 3, 4))
-    np.subtract(model.F[:3, :3], gains[:, :, None] * model.F[0, :3], out=vhd[:-1, :, :3])
-    vhd[:-1, :, 3], vhd[-1, :, :3] = gains, np.eye(3)
+    # The vhd update of an axis measures its entry 0 after F; the identity last.
+    vhd = np.concatenate([_fold(model.F[:3, :3], gains, 0), np.eye(3, 4)[None]])
     blocks, _, prefix = _compose(vhd, np.arange(len(gains)), _OUTAGE_BLOCK, prefix=True)
     return *_compose(maps, rows, cfg.window_period_steps), blocks, prefix
 
 
+def _fold(maps: np.ndarray, k: np.ndarray, entry: int) -> np.ndarray:
+    """(I - k e_entry^T) [A | b] with k appended, of (..., 3, m) maps [A | b]
+    and (..., 3) gains k: [A | b], then an update of entry `entry` with gain
+    k. The product is written out as [A | b] less k times its row `entry`."""
+    folded = maps - k[..., None] * maps[..., entry : entry + 1, :]
+    return np.concatenate([folded, k[..., None]], axis=-1)
+
+
 def _tracking_maps(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-axis (n + 1, 3, 5) maps [M | k_acc | k_fix] of
-    `_tracking_schedule`'s accelerometer rows, the identity last; each step's
-    map; and the onset covariance's six `_AXIS_ENTRIES`. A map takes an
-    axis's [m; z_acc; z_fix] to the step's mean: M = (I - k_acc e2^T) F is F
-    less k_acc in column 2, as F keeps each acceleration, and on a fix step
-    the position update makes it (I - k_fix e0^T) [M | k_acc], k_fix in
-    column 4."""
+    """The per-axis (rows + 1, 3, 5) maps [M | k_acc | k_fix] of
+    `_tracking_schedule`'s rows, the identity last; each step's row, its fix
+    row on a fix step; and the onset covariance's six `_AXIS_ENTRIES`. An
+    accelerometer row's map is `_fold` of F on entry 2 (k_fix 0), and a fix
+    row's `_fold` of its step's accelerometer map on entry 0."""
     k, covs, acc_rows, fix_rows = _tracking_schedule(cfg, model)
     fixed = fix_rows >= 0
-    acc = np.ones(len(k), dtype=bool)
-    acc[fix_rows[fixed]] = False
-    maps = np.zeros((np.count_nonzero(acc) + 1, 3, 5))
-    maps[:-1, :, :3] = model.F[:3, :3]
-    maps[:-1, :, 2], maps[:-1, :, 3] = model.F[:3, 2] - k[acc], k[acc]
+    fix = fix_rows[fixed]
+    maps = np.zeros((len(k) + 1, 3, 5))
+    maps[:-1, :, :4] = _fold(model.F[:3, :3], k, 2)
+    maps[fix] = _fold(maps[acc_rows[fixed], :, :4], k[fix], 0)
     maps[-1, :, :3] = np.eye(3)
-    rows = (np.cumsum(acc) - 1)[acc_rows]
-    fix_maps, k_fix = rows[fixed], k[fix_rows[fixed]]
-    maps[fix_maps, :, :4] -= k_fix[:, :, None] * maps[fix_maps, :1, :4]
-    maps[fix_maps, :, 4] = k_fix
-    return maps, rows, covs[-1]
+    return maps, np.where(fixed, fix_rows, acc_rows), covs[-1]
 
 
 def _compose(maps: np.ndarray, rows: np.ndarray, c: int, prefix: bool = False) -> tuple:
@@ -762,17 +785,18 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     below).
 
     `_gain_schedule` computes each gain and each window period's composed
-    map once, before anything is drawn. Then the truth is generated once,
-    each seed gets its own measurements, and `_track` steps the block one
-    stacked product per period, as track_to_outage steps one run, so the
-    tracked means and the window are the reference's bit for bit: the
+    map once, before anything is drawn. Then `_tracked`, which
+    track_to_outage shares, generates the truth once, draws each seed's
+    measurements and steps the block one stacked product per period
+    (`_step`), so the tracked means and the window are the reference's bit
+    for bit: the
     stacked matmul rounds each run's column as it would a block of one
     (`einsum` or `m @ M.T` would not, and the polynomial extrapolations
     amplify that). The window fit and the Lagrange interpolant are each one
     broadcast solve for the block. The outage `ukf` positions are
     `_open_loop_positions`' closed form, which run_scenario shares, on every
-    step and run at once. The `vhd` means step per axis, one product per
-    block of `_OUTAGE_BLOCK` steps of the float gains (`_outage_schedule`),
+    step and run at once. The `vhd` means step per axis through `_step`, one
+    product per block of `_OUTAGE_BLOCK` steps of the float gains (`_outage_schedule`),
     and each step's position is its block's prefix row's; `run_outage` steps
     numpy's 6x6 `predict` and `update`, so the `vhd` path differs from the
     reference's in the last bits: by about 1e-12 m over a 300 s outage.
@@ -781,52 +805,31 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     means are checked once per phase. A config that overflows the filter, or
     makes its innovation covariance singular, raises ConfigError, before any
     draw if the covariance is at fault, naming the step at which the
-    reference fails. A config whose truth is not finite
-    raises ConfigError before any sensor stream is drawn, and one whose
-    accelerometer readings are not finite (their bias walk overflows)
-    before any tracking, naming the block's first such step. The whole block
-    runs with numpy's overflow and invalid-value warnings off, so that error
-    is all such a config reports.
+    reference fails; `_tracked` checks the truth and the streams. The whole
+    block runs with numpy's overflow and invalid-value warnings off, so that
+    error is all such a config reports.
     """
     seeds = [int(s) for s in seeds]
-    runs = len(seeds)
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     composed, segment, blocks, prefix = _gain_schedule(cfg, model)
-    truth = generate_truth(cfg)
-    finite = np.isfinite(truth.states).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"the truth is not finite at step {np.argmin(finite)}: the config's trajectory or current overflows it")
-    meas = [simulate_measurements(truth, cfg, s) for s in seeds]
-    imu = np.stack([ms.imu_accel for ms in meas])
-    fixes = np.stack([ms.fix_values for ms in meas])
-    del meas
-    finite = np.isfinite(imu).all(axis=(0, 2))
-    if not finite.all():
-        raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
-    window = _window(cfg, _finite(_track(cfg, composed, segment, truth.states[0], imu, fixes), "means"))
-    del imu, fixes, composed, segment
+    truth, means = _tracked(cfg, composed, segment, seeds)
+    window = _window(cfg, means)
+    del means, composed, segment
 
     # Outage: the ukf positions in closed form, as in run_scenario; the vhd
     # means as in run_outage.
-    T, B = cfg.outage_steps, _OUTAGE_BLOCK
+    T = cfg.outage_steps
     poly = fit_polynomial(window, cfg.poly_degree)
     # (runs, T, 2): the virtual fixes of each outage step
     virtual = poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt)
     ukf = _open_loop_positions(cfg, window.states[:, -1])
-    # The vhd means per axis, as `_track` lays a period out: each block's
-    # start mean, then its virtual fixes, padded at the front as the blocks.
-    pad = len(blocks) * B - T
-    buffer = np.zeros((len(blocks) + 1, runs, 2, 3 + B, 1))
-    buffer[0, ..., :3, 0] = window.states[:, -1].reshape(runs, 2, 3)
-    buffer[:-1, ..., 3:, 0] = np.pad(virtual, ((0, 0), (pad, 0), (0, 0))).reshape(runs, -1, B, 2).transpose(1, 0, 3, 2)
-    for block, prev, starts in zip(blocks, buffer, buffer[1:, ..., :3, :]):
-        np.matmul(block, prev, out=starts)
+    buffer = _step(blocks, range(len(blocks)), window.states[:, -1], virtual)
     # (blocks, runs, 2, B): every step's position, from its block's column
     xy = (prefix[:, None, None] @ buffer[:-1])[..., 0]
     del virtual, blocks, prefix
     for values in (ukf, buffer, xy):
         _finite(values, "means")
-    vhd = np.concatenate([ukf[:, :1], xy.transpose(1, 0, 3, 2).reshape(runs, -1, 2)[:, pad:]], axis=1)
+    vhd = np.concatenate([ukf[:, :1], xy.transpose(1, 0, 3, 2).reshape(len(seeds), -1, 2)[:, -T:]], axis=1)
     return _record(cfg, np.array(seeds), truth, window, ukf, vhd)
 
 

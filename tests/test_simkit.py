@@ -761,8 +761,25 @@ TRUTH_ERRORS = {
 
 
 # The accelerometer bias walk overflows from step 3 of seed 1234 (step 10
-# of seed 7); the reference fails its first belief after it.
+# of seed 7).
 STREAM_OVERFLOW = ScenarioConfig(accel_bias_walk=7e307)
+STREAM = "the accelerometer readings are not finite at step 3: the config's sensor values overflow them"
+
+# Every config that breaks the filter, the truth or a sensor stream, with the
+# error run_block raises on its base seed.
+ENGINE_ERRORS = {
+    **FILTER_ERRORS,
+    **TRUTH_ERRORS,
+    "sigma_jerk 0, r_base 1e-31": (COLLAPSE, SINGULAR.format(605)),
+    "accel_bias_walk 7e307": (STREAM_OVERFLOW, STREAM),
+}
+
+# The engine on a block of seeds 1234 and 7, and the reference on seed 1234,
+# which fail alike before the outage.
+ONSET_RUNS = {
+    "run_block": lambda cfg: run_block(cfg, [1234, 7]),
+    "run_scenario": lambda cfg: run_scenario(cfg, 1234),
+}
 
 
 class TestRunBlock:
@@ -820,15 +837,15 @@ class TestRunBlock:
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_tracking_maps_are_the_folded_predict_and_updates(self, name):
         # A step's map is [M | k_acc | 0] with numpy's M = (I - k_acc e2^T) F,
-        # bit for bit, which the maps write out as F less k_acc in column 2;
-        # on a fix step the fix's (I - k_fix e0^T) multiplies [M | k_acc]
-        # (the maps subtract k_fix times row 0: within 4 eps of the row) and
-        # k_fix is column 4. One map per accelerometer row, the identity last.
+        # bit for bit, which `_fold` writes out as F less k_acc times F's row
+        # 2; on a fix step the fix's (I - k_fix e0^T) multiplies [M | k_acc]
+        # (`_fold` subtracts k_fix times row 0: within 4 eps of the row) and
+        # k_fix is column 4. One map per schedule row, the identity last.
         cfg = ENGINE_CONFIGS[name]
         model = ca_model(cfg.dt, cfg.sigma_jerk)
         gains, covs, acc_rows, fix_rows = simkit._tracking_schedule(cfg, model)
         maps, rows, onset = simkit._tracking_maps(cfg, model)
-        assert rows.shape == (cfg.onset_step,) and len(maps) == len(set(acc_rows.tolist())) + 1
+        assert rows.shape == (cfg.onset_step,) and len(maps) == len(gains) + 1
         np.testing.assert_array_equal(maps[-1], np.eye(3, 5))
         np.testing.assert_array_equal(onset, covs[-1])
         k = gains[acc_rows]
@@ -987,22 +1004,32 @@ class TestRunBlock:
 
         monkeypatch.setattr(simkit, "simulate_measurements", drawn)
 
+    @pytest.mark.parametrize("run", list(ONSET_RUNS))
     @pytest.mark.parametrize(("cfg", "message"), list(TRUTH_ERRORS.values()), ids=list(TRUTH_ERRORS))
-    def test_a_truth_that_is_not_finite_raises_before_any_stream_is_drawn(self, no_streams, cfg, message):
+    def test_a_truth_that_is_not_finite_raises_before_any_stream_is_drawn(self, no_streams, cfg, message, run):
         with pytest.raises(ConfigError) as info:
-            run_block(cfg, [1234, 7])
+            ONSET_RUNS[run](cfg)
         assert str(info.value) == message
 
-    def test_a_stream_that_is_not_finite_raises_before_any_tracking(self, monkeypatch):
+    @pytest.mark.parametrize("run", list(ONSET_RUNS))
+    def test_a_stream_that_is_not_finite_raises_before_any_tracking(self, monkeypatch, run):
         def tracked(*args):
             raise AssertionError("the block was tracked")
 
         monkeypatch.setattr(simkit, "_window", tracked)
         with pytest.raises(ConfigError) as info:
-            run_block(STREAM_OVERFLOW, [1234, 7])
-        assert str(info.value) == (
-            "the accelerometer readings are not finite at step 3: the config's sensor values overflow them"
-        )
+            ONSET_RUNS[run](STREAM_OVERFLOW)
+        assert str(info.value) == STREAM
+
+    # The suite turns a RuntimeWarning into an error, so neither run may warn
+    # on its way to the error either.
+    @pytest.mark.parametrize("name", list(ENGINE_ERRORS))
+    def test_the_reference_raises_the_engine_error(self, name):
+        cfg, message = ENGINE_ERRORS[name]
+        for run in (lambda: run_block(cfg, [cfg.base_seed]), lambda: run_scenario(cfg, cfg.base_seed)):
+            with pytest.raises(ConfigError) as info:
+                run()
+            assert str(info.value) == message
 
     def test_filter_overflow_raises_before_any_draw(self, no_draws):
         with pytest.raises(ConfigError, match="not finite"):
@@ -1018,37 +1045,39 @@ class TestRunBlock:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        ("cfg", "fails"),
+        ("cfg", "reference_error"),
         [
-            *((cfg, True) for cfg, _ in FILTER_ERRORS.values()),
-            *((cfg, True) for cfg, _ in TRUTH_ERRORS.values()),
+            *((cfg, ConfigError) for cfg, _ in FILTER_ERRORS.values()),
+            *((cfg, ConfigError) for cfg, _ in TRUTH_ERRORS.values()),
             # The vhd covariance collapses to rounding level, where the sign
             # of s is set by the last bits: the reference fails at step 605
             # by the engine's check of its outage covariances, and a plain
             # 6x6 chain at step 604 (see CHAIN_FAILURES).
-            (COLLAPSE, True),
-            (ScenarioConfig(position_fix_noise=9.5e153), False),
-            (STREAM_OVERFLOW, True),
-            # The window's fit overflows, and so the virtual fixes.
-            (ScenarioConfig(cruise_speed=1e306), True),
+            (COLLAPSE, ConfigError),
+            (ScenarioConfig(position_fix_noise=9.5e153), None),
+            (STREAM_OVERFLOW, ConfigError),
+            # The window's fit overflows, and so the virtual fixes: the
+            # engine's means check raises ConfigError, but the reference's
+            # first virtual fix is a non-finite belief, whose ValueError
+            # comes before any check of its outage means.
+            (ScenarioConfig(cruise_speed=1e306), ValueError),
         ],
         ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153",
              "accel_bias_walk 7e307", "cruise_speed 1e306"],
     )
-    def test_the_engine_fails_where_the_reference_fails(self, cfg, fails):
-        def raises(run, error):
+    def test_the_engine_fails_where_the_reference_fails(self, cfg, reference_error):
+        def raised(run):
             try:
                 run()
-            except error:
-                return True
-            return False
+            except (ConfigError, ValueError) as error:
+                return type(error)
+            return None
 
         with np.errstate(all="ignore"):
-            engine = raises(lambda: run_block(cfg, [cfg.base_seed]), ConfigError)
-            # The schedule's checks raise ConfigError; a non-finite belief
-            # raises ValueError, and a LinAlgError is one.
-            reference = raises(lambda: run_scenario(cfg, cfg.base_seed), (ConfigError, ValueError))
-        assert engine == reference == fails
+            engine = raised(lambda: run_block(cfg, [cfg.base_seed]))
+            reference = raised(lambda: run_scenario(cfg, cfg.base_seed))
+        assert engine is (None if reference_error is None else ConfigError)
+        assert reference is reference_error
 
     @pytest.mark.parametrize("name", list(CHAIN_FAILURES))
     def test_a_plain_chain_fails_as_the_schedule_does(self, name):
