@@ -38,7 +38,6 @@ from .outage import (
 )
 from .simkit import (
     McResult,
-    MeasurementSet,
     OnsetState,
     PREDICTORS,
     RunRecord,
@@ -59,7 +58,6 @@ __all__ = [
     "GaussianBelief",
     "KlArgminResult",
     "McResult",
-    "MeasurementSet",
     "OnsetState",
     "PREDICTORS",
     "PolyModel",

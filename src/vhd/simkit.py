@@ -325,22 +325,11 @@ def generate_truth(cfg: ScenarioConfig) -> Trajectory:
     return Trajectory(times=np.arange(n + 1) * dt, states=states)
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSet:
-    """Sensor outputs for one run.
-
-    fix_values : (len(cfg.fix_steps), 2) noisy position fixes, one per
-                 fix step of the run's config.
-    imu_accel  : (onset_step + 1, 2) accelerometer readings up to the onset
-                 (true acceleration + accumulated bias + white noise).
-    """
-
-    fix_values: np.ndarray
-    imu_accel: np.ndarray
-
-
-def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> MeasurementSet:
-    """Generate the sensor streams for one run, from t = 0 to the onset.
+def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Generate a block's sensor streams, from t = 0 to the onset: the
+    (runs, len(cfg.fix_steps), 2) noisy position fixes and the (runs,
+    onset_step + 1, 2) accelerometer readings (true acceleration +
+    accumulated bias + white noise), run k's from `seeds[k]` alone.
 
     Position fixes arrive at `cfg.fix_steps`: every fix period starting at
     the first period boundary after t = 0, up to the onset. The
@@ -348,26 +337,24 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seed: int) -> 
     accumulates an independent Gaussian increment per step (zero bias at
     step 0).
 
-    The three noise streams draw from independent child generators spawned
-    from `seed`, so the realization of one stream does not depend on the
-    sizing of another.
+    The three noise streams of a run draw from independent child generators
+    spawned from its seed, so the realization of one stream does not depend
+    on the sizing of another, nor a run's on the block's other seeds.
     """
     n1 = cfg.onset_step + 1
-
-    ss = np.random.SeedSequence(entropy=seed)
-    fix_rng, white_rng, bias_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-
-    fix_steps = cfg.fix_steps
-    fix_noise = fix_rng.normal(0.0, cfg.position_fix_noise, size=(fix_steps.size, 2))
-    fix_values = truth.positions[fix_steps] + fix_noise
-
-    white = white_rng.normal(0.0, cfg.accel_white_noise, size=(n1, 2))
-    increments = bias_rng.normal(0.0, cfg.accel_bias_walk, size=(n1, 2))
-    increments[0] = 0.0
-    bias = np.cumsum(increments, axis=0)
-    imu_accel = truth.accelerations[:n1] + bias + white
-
-    return MeasurementSet(fix_values=fix_values, imu_accel=imu_accel)
+    positions, accel = truth.positions[cfg.fix_steps], truth.accelerations[:n1]
+    fixes = np.empty((len(seeds), len(positions), 2))
+    imu = np.empty((len(seeds), n1, 2))
+    for k, seed in enumerate(seeds):
+        fix_rng, white_rng, bias_rng = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
+        fixes[k] = positions + fix_rng.normal(0.0, cfg.position_fix_noise, size=positions.shape)
+        # (accel + bias) + white, summed in the run's row: besides the block's
+        # arrays, only the bias walk and the white noise are held.
+        bias = bias_rng.normal(0.0, cfg.accel_bias_walk, size=(n1, 2))
+        bias[0] = 0.0
+        np.add(accel, np.cumsum(bias, axis=0, out=bias), out=imu[k])
+        imu[k] += white_rng.normal(0.0, cfg.accel_white_noise, size=(n1, 2))
+    return fixes, imu
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +406,7 @@ def _step(composed: np.ndarray, segment, start: np.ndarray, readings: np.ndarray
 @np.errstate(over="ignore", invalid="ignore")
 def _tracked(cfg: ScenarioConfig, composed: np.ndarray, segment: list, seeds) -> tuple[Trajectory, np.ndarray]:
     """The truth and a block's (runs, periods + 1, 6) means at the start and
-    at each window period's end: each seed's streams, stepped by `_step`.
+    at each window period's end: the block's streams, stepped by `_step`.
 
     A config whose truth is not finite raises ConfigError before any sensor
     stream is drawn, and one whose accelerometer readings are not finite
@@ -431,10 +418,7 @@ def _tracked(cfg: ScenarioConfig, composed: np.ndarray, segment: list, seeds) ->
     finite = np.isfinite(truth.states).all(axis=1)
     if not finite.all():
         raise ConfigError(f"the truth is not finite at step {np.argmin(finite)}: the config's trajectory or current overflows it")
-    meas = [simulate_measurements(truth, cfg, s) for s in seeds]
-    imu = np.stack([ms.imu_accel for ms in meas])
-    fixes = np.stack([ms.fix_values for ms in meas])
-    del meas
+    fixes, imu = simulate_measurements(truth, cfg, seeds)
     finite = np.isfinite(imu).all(axis=(0, 2))
     if not finite.all():
         raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
@@ -491,7 +475,13 @@ def _record(cfg: ScenarioConfig, seed, truth: Trajectory, window: Trajectory,
     return RunRecord(seed, times, truth_xy, paths, errors)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _virtual_fixes(cfg: ScenarioConfig, window: Trajectory) -> np.ndarray:
+    """The (..., T, 2) virtual fixes of the outage steps, as `run_outage`
+    takes them: the window fit's position at each step's outage age."""
+    poly = fit_polynomial(window, cfg.poly_degree)
+    return poly.position(poly.window_end + np.arange(1, cfg.outage_steps + 1) * cfg.dt)
+
+
 def _open_loop_positions(cfg: ScenarioConfig, onset: np.ndarray) -> np.ndarray:
     """The `ukf` positions of the outage, (..., T + 1, 2), from (..., 6) onset
     means: row 0 of F^k is [1, t, t^2 / 2] per axis, with t = k dt, so step
@@ -506,6 +496,7 @@ def _open_loop_positions(cfg: ScenarioConfig, onset: np.ndarray) -> np.ndarray:
     return xy
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     """Track to onset, then branch the three predictors over the outage: the
     `ukf` positions in closed form, as `run_block` computes them, and the
@@ -516,11 +507,15 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     innovation covariance singular fails with the engine's ConfigError. The
     6x6 beliefs alone would not always: where the `vhd` covariance collapses
     to rounding level, the sign of s is set by the last bits, and their
-    products may keep it positive where the schedule's floats do not."""
+    products may keep it positive where the schedule's floats do not. With
+    numpy's overflow and invalid-value warnings off, as in `run_block`, the
+    virtual fixes are checked as the engine's means are, before the first
+    update: a window fit that overflows raises the engine's ConfigError."""
     onset = track_to_outage(cfg, seed)
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])
     ukf = _finite(_open_loop_positions(cfg, b0.mean), "means")
+    _finite(_virtual_fixes(cfg, onset.window), "means")
     vhd = [b0] + run_outage(b0, onset.window, cfg, T, model)
     return _record(cfg, seed, onset.truth, onset.window, ukf, np.array([b.mean for b in vhd])[:, [PX, PY]])
 
@@ -786,8 +781,8 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
 
     `_gain_schedule` computes each gain and each window period's composed
     map once, before anything is drawn. Then `_tracked`, which
-    track_to_outage shares, generates the truth once, draws each seed's
-    measurements and steps the block one stacked product per period
+    track_to_outage shares, generates the truth once, draws the block's
+    streams in one call and steps the block one stacked product per period
     (`_step`), so the tracked means and the window are the reference's bit
     for bit: the
     stacked matmul rounds each run's column as it would a block of one
@@ -819,9 +814,7 @@ def run_block(cfg: ScenarioConfig, seeds) -> RunRecord:
     # Outage: the ukf positions in closed form, as in run_scenario; the vhd
     # means as in run_outage.
     T = cfg.outage_steps
-    poly = fit_polynomial(window, cfg.poly_degree)
-    # (runs, T, 2): the virtual fixes of each outage step
-    virtual = poly.position(poly.window_end + np.arange(1, T + 1) * cfg.dt)
+    virtual = _virtual_fixes(cfg, window)
     ukf = _open_loop_positions(cfg, window.states[:, -1])
     buffer = _step(blocks, range(len(blocks)), window.states[:, -1], virtual)
     # (blocks, runs, 2, B): every step's position, from its block's column

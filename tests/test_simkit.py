@@ -105,7 +105,7 @@ def accel_bias(truth, cfg, seed):
     outside the turn, where the true acceleration is 0, and NaN in the turn."""
     assert cfg.accel_white_noise == 0.0
     accel = truth.accelerations[: cfg.onset_step + 1]
-    bias = simulate_measurements(truth, cfg, seed).imu_accel - accel
+    bias = simulate_measurements(truth, cfg, [seed])[1][0] - accel
     bias[np.any(accel != 0.0, axis=1)] = np.nan
     return bias
 
@@ -415,26 +415,25 @@ class TestSimulateMeasurements:
             position_fix_noise=0.0, accel_white_noise=0.0, accel_bias_walk=0.0
         )
         truth = generate_truth(cfg)
-        meas = simulate_measurements(truth, cfg, seed=5)
-        np.testing.assert_array_equal(meas.fix_values, truth.positions[cfg.fix_steps])
-        np.testing.assert_array_equal(meas.imu_accel, truth.accelerations[: cfg.onset_step + 1])
+        fixes, imu = simulate_measurements(truth, cfg, [5])
+        np.testing.assert_array_equal(fixes[0], truth.positions[cfg.fix_steps])
+        np.testing.assert_array_equal(imu[0], truth.accelerations[: cfg.onset_step + 1])
         np.testing.assert_array_equal(np.nan_to_num(accel_bias(truth, cfg, seed=5)), 0.0)
 
     def test_streams_end_at_the_onset_and_truth_at_the_outage_end(self):
         cfg = ScenarioConfig()
         truth = generate_truth(cfg)
-        meas = simulate_measurements(truth, cfg, seed=5)
+        fixes, imu = simulate_measurements(truth, cfg, [5])
         assert truth.states.shape == (cfg.onset_step + cfg.outage_steps + 1, 6)
-        assert meas.imu_accel.shape == (cfg.onset_step + 1, 2)
-        assert meas.fix_values.shape == (len(cfg.fix_steps), 2)
+        assert imu.shape == (1, cfg.onset_step + 1, 2)
+        assert fixes.shape == (1, len(cfg.fix_steps), 2)
         # a longer run only lengthens the grid after the outage, which is
         # not simulated
         longer = dataclasses.replace(cfg, duration=200.0)
         truth_longer = generate_truth(longer)
         np.testing.assert_array_equal(truth_longer.states, truth.states)
-        meas_longer = simulate_measurements(truth_longer, longer, seed=5)
-        for name in ("fix_values", "imu_accel"):
-            np.testing.assert_array_equal(getattr(meas_longer, name), getattr(meas, name))
+        for stream, stream_longer in zip((fixes, imu), simulate_measurements(truth_longer, longer, [5])):
+            np.testing.assert_array_equal(stream_longer, stream)
         quiet = dataclasses.replace(cfg, accel_white_noise=0.0)
         quiet_longer = dataclasses.replace(quiet, duration=200.0)
         np.testing.assert_array_equal(accel_bias(truth_longer, quiet_longer, 5), accel_bias(truth, quiet, 5))
@@ -449,12 +448,12 @@ class TestSimulateMeasurements:
     def test_same_seed_is_bit_identical(self):
         cfg = ScenarioConfig()
         truth = generate_truth(cfg)
-        a = simulate_measurements(truth, cfg, seed=9)
-        b = simulate_measurements(truth, cfg, seed=9)
-        np.testing.assert_array_equal(a.fix_values, b.fix_values)
-        np.testing.assert_array_equal(a.imu_accel, b.imu_accel)
-        c = simulate_measurements(truth, cfg, seed=10)
-        assert not np.array_equal(a.fix_values, c.fix_values)
+        a = simulate_measurements(truth, cfg, [9])
+        b = simulate_measurements(truth, cfg, [9])
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        c = simulate_measurements(truth, cfg, [10])
+        assert not np.array_equal(a[0], c[0])
 
     def test_bias_random_walk_variance_law(self):
         cfg = ScenarioConfig(accel_white_noise=0.0)
@@ -474,18 +473,44 @@ class TestSimulateMeasurements:
         # resizing or rescaling one stream must not change the others
         base = ScenarioConfig()
         truth = generate_truth(base)
-        ref = simulate_measurements(truth, base, seed=42)
+        ref_fixes, ref_imu = simulate_measurements(truth, base, [42])
 
         fewer_fixes = ScenarioConfig(fix_rate=0.5)
-        alt = simulate_measurements(truth, fewer_fixes, seed=42)
-        np.testing.assert_array_equal(alt.imu_accel, ref.imu_accel)
+        alt_imu = simulate_measurements(truth, fewer_fixes, [42])[1]
+        np.testing.assert_array_equal(alt_imu, ref_imu)
         quiet = ScenarioConfig(accel_white_noise=0.0)
         quiet_fewer_fixes = ScenarioConfig(accel_white_noise=0.0, fix_rate=0.5)
         np.testing.assert_array_equal(accel_bias(truth, quiet_fewer_fixes, 42), accel_bias(truth, quiet, 42))
 
         louder_imu = ScenarioConfig(accel_white_noise=0.5)
-        alt2 = simulate_measurements(truth, louder_imu, seed=42)
-        np.testing.assert_array_equal(alt2.fix_values, ref.fix_values)
+        alt2_fixes = simulate_measurements(truth, louder_imu, [42])[0]
+        np.testing.assert_array_equal(alt2_fixes, ref_fixes)
+
+    def test_each_run_of_a_block_is_its_seed_drawn_by_the_per_seed_rule(self):
+        # The rule written out: three child generators of the run's seed, in
+        # the order fix, white, bias; the fixes are the true positions plus
+        # the fix noise, and the readings the true acceleration, plus the
+        # bias walk from 0 at step 0, plus the white noise.
+        cfg = SMALL
+        truth = generate_truth(cfg)
+        n1, fix_steps = cfg.onset_step + 1, cfg.fix_steps
+        seeds = [77, 1234, 7, 4242]
+        fixes, imu = simulate_measurements(truth, cfg, seeds)
+        assert fixes.shape == (len(seeds), len(fix_steps), 2)
+        assert imu.shape == (len(seeds), n1, 2)
+        for k, seed in enumerate(seeds):
+            fix_rng, white_rng, bias_rng = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
+            fix_noise = fix_rng.normal(0.0, cfg.position_fix_noise, size=(len(fix_steps), 2))
+            white = white_rng.normal(0.0, cfg.accel_white_noise, size=(n1, 2))
+            increments = bias_rng.normal(0.0, cfg.accel_bias_walk, size=(n1, 2))
+            increments[0] = 0.0
+            np.testing.assert_array_equal(fixes[k], truth.positions[fix_steps] + fix_noise)
+            np.testing.assert_array_equal(imu[k], truth.accelerations[:n1] + np.cumsum(increments, axis=0) + white)
+        # A seed's rows do not depend on the block around it: drawn alone,
+        # first or last, they are its rows in the block above.
+        for block, row in (([1234], 0), ([1234, 77, 7], 0), ([77, 7, 1234], 2)):
+            for stream, drawn in zip((fixes, imu), simulate_measurements(truth, cfg, block)):
+                np.testing.assert_array_equal(drawn[row], stream[1])
 
 
 class TestTrackToOutage:
@@ -532,14 +557,14 @@ class TestTrackToOutage:
         cfg = ENGINE_CONFIGS[name]
         model = ca_model(cfg.dt, cfg.sigma_jerk)
         onset = track_to_outage(cfg, cfg.base_seed)
-        meas = simulate_measurements(onset.truth, cfg, cfg.base_seed)
-        fixes, fix_steps = iter(meas.fix_values), set(cfg.fix_steps.tolist())
+        fixes, imu = simulate_measurements(onset.truth, cfg, [cfg.base_seed])
+        fixes, fix_steps = iter(fixes[0]), set(cfg.fix_steps.tolist())
         R_imu = np.diag([cfg.accel_white_noise**2] * 2)
         R_fix = np.diag([cfg.position_fix_noise**2] * 2)
         belief = GaussianBelief(onset.truth.states[0], np.diag([1.0, 0.25, 0.04] * 2))
         chain = [belief.mean]
         for i in range(1, cfg.onset_step + 1):
-            belief = update(predict(belief, model), meas.imu_accel[i], R_imu, accel_measurement_matrix())
+            belief = update(predict(belief, model), imu[0, i], R_imu, accel_measurement_matrix())
             if i in fix_steps:
                 belief = update(belief, next(fixes), R_fix, model.H)
             chain.append(belief.mean)
@@ -626,11 +651,8 @@ class TestRunScenario:
     def test_noise_streams_of_adjacent_seeds_are_uncorrelated(self):
         cfg = ScenarioConfig()
         truth = generate_truth(cfg)
-        noise = []
-        for seed in range(cfg.base_seed, cfg.base_seed + 50):
-            meas = simulate_measurements(truth, cfg, seed)
-            noise.append((meas.fix_values - truth.positions[cfg.fix_steps]).ravel())
-        noise = np.array(noise)
+        fixes = simulate_measurements(truth, cfg, range(cfg.base_seed, cfg.base_seed + 50))[0]
+        noise = (fixes - truth.positions[cfg.fix_steps]).reshape(len(fixes), -1)
         pair_corrs = [
             abs(np.corrcoef(noise[i], noise[i + 1])[0, 1]) for i in range(len(noise) - 1)
         ]
@@ -765,13 +787,15 @@ TRUTH_ERRORS = {
 STREAM_OVERFLOW = ScenarioConfig(accel_bias_walk=7e307)
 STREAM = "the accelerometer readings are not finite at step 3: the config's sensor values overflow them"
 
-# Every config that breaks the filter, the truth or a sensor stream, with the
-# error run_block raises on its base seed.
+# Every config that breaks the filter, the truth, a sensor stream or the
+# window fit, with the error run_block raises on its base seed.
 ENGINE_ERRORS = {
     **FILTER_ERRORS,
     **TRUTH_ERRORS,
     "sigma_jerk 0, r_base 1e-31": (COLLAPSE, SINGULAR.format(605)),
     "accel_bias_walk 7e307": (STREAM_OVERFLOW, STREAM),
+    # The tracked window is finite, but its fit overflows.
+    "cruise_speed 1e306": (ScenarioConfig(cruise_speed=1e306), MEANS_OVERFLOW),
 }
 
 # The engine on a block of seeds 1234 and 7, and the reference on seed 1234,
@@ -1057,10 +1081,9 @@ class TestRunBlock:
             (ScenarioConfig(position_fix_noise=9.5e153), None),
             (STREAM_OVERFLOW, ConfigError),
             # The window's fit overflows, and so the virtual fixes: the
-            # engine's means check raises ConfigError, but the reference's
-            # first virtual fix is a non-finite belief, whose ValueError
-            # comes before any check of its outage means.
-            (ScenarioConfig(cruise_speed=1e306), ValueError),
+            # engine's means check raises ConfigError, and the reference's
+            # check of its virtual fixes, before its first update, raises it.
+            (ScenarioConfig(cruise_speed=1e306), ConfigError),
         ],
         ids=[*FILTER_ERRORS, *TRUTH_ERRORS, "sigma_jerk 0, r_base 1e-31", "position_fix_noise 9.5e153",
              "accel_bias_walk 7e307", "cruise_speed 1e306"],
@@ -1073,9 +1096,8 @@ class TestRunBlock:
                 return type(error)
             return None
 
-        with np.errstate(all="ignore"):
-            engine = raised(lambda: run_block(cfg, [cfg.base_seed]))
-            reference = raised(lambda: run_scenario(cfg, cfg.base_seed))
+        engine = raised(lambda: run_block(cfg, [cfg.base_seed]))
+        reference = raised(lambda: run_scenario(cfg, cfg.base_seed))
         assert engine is (None if reference_error is None else ConfigError)
         assert reference is reference_error
 
