@@ -14,7 +14,7 @@ estimates. At onset, three predictors branch from the same belief:
 
 Per-run randomness derives only from the run's seed, so runs are
 independent and a Monte Carlo aggregate is identical whether the runs
-execute serially or in parallel.
+execute serially or in blocks across forked worker processes (`_run_seeds`).
 
 The filter covariance, and so every Kalman gain, depends on the config and
 not on the data. `_gain_schedule` steps it once per axis in floats, before
@@ -32,8 +32,9 @@ and the tracking) and the `ukf` closed form, and so the engine's errors; its
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -855,32 +856,73 @@ class McResult:
     designated_run: RunRecord
 
 
+def _fork_block(cfg: ScenarioConfig, seeds) -> tuple[int, int]:
+    """Fork a worker that sends run_block(cfg, seeds), or the exception it
+    raises, as one pickle over its own pipe; the worker's pid and read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:  # the worker ends here, never in its caller
+        try:
+            payload = pickle.dumps(run_block(cfg, seeds))
+        except Exception as exc:
+            payload = pickle.dumps(exc)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _join_block(pid: int, read: int) -> bytes:
+    """Read a worker's pipe to its end and reap it: its pickle, or an error's."""
+    with open(read, "rb") as pipe:
+        payload = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    return payload or pickle.dumps(RuntimeError(f"a --jobs worker exited without its block (wait status {status})"))
+
+
 def _run_seeds(cfg: ScenarioConfig, jobs: int) -> list[RunRecord]:
     """Block records of seeds base_seed .. base_seed + mc_runs - 1, in seed order.
 
     Serially the seeds are one block. With jobs > 1 they are cut into up to
-    `jobs` contiguous blocks of near-equal size, one per pool worker.
+    `jobs` contiguous blocks of near-equal size, one per forked worker. All
+    workers are reaped before the blocks return or the first worker's
+    exception is raised as the worker raised it.
     """
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.mc_runs)
     n = min(jobs, len(seeds))
     if n == 1:
         return [run_block(cfg, seeds)]
-    blocks = [seeds[len(seeds) * b // n : len(seeds) * (b + 1) // n] for b in range(n)]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(run_block, [cfg] * n, blocks))
+    workers = []
+    try:
+        for b in range(n):
+            workers.append(_fork_block(cfg, seeds[len(seeds) * b // n : len(seeds) * (b + 1) // n]))
+    finally:
+        payloads = [_join_block(*worker) for worker in workers]
+    blocks = [pickle.loads(payload) for payload in payloads]
+    for block in blocks:
+        if isinstance(block, Exception):
+            raise block
+    return blocks
 
 
 def monte_carlo(cfg: ScenarioConfig, jobs: int = 1) -> McResult:
     """Run mc_runs seeded scenarios and aggregate their error series.
 
     Seeds are base_seed .. base_seed + mc_runs - 1, run in lockstep by
-    `run_block`. With jobs > 1 each worker of a process pool runs one
+    `run_block`. With jobs > 1 each of up to `jobs` forked workers runs one
     contiguous block of seeds; the blocks' (runs, T + 1) errors are
     concatenated in seed order, so the aggregate is identical to the serial
-    one. Errors that overflow a metric raise ConfigError.
+    one. Errors that overflow a metric raise ConfigError, as does jobs > 1
+    without os.fork, before any run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"--jobs {jobs} needs os.fork, which this platform lacks: use --jobs 1")
     blocks = _run_seeds(cfg, jobs)
 
     stacked = {name: np.concatenate([block.errors[name] for block in blocks]) for name in PREDICTORS}

@@ -2,7 +2,10 @@
 runs once per session and is reused by the statistical tests and the
 acceptance checks."""
 
+import os
+import signal
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import pytest
@@ -59,6 +62,42 @@ def exact_ukf(monkeypatch):
         return block
 
     monkeypatch.setattr(simkit, "run_block", exact)
+
+
+class WorkerPipes(list):
+    """The file descriptors of the pipes that --jobs workers report over."""
+
+    def assert_workers_gone(self, workers: int) -> None:
+        """Every worker was reaped and both ends of each of its pipes closed."""
+        assert len(self) == 2 * workers
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for fd in self:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+
+@pytest.fixture
+def worker_pipes(monkeypatch) -> Iterator[WorkerPipes]:
+    """Record every pipe that os.pipe opens while the test runs, and fail
+    the test, rather than hang it, if it waits on a worker for a minute."""
+    opened = WorkerPipes()
+    pipe = os.pipe
+
+    def recorded():
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    def hung(signum, frame):
+        raise TimeoutError("a --jobs worker's pipe or wait did not return")
+
+    monkeypatch.setattr(os, "pipe", recorded)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield opened
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 _acceptance_lines: list[str] = []

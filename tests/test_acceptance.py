@@ -37,8 +37,8 @@ from vhd.kinematics import PX, PY, position_measurement_matrix
 
 RUNNER = [sys.executable, "-c", "import sys; from vhd.cli import main; sys.exit(main(sys.argv[1:]))"]
 # The CLI subprocess runs in another directory, where an inherited relative
-# PYTHONPATH entry does not resolve; the environment (unlike a sys.path edit
-# in RUNNER) also reaches pool workers under every start method.
+# PYTHONPATH entry does not resolve, so the environment carries the absolute
+# one.
 SRC_ROOT = str(Path(vhd.__file__).resolve().parent.parent)
 RUNNER_ENV = {
     **os.environ,

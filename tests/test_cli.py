@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vhd import ScenarioConfig, adaptive_noise
+from vhd import ScenarioConfig, adaptive_noise, simkit
 from vhd.cli import (
     _SCHEMA,
     ConfigError,
@@ -414,6 +415,36 @@ class TestMain:
         cfg_path = tiny_cfg_file(tmp_path)
         assert main(["--config", str(cfg_path), "--jobs", "0", "--out-dir", str(tmp_path / "o")]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_without_fork_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def ran(cfg, seeds):
+            raise AssertionError("a block ran")
+
+        monkeypatch.delattr(os, "fork")
+        cfg_path = tiny_cfg_file(tmp_path)
+        assert main(["--config", str(cfg_path), "--jobs", "1", "--out-dir", str(tmp_path / "serial"), "--quiet"]) == 0
+        monkeypatch.setattr(simkit, "run_block", ran)
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--jobs", "2", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: --jobs 2 needs os.fork, which this platform lacks: use --jobs 1\n"
+        assert not out.exists()
+
+    def test_a_workers_config_error_exits_2_with_no_output(self, tmp_path, capsys, worker_pipes):
+        cfg_path = tmp_path / "overflow.cfg"
+        cfg_path.write_text("sim.sigma_jerk = 1e151\nsim.mc_runs = 4\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg_path), "--jobs", "2", "--out-dir", str(out)]) == 2
+        assert "not finite at step 925" in capsys.readouterr().err
+        assert not out.exists()
+        worker_pipes.assert_workers_gone(2)
+
+    def test_a_worker_that_sends_no_block_exits_3_with_no_output(self, tmp_path, capsys, monkeypatch, worker_pipes):
+        monkeypatch.setattr(simkit, "run_block", lambda cfg, seeds: os._exit(1))
+        out = tmp_path / "o"
+        assert main(["--config", str(tiny_cfg_file(tmp_path)), "--jobs", "2", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: a --jobs worker exited without its block")
+        assert not out.exists()
+        worker_pipes.assert_workers_gone(2)
 
     @pytest.mark.parametrize("text", ["true", "false"])
     def test_removed_imu_key_exits_2_before_running(self, tmp_path, capsys, text):

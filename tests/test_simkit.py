@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -1379,6 +1380,27 @@ class TestMonteCarlo:
     def test_bad_job_count_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             monte_carlo(SMALL, jobs=0)
+
+    def test_a_workers_error_reaches_the_parent_unchanged(self, worker_pipes):
+        cfg = ScenarioConfig(sigma_jerk=1e151, mc_runs=4)
+        with pytest.raises(ConfigError) as serial:
+            monte_carlo(cfg)
+        with pytest.raises(ConfigError) as pooled:
+            monte_carlo(cfg, jobs=2)
+        assert str(pooled.value) == str(serial.value) == OVERFLOW.format(925)
+        worker_pipes.assert_workers_gone(2)
+
+    @pytest.mark.parametrize("end", ["exit", "unpicklable error"])
+    def test_a_worker_that_sends_no_block_raises_in_the_parent(self, monkeypatch, worker_pipes, end):
+        def no_block(cfg, seeds):
+            if end == "exit":
+                os._exit(1)
+            raise ValueError(lambda: None)  # pickle cannot send it
+
+        monkeypatch.setattr(simkit, "run_block", no_block)
+        with pytest.raises(RuntimeError, match=r"a --jobs worker exited without its block \(wait status 256\)"):
+            monte_carlo(SMALL, jobs=3)
+        worker_pipes.assert_workers_gone(3)
 
     def test_designated_run_is_the_base_seed(self, default_mc, default_cfg):
         assert default_mc.result.designated_run.seed == default_cfg.base_seed

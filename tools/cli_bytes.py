@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600.0
 
 # Case name -> (config lines, extra CLI arguments). They cover the default
-# batch serially and through the pool, the two long workloads of the
+# batch serially and through --jobs workers, the two long workloads of the
 # benchmark, an outage that is not a whole number of vhd blocks (its first
 # block padded with identity steps) and whose CSVs end on a part-filled
 # block of rows, a denser fix rate with a high-degree fit and interpolant, a
