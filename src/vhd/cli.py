@@ -133,68 +133,51 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _summary_text(cfg: ScenarioConfig, result: McResult, predictors) -> str:
-    lines = [
-        "outage prediction summary",
-        f"  runs: {cfg.mc_runs}   base seed: {cfg.base_seed}   "
-        f"outage: {_fmt(cfg.outage_start)} s + {_fmt(cfg.outage_duration)} s   dt: {_fmt(cfg.dt)} s",
-        f"  aggregation: {_AGGREGATION_NOTE}",
-        "",
-        f"  {'predictor':<12}{'RMSE [m]':>14}{'terminal [m]':>16}{'reduction vs ukf [%]':>24}",
-    ]
-    for name in predictors:
-        reduction = result.reduction_vs_ukf_pct.get(name)
-        red_text = _fmt(reduction) if reduction is not None and "ukf" in predictors else "--"
-        lines.append(
-            f"  {name:<12}{_fmt(result.rmse_m[name]):>14}"
-            f"{_fmt(result.terminal_mean_m[name]):>16}{red_text:>24}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _summary_json(cfg: ScenarioConfig, result: McResult, predictors) -> str:
-    def sig(v: float) -> float:
-        return float(f"{v:.6g}")
-
+def _summary_payload(cfg: ScenarioConfig, result: McResult, predictors) -> dict:
+    """summary.json's payload, which summary.txt renders: each float rounded to `_fmt`'s 6 digits, which
+    `_fmt` prints as it prints the float. A reduction is present where there is one and ukf is selected."""
     metrics = {}
     for name in predictors:
-        entry = {
-            "rmse_m": sig(result.rmse_m[name]),
-            "terminal_mean_m": sig(result.terminal_mean_m[name]),
-        }
+        entry = {"rmse_m": result.rmse_m[name], "terminal_mean_m": result.terminal_mean_m[name]}
         if name in result.reduction_vs_ukf_pct and "ukf" in predictors:
-            entry["reduction_vs_ukf_pct"] = sig(result.reduction_vs_ukf_pct[name])
-        metrics[name] = entry
-    payload = {
+            entry["reduction_vs_ukf_pct"] = result.reduction_vs_ukf_pct[name]
+        metrics[name] = {key: float(_fmt(value)) for key, value in entry.items()}
+    return {
         "aggregation": _AGGREGATION_NOTE,
         "mc_runs": cfg.mc_runs,
         "base_seed": cfg.base_seed,
         "predictors": metrics,
-        "config": {k: (v if not isinstance(v, float) else sig(v)) for k, v in config_values(cfg).items()},
+        "config": {k: float(_fmt(v)) if isinstance(v, float) else v for k, v in config_values(cfg).items()},
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(columns: dict[str, np.ndarray]) -> str:
-    # One `%` per block of _CSV_ROWS rows, on the block's Python floats, which
-    # format as `_fmt` formats numpy's; only one block of them is alive at a time.
+def _summary_text(payload: dict) -> str:
+    """summary.txt: the payload's figures, with `--` for an absent reduction."""
+    config = payload["config"]
+    lines = [
+        "outage prediction summary",
+        f"  runs: {payload['mc_runs']}   base seed: {payload['base_seed']}   "
+        f"outage: {_fmt(config['sim.outage_start'])} s + {_fmt(config['sim.outage_duration'])} s   "
+        f"dt: {_fmt(config['sim.dt'])} s",
+        f"  aggregation: {payload['aggregation']}",
+        "",
+        f"  {'predictor':<12}{'RMSE [m]':>14}{'terminal [m]':>16}{'reduction vs ukf [%]':>24}",
+    ]
+    for name, entry in payload["predictors"].items():
+        reduction = _fmt(entry["reduction_vs_ukf_pct"]) if "reduction_vs_ukf_pct" in entry else "--"
+        lines.append(f"  {name:<12}{_fmt(entry['rmse_m']):>14}{_fmt(entry['terminal_mean_m']):>16}{reduction:>24}")
+    return "\n".join(lines) + "\n"
+
+
+def _csv(columns: dict[str, np.ndarray]):
+    """Yield the CSV of `columns`: the header, then one `%` per block of _CSV_ROWS rows, stacked from
+    the block's slice of each column, on its Python floats (which `%.6g` formats as numpy's)."""
+    yield ",".join(columns) + "\n"
     row = ",".join(["%.6g"] * len(columns)) + "\n"
-    table = np.column_stack(list(columns.values()))
-    blocks = np.split(table, range(_CSV_ROWS, len(table), _CSV_ROWS))
-    return "".join([",".join(columns) + "\n"] + [row * len(part) % tuple(part.ravel().tolist()) for part in blocks])
-
-
-def _error_series_csv(result: McResult, predictors) -> str:
-    times = result.designated_run.times
-    return _csv({"time_s": times} | {f"{name}_mean_err_m": result.mean_err[name] for name in predictors})
-
-
-def _trajectory_csv(result: McResult, predictors) -> str:
-    rec = result.designated_run
-    columns = {"time_s": rec.times, "truth_x": rec.truth_xy[:, 0], "truth_y": rec.truth_xy[:, 1]}
-    for name in predictors:
-        columns[f"{name}_x"], columns[f"{name}_y"] = rec.paths[name].T
-    return _csv(columns)
+    values = list(columns.values())
+    for start in range(0, len(values[0]), _CSV_ROWS):
+        part = np.column_stack([column[start : start + _CSV_ROWS] for column in values])
+        yield row * len(part) % tuple(part.ravel().tolist())
 
 
 def run_command(
@@ -208,9 +191,10 @@ def run_command(
 
     Writes resolved_config.cfg, summary.txt, summary.json,
     error_series.csv (mean error series), and trajectory.csv (the
-    base-seed run). Column sets follow the `predictors` selection in the
-    fixed order ukf, lagrange, vhd. A selection that is empty or names an
-    unknown predictor raises ConfigError before anything runs.
+    base-seed run), each as it is formatted. Column sets follow the
+    `predictors` selection in the fixed order ukf, lagrange, vhd. A
+    selection that is empty or names an unknown predictor raises
+    ConfigError before anything runs.
     """
     unknown = [name for name in predictors if name not in PREDICTORS]
     if unknown:
@@ -223,20 +207,28 @@ def run_command(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    contents = {
-        "resolved_config": (out_dir / "resolved_config.cfg", resolved_config_text(cfg)),
-        "summary_text": (out_dir / "summary.txt", _summary_text(cfg, result, predictors)),
-        "summary_json": (out_dir / "summary.json", _summary_json(cfg, result, predictors)),
-        "error_series": (out_dir / "error_series.csv", _error_series_csv(result, predictors)),
-        "trajectory": (out_dir / "trajectory.csv", _trajectory_csv(result, predictors)),
+    payload = _summary_payload(cfg, result, predictors)
+    summary = _summary_text(payload)
+    rec = result.designated_run
+    errors = {"time_s": rec.times} | {f"{name}_mean_err_m": result.mean_err[name] for name in predictors}
+    trajectory = {"time_s": rec.times, "truth_x": rec.truth_xy[:, 0], "truth_y": rec.truth_xy[:, 1]}
+    for name in predictors:
+        trajectory[f"{name}_x"], trajectory[f"{name}_y"] = rec.paths[name].T
+    pieces = {  # the CSVs' are generators, formatted as they are written
+        "resolved_config": ("resolved_config.cfg", [resolved_config_text(cfg)]),
+        "summary_text": ("summary.txt", [summary]),
+        "summary_json": ("summary.json", [json.dumps(payload, indent=2, sort_keys=True), "\n"]),
+        "error_series": ("error_series.csv", _csv(errors)),
+        "trajectory": ("trajectory.csv", _csv(trajectory)),
     }
     paths = {}
-    for key, (path, text) in contents.items():
-        path.write_text(text, encoding="utf-8", newline="\n")
-        paths[key] = path
+    for key, (filename, parts) in pieces.items():
+        paths[key] = out_dir / filename
+        with paths[key].open("w", encoding="utf-8", newline="\n") as file:
+            file.writelines(parts)
 
     if not quiet:
-        sys.stdout.write(contents["summary_text"][1])
+        sys.stdout.write(summary)
 
     return OutputBundle(paths=paths, result=result)
 

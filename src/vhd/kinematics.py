@@ -118,7 +118,7 @@ def accel_measurement_matrix() -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaModel:
     """Bundled CA model matrices for a fixed step length.
 

@@ -245,7 +245,7 @@ class TestRunCommand:
         row = ",".join(["%.6g"] * len(columns)) + "\n"
         table = np.column_stack(list(columns.values()))
         want = ",".join(columns) + "\n" + "".join(row % tuple(values.tolist()) for values in table)
-        assert _csv(columns) == want
+        assert "".join(_csv(columns)) == want
 
     def test_summary_json_structure(self, bundle):
         out, cfg = bundle
@@ -257,6 +257,36 @@ class TestRunCommand:
         assert "reduction_vs_ukf_pct" not in payload["predictors"]["ukf"]
         assert payload["config"]["sim.duration"] == 40.0
         assert "mean across runs" in payload["aggregation"]
+
+    @pytest.mark.parametrize("predictors", [("ukf", "lagrange", "vhd"), ("lagrange", "vhd"), ("ukf", "vhd")])
+    def test_summary_text_prints_summary_json_figures(self, tmp_path, predictors):
+        # Each predictor row prints its summary.json figures, and `--` where
+        # summary.json has no reduction; the header prints the config's.
+        cfg = load_config(tiny_cfg_file(tmp_path))
+        out = run_command(cfg, tmp_path / "out", predictors=predictors, quiet=True)
+        payload = json.loads(out.paths["summary_json"].read_text(encoding="utf-8"))
+        lines = out.paths["summary_text"].read_text(encoding="utf-8").splitlines()
+        assert [row.split()[0] for row in lines[5:]] == list(predictors)
+        assert set(payload["predictors"]) == set(predictors)
+        for row in lines[5:]:
+            name, rmse, terminal, reduction = row.split()
+            entry = payload["predictors"][name]
+            assert (float(rmse), float(terminal)) == (entry["rmse_m"], entry["terminal_mean_m"])
+            assert ("reduction_vs_ukf_pct" in entry) == ("ukf" in predictors and name != "ukf")
+            if "reduction_vs_ukf_pct" in entry:
+                assert float(reduction) == entry["reduction_vs_ukf_pct"]
+            else:
+                assert reduction == "--"
+        config = payload["config"]
+        assert f"outage: {config['sim.outage_start']:.6g} s + {config['sim.outage_duration']:.6g} s" in lines[1]
+
+    @given(st.floats())
+    @example(5e-324)
+    @example(-0.0)
+    @example(1.7976931348623157e308)
+    def test_six_digit_rounding_prints_as_the_float_itself(self, value):
+        # summary.txt prints summary.json's rounded figures; no byte moves.
+        assert f"{float(f'{value:.6g}'):.6g}" == f"{value:.6g}"
 
     def test_summary_text_has_one_row_per_predictor(self, bundle):
         out, _ = bundle
@@ -301,8 +331,10 @@ class TestRunCommand:
 
     def test_stdout_control(self, tmp_path, capsys):
         cfg = load_config(tiny_cfg_file(tmp_path))
-        run_command(cfg, tmp_path / "loud")
-        assert "outage prediction summary" in capsys.readouterr().out
+        out = run_command(cfg, tmp_path / "loud")
+        stdout = capsys.readouterr().out
+        assert "outage prediction summary" in stdout
+        assert stdout == out.paths["summary_text"].read_text(encoding="utf-8")
         run_command(cfg, tmp_path / "quiet", quiet=True)
         assert capsys.readouterr().out == ""
 

@@ -138,3 +138,13 @@ class TestTruthPropagation:
             np.testing.assert_allclose(
                 s[[PX, PY]], [k * 0.1 * d[0], k * 0.1 * d[1]], rtol=1e-12
             )
+
+
+class TestCaModel:
+    def test_a_model_equals_itself_and_hashes(self):
+        # Its fields are arrays, so models compare by identity, as every
+        # other record of arrays does, rather than raise on ==.
+        model, other = ca_model(0.1, 5.0), ca_model(0.1, 5.0)
+        assert model == model and model != other
+        assert hash(model) == hash(model)
+        assert {model: 1}[model] == 1

@@ -17,18 +17,21 @@ def test_all_lists_every_public_name_bound_in_the_package():
     assert len(vhd.__all__) == len(set(vhd.__all__))
 
 
-def set_up_modules(tmp_path, names) -> str:
+def set_up_modules(tmp_path, names, run=False) -> str:
     """The sorted list of those `names` that a fresh interpreter holds after
-    `import vhd.cli` and `load_config`, as it prints it."""
+    `import vhd.cli` and `load_config`, and with `run` one 2-run
+    `run_command` after them, as it prints it."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("sim.mc_runs = 2\n", encoding="utf-8")
     script = (
-        "import sys, vhd.cli; vhd.cli.load_config(sys.argv[1]); "
-        f"print(sorted(m for m in sys.modules if m in {tuple(names)!r}))"
+        "import sys, vhd.cli; cfg = vhd.cli.load_config(sys.argv[1]); "
+        + ("vhd.cli.run_command(cfg, sys.argv[2], quiet=True); " if run else "")
+        + f"print(sorted(m for m in sys.modules if m in {tuple(names)!r}))"
     )
     src = str(Path(vhd.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, str(cfg_path)], env=env, capture_output=True, text=True)
+    argv = [sys.executable, "-c", script, str(cfg_path), str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -44,3 +47,11 @@ def test_set_up_loads_no_process_pool(tmp_path):
     # os.pipe, so no process, serial or not, loads a pool's machinery.
     names = ("concurrent.futures", "multiprocessing", "socket", "subprocess", "logging")
     assert set_up_modules(tmp_path, names) == "[]\n"
+
+
+def test_numpy_random_is_loaded_by_the_batch_not_by_set_up(tmp_path):
+    # Its first import (~13 ms) falls in the batch's timed region, in the
+    # draws' first numpy.random call. Loading it in set-up would only move
+    # the same time from the batch's figure to set-up's.
+    assert set_up_modules(tmp_path, ("numpy.random",)) == "[]\n"
+    assert set_up_modules(tmp_path, ("numpy.random",), run=True) == "['numpy.random']\n"

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import json
 import os
 import re
 
@@ -22,10 +21,10 @@ from vhd import (
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model, propagate_truth
 from vhd import simkit
-from vhd.cli import _summary_json, _summary_text
+from vhd.cli import _summary_payload, _summary_text
 from vhd.history import _vandermonde
 from vhd.estimator import GaussianBelief, predict, update
-from vhd.outage import adaptive_noise
+from vhd.outage import adaptive_noise, adaptive_variance
 from vhd.simkit import PREDICTORS, ConfigError, _run_seeds
 
 SMALL = ScenarioConfig(
@@ -57,6 +56,9 @@ ENGINE_CONFIGS = {
     "fix_rate 2": ScenarioConfig(fix_rate=2.0),
     "degree 0, 2 nodes": ScenarioConfig(poly_degree=0, lagrange_nodes=2),
     "degree 5, 12 nodes": ScenarioConfig(poly_degree=5, lagrange_nodes=12),
+    # A noise law whose power is not 2: t**1.5 is where numpy's array `**`
+    # and Python's float `**` may differ in the last bit.
+    "p 1.5, alpha 0.3": ScenarioConfig(p=1.5, alpha=0.3),
     # The tracking covariance at the end of fix period 79 (step 790) is the
     # one at the end of period 77, so these onsets come after the replayed
     # cycle: on a fix boundary (with no fix at the onset step) and off it.
@@ -130,6 +132,19 @@ def plain_tracking_updates(cfg):
             cov, _, k = simkit._axis_fix(cov, cfg.position_fix_noise**2)
             updates.append((k, cov))
         steps.append(updates)
+    return steps
+
+
+def plain_outage_updates(cfg, onset):
+    """The `vhd` outage schedule by the per-step rule, in Python floats: per
+    step k = 1 .. outage_steps, the predicted covariance and the virtual fix
+    of the scalar variance adaptive_variance(cfg, k * dt). Returns each
+    step's gain and covariance after it, from the onset's six entries."""
+    f, q = simkit._axis_model(ca_model(cfg.dt, cfg.sigma_jerk))
+    cov, steps = tuple(onset.tolist()), []
+    for k in range(1, cfg.outage_steps + 1):
+        cov, _, gain = simkit._axis_fix(simkit._axis_predicted(cov, f, q), adaptive_variance(cfg, k * cfg.dt))
+        steps.append((gain, cov))
     return steps
 
 
@@ -1141,6 +1156,18 @@ class TestRunBlock:
             run_block(cfg, [1234])
         assert str(info.value) == SINGULAR.format(cfg.onset_step + bad_step)
 
+    @pytest.mark.parametrize("name", [*ENGINE_CONFIGS, "long_blackout"])
+    def test_outage_schedule_equals_the_plain_chain(self, name):
+        # Every vhd gain and covariance bit for bit, at each power of the
+        # noise law: each step's variance is a scalar adaptive_variance.
+        cfg = {**ENGINE_CONFIGS, "long_blackout": LONG_BLACKOUT}[name]
+        model = ca_model(cfg.dt, cfg.sigma_jerk)
+        onset = simkit._tracking_maps(cfg, model)[2]
+        gains, covs = simkit._outage_schedule(cfg, model, onset)
+        plain = plain_outage_updates(cfg, onset)
+        assert gains.tolist() == [list(gain) for gain, _ in plain]
+        assert covs[:, 1].tolist() == [list(cov) for _, cov in plain]
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -1355,9 +1382,9 @@ class TestMonteCarlo:
         result = monte_carlo(SMALL)
         assert result.rmse_m["ukf"] == 0.0
         assert result.reduction_vs_ukf_pct == {}
-        for row in _summary_text(SMALL, result, PREDICTORS).splitlines()[-len(PREDICTORS):]:
+        payload = _summary_payload(SMALL, result, PREDICTORS)
+        for row in _summary_text(payload).splitlines()[-len(PREDICTORS):]:
             assert row.split()[-1] == "--"
-        payload = json.loads(_summary_json(SMALL, result, PREDICTORS))
         assert not any("reduction_vs_ukf_pct" in entry for entry in payload["predictors"].values())
 
     @pytest.mark.parametrize(("heading", "speed"), [(0.0, 2.0), (0.0, 2.7), (1.2, 1.5)])

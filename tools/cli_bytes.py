@@ -45,7 +45,10 @@ RUN_TIMEOUT_S = 600.0
 # finer step with a sparser fix rate and an onset off the window grid (a fix
 # inside a window period, and identity steps padding the first one), a
 # second geometry: a turn from t = 0 the other way, from another heading,
-# against a current from another direction, and every key set at once.
+# against a current from another direction, every key set at once, a
+# predictor selection without ukf (every reduction `--` in summary.txt, none
+# in summary.json, and CSVs of a subset of columns), and a 300 s outage whose
+# noise law has a power other than 2.
 CASES = {
     "default": ([], []),
     "default --jobs 3": ([], ["--jobs", "3"]),
@@ -78,6 +81,11 @@ CASES = {
             "traj.turn_start = 20", "traj.turn_duration = 8", "traj.initial_heading = 0.5",
         ],
         [],
+    ),
+    "--predictors lagrange,vhd": ([], ["--predictors", "lagrange,vhd"]),
+    "300 s outage, vhd.p 3.7, vhd.alpha 0.002": (
+        ["sim.duration = 360", "sim.outage_duration = 300", "vhd.p = 3.7", "vhd.alpha = 0.002"],
+        ["--runs", "2"],
     ),
 }
 
