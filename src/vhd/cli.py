@@ -9,6 +9,7 @@ output directory is always reproducible from its own echo.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import sys
@@ -75,18 +76,19 @@ def _build_config(values: dict[str, object]) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     """Load a config file; missing keys fall back to the defaults. A UTF-8
     byte-order mark, as some editors write one, is skipped; a file that is
-    not UTF-8 is named with the line of its first bad byte."""
+    not UTF-8 is named with the line of its first bad byte. The mark is cut
+    here, as the `utf-8-sig` codec would cut it, so set-up loads no codec."""
     path = Path(path)
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # The text before the bad byte decodes; its line breaks are the
         # ones splitlines counts below.
-        lineno = len((exc.object[: exc.start].decode("utf-8-sig") + ".").splitlines())
+        lineno = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
         raise ConfigError(
             f"cannot read config {path}: line {lineno} is not UTF-8: "
             f"cannot decode byte 0x{exc.object[exc.start]:02x} ({exc.reason})"

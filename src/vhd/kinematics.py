@@ -45,7 +45,7 @@ def ca_transition_matrix(dt: float) -> np.ndarray:
     -------
     (6, 6) ndarray
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     block = np.array(
         [
@@ -85,9 +85,9 @@ def ca_process_noise(dt: float, sigma_jerk: float) -> np.ndarray:
     -------
     (6, 6) ndarray, symmetric positive semi-definite.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if sigma_jerk < 0.0:
+    if not sigma_jerk >= 0.0:
         raise ValueError(f"sigma_jerk must be non-negative, got {sigma_jerk}")
     block = (sigma_jerk**2) * np.array(
         [

@@ -1,4 +1,5 @@
-"""Outage-time prediction: virtual measurements with adaptive confidence.
+"""The reference outage loop: virtual measurements with adaptive confidence,
+stepped through numpy's 6x6 `predict` and `update`.
 
 While no real fixes arrive, the filter is fed synthetic position
 measurements taken from the history polynomial. Their noise covariance
@@ -7,30 +8,21 @@ trusts recent history) and inflates with the time elapsed since the
 outage began, handing weight back to the motion model as the
 extrapolation ages. R_base, alpha and p are the run's `ScenarioConfig`
 fields r_base, alpha and p: of the config, the functions here read only
-those and, for the fit, poly_degree.
+those and, for the fit, poly_degree. The scalar schedule,
+`adaptive_variance`, lives beside `ScenarioConfig` in `simkit`, whose
+engine steps the same outage per axis in floats; `run_scenario` runs this
+loop as the per-run reference that the tests hold the engine to, and a
+batch never loads this module.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .estimator import GaussianBelief, _identity, predict, update
 from .history import PolyModel, Trajectory, fit_polynomial
 from .kinematics import CaModel
-
-if TYPE_CHECKING:
-    from .simkit import ScenarioConfig
-
-def adaptive_variance(cfg: ScenarioConfig, elapsed: float) -> float:
-    """Variance of each virtual-fix coordinate after `elapsed` seconds, of
-    `cfg`'s r_base, alpha and p only: R(elapsed) = r_base * (1 + alpha *
-    elapsed**p); equals r_base exactly at elapsed = 0 and is monotone
-    non-decreasing in elapsed."""
-    if elapsed < 0.0:
-        raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return cfg.r_base * (1.0 + cfg.alpha * elapsed**cfg.p)
+from .simkit import ScenarioConfig, adaptive_variance
 
 
 def adaptive_noise(cfg: ScenarioConfig, elapsed: float) -> np.ndarray:

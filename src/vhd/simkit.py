@@ -26,7 +26,8 @@ lockstep through them, one stacked product per period and per block
 `run_scenario` is the per-run reference that the tests compare it against:
 it shares the onset path (`_tracked`: the truth, the streams, their checks
 and the tracking) and the `ukf` closed form, and so the engine's errors; its
-`vhd` outage steps numpy's 6x6 beliefs, and differs in the last bits.
+`vhd` outage steps numpy's 6x6 beliefs, and differs in the last bits. It
+imports `estimator` and `outage` when it runs, so a batch loads neither.
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ import os
 import pickle
 from array import array
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .estimator import GaussianBelief
 from .history import Trajectory, _vandermonde, fit_polynomial, lagrange_extrapolate
 from .kinematics import AX, AY, CaModel, PX, PY, STATE_DIM, VX, VY, ca_model
-from .outage import adaptive_variance, run_outage
+
+if TYPE_CHECKING:
+    from .estimator import GaussianBelief
 
 PREDICTORS = ("ukf", "lagrange", "vhd")
 
@@ -97,7 +100,7 @@ class ScenarioConfig:
     are squared into the filter's measurement covariances, so each square
     must be finite. accel_bias_walk is the std dev of each per-step bias
     increment, m/s^2, and fix_rate the position fixes per second outside
-    the outage. r_base, alpha and p are `outage.adaptive_variance`'s vhd noise
+    the outage. r_base, alpha and p are `adaptive_variance`'s vhd noise
     schedule; r_base is each virtual-fix coordinate's variance at onset, m^2.
     The vehicle cruises straight, turns once over [turn_start, turn_end) at
     the constant yaw rate turn_rate (centripetal acceleration cruise_speed *
@@ -278,6 +281,16 @@ class ScenarioConfig:
                 self.current_speed * float(np.sin(heading)))
 
 
+def adaptive_variance(cfg: ScenarioConfig, elapsed: float) -> float:
+    """Variance of each virtual-fix coordinate after `elapsed` seconds, of
+    `cfg`'s r_base, alpha and p only: R(elapsed) = r_base * (1 + alpha *
+    elapsed**p); equals r_base exactly at elapsed = 0 and is monotone
+    non-decreasing in elapsed."""
+    if not elapsed >= 0.0:
+        raise ValueError(f"elapsed must be >= 0, got {elapsed}")
+    return cfg.r_base * (1.0 + cfg.alpha * elapsed**cfg.p)
+
+
 # ----------------------------------------------------------------------
 # truth and sensors
 # ----------------------------------------------------------------------
@@ -430,6 +443,8 @@ def _tracked(cfg: ScenarioConfig, composed: np.ndarray, segment: list, seeds) ->
 def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     """Run the tracking filter from t = 0 to the outage onset for one run,
     with the maps, the onset covariance and the `_tracked` that `run_block` uses."""
+    from .estimator import GaussianBelief
+
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     maps, rows, onset = _tracking_maps(cfg, model)
     truth, means = _tracked(cfg, *_compose(maps, rows, cfg.window_period_steps), [seed])
@@ -512,6 +527,8 @@ def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
     numpy's overflow and invalid-value warnings off, as in `run_block`, the
     virtual fixes are checked as the engine's means are, before the first
     update: a window fit that overflows raises the engine's ConfigError."""
+    from .outage import run_outage
+
     onset = track_to_outage(cfg, seed)
     b0, model, T = onset.belief, onset.model, cfg.outage_steps
     _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])

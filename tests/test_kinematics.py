@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ class TestTransitionMatrix:
         Fa, Fb = ca_transition_matrix(0.4), ca_transition_matrix(1.1)
         np.testing.assert_allclose(Fa @ Fb, ca_transition_matrix(1.5), rtol=1e-12)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
     def test_non_positive_dt_rejected(self, dt):
         with pytest.raises(ValueError):
             ca_transition_matrix(dt)
@@ -73,13 +75,15 @@ class TestProcessNoise:
         # every state component must receive fresh noise each step
         assert np.linalg.matrix_rank(ca_process_noise(0.1, 0.05)) == 6
 
-    def test_negative_sigma_rejected(self):
+    @pytest.mark.parametrize("sigma_jerk", [-0.01, math.nan])
+    def test_negative_sigma_rejected(self, sigma_jerk):
         with pytest.raises(ValueError):
-            ca_process_noise(0.1, -0.01)
+            ca_process_noise(0.1, sigma_jerk)
 
-    def test_non_positive_dt_rejected(self):
+    @pytest.mark.parametrize("dt", [0.0, math.nan])
+    def test_non_positive_dt_rejected(self, dt):
         with pytest.raises(ValueError):
-            ca_process_noise(0.0, 0.1)
+            ca_process_noise(dt, 0.1)
 
 
 class TestMeasurementMatrices:

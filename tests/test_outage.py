@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,10 @@ class TestAdaptiveNoise:
         R = adaptive_noise(ScenarioConfig(), 40.0)
         np.testing.assert_array_equal(R, np.diag([8.5, 8.5]))
 
-    def test_negative_elapsed_rejected(self):
+    @pytest.mark.parametrize("elapsed", [-0.1, math.nan])
+    def test_negative_elapsed_rejected(self, elapsed):
         with pytest.raises(ValueError, match="elapsed"):
-            adaptive_noise(ScenarioConfig(), -0.1)
+            adaptive_noise(ScenarioConfig(), elapsed)
 
     def test_monotone_in_elapsed(self):
         params = ScenarioConfig()

@@ -1,31 +1,38 @@
-import inspect
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import vhd
 
 
 def test_all_lists_every_public_name_bound_in_the_package():
-    bound = {
-        name
-        for name, value in vars(vhd).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert set(vhd.__all__) - {"__version__"} == bound
+    # The names come from one {name: home module} table and are looked up
+    # in their home module on each use: `vars(vhd)` binds none of them.
+    assert dir(vhd) == sorted(vhd.__all__)
     assert len(vhd.__all__) == len(set(vhd.__all__))
+    for name in vhd.__all__:
+        home = vhd if name == "__version__" else importlib.import_module(f"vhd.{vhd._HOMES[name]}")
+        assert getattr(vhd, name) is getattr(home, name)
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        vhd.nothing
 
 
-def set_up_modules(tmp_path, names, run=False) -> str:
+RUN_COMMAND = "vhd.cli.run_command(cfg, sys.argv[2], quiet=True)"
+
+
+def set_up_modules(tmp_path, names, then=None) -> str:
     """The sorted list of those `names` that a fresh interpreter holds after
-    `import vhd.cli` and `load_config`, and with `run` one 2-run
-    `run_command` after them, as it prints it."""
+    `import vhd.cli` and `load_config`, and after the statement `then` when
+    one is given, as it prints it."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("sim.mc_runs = 2\n", encoding="utf-8")
     script = (
         "import sys, vhd.cli; cfg = vhd.cli.load_config(sys.argv[1]); "
-        + ("vhd.cli.run_command(cfg, sys.argv[2], quiet=True); " if run else "")
+        + (f"{then}; " if then else "")
         + f"print(sorted(m for m in sys.modules if m in {tuple(names)!r}))"
     )
     src = str(Path(vhd.__file__).resolve().parent.parent)
@@ -54,4 +61,16 @@ def test_numpy_random_is_loaded_by_the_batch_not_by_set_up(tmp_path):
     # draws' first numpy.random call. Loading it in set-up would only move
     # the same time from the batch's figure to set-up's.
     assert set_up_modules(tmp_path, ("numpy.random",)) == "[]\n"
-    assert set_up_modules(tmp_path, ("numpy.random",), run=True) == "['numpy.random']\n"
+    assert set_up_modules(tmp_path, ("numpy.random",), then=RUN_COMMAND) == "['numpy.random']\n"
+
+
+def test_a_batch_loads_no_reference_filter_and_no_codec(tmp_path):
+    # A batch runs the engine alone: the 6x6 numpy filter and the per-run
+    # outage loop are the reference's, which run_scenario imports when it
+    # runs. load_config cuts a UTF-8 byte-order mark itself.
+    names = ("vhd.estimator", "vhd.outage", "encodings.utf_8_sig")
+    assert set_up_modules(tmp_path, names) == "[]\n"
+    assert set_up_modules(tmp_path, names, then=RUN_COMMAND) == "[]\n"
+    assert set_up_modules(tmp_path, names, then="vhd.simkit.run_scenario(cfg, cfg.base_seed)") == (
+        "['vhd.estimator', 'vhd.outage']\n"
+    )

@@ -912,8 +912,11 @@ class TestRunBlock:
         monkeypatch.setattr(simkit, "_axis_fix", counted_axis_fix)
         simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
         # Computing every tracking step takes one update per step plus one per
-        # fix; the replayed periods take none.
-        assert len(calls) < cfg.onset_step
+        # fix (1099 here). The replayed periods take none: fix periods 1 .. 79
+        # are computed, and period 79 ends where period 77 did; so are the
+        # steps after the last fix (879 in all).
+        computed = 79 * (cfg.fix_period_steps + 1) + cfg.onset_step - cfg.fix_steps[-1]
+        assert len(calls) == computed < cfg.onset_step + cfg.fix_steps.size
 
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_tracking_covariances_equal_the_reference_beliefs(self, name):
