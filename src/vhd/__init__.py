@@ -9,7 +9,7 @@ as baselines, with a Monte Carlo harness and CLI to compare all three.
 
 Each public name is looked up in its home module when it is used (PEP
 562), so a batch's process never loads `estimator` or `outage`: the 6x6
-numpy filter and the per-run outage loop that the tests hold the engine to.
+numpy filter and the per-run reference that the tests hold the engine to.
 """
 
 import importlib
@@ -24,11 +24,11 @@ _HOMES = {
     "GaussianBelief": "estimator",
     "KlArgminResult": "estimator",
     "McResult": "simkit",
-    "OnsetState": "simkit",
+    "OnsetState": "outage",
     "PREDICTORS": "simkit",
     "PolyModel": "history",
     "RunRecord": "simkit",
-    "ScenarioConfig": "simkit",
+    "ScenarioConfig": "config",
     "Trajectory": "history",
     "adaptive_noise": "outage",
     "ca_model": "kinematics",
@@ -47,9 +47,9 @@ _HOMES = {
     "rmse": "simkit",
     "run_block": "simkit",
     "run_outage": "outage",
-    "run_scenario": "simkit",
+    "run_scenario": "outage",
     "simulate_measurements": "simkit",
-    "track_to_outage": "simkit",
+    "track_to_outage": "outage",
     "update": "estimator",
     "vhd_outage_step": "outage",
 }

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .simkit import PREDICTORS, ConfigError, McResult, ScenarioConfig, monte_carlo
+from .config import ConfigError, ScenarioConfig
+from .simkit import PREDICTORS, McResult, monte_carlo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -27,7 +27,8 @@ lockstep through them, one stacked product per period and per block
 it shares the onset path (`_tracked`: the truth, the streams, their checks
 and the tracking) and the `ukf` closed form, and so the engine's errors; its
 `vhd` outage steps numpy's 6x6 beliefs, and differs in the last bits. It
-imports `estimator` and `outage` when it runs, so a batch loads neither.
+lives in `outage`, with `track_to_outage` and `OnsetState`, which this
+module hands out on use, so a batch's process never compiles the three.
 """
 
 from __future__ import annotations
@@ -36,259 +37,27 @@ import math
 import os
 import pickle
 from array import array
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .history import Trajectory, _vandermonde, fit_polynomial, lagrange_extrapolate
+from .config import ConfigError, ScenarioConfig, adaptive_variance
+from .history import Trajectory, fit_polynomial, lagrange_extrapolate
 from .kinematics import AX, AY, CaModel, PX, PY, STATE_DIM, VX, VY, ca_model
 
-if TYPE_CHECKING:
-    from .estimator import GaussianBelief
-
 PREDICTORS = ("ukf", "lagrange", "vhd")
-
-_GRID_TOL = 1e-9
 
 # Outage steps per composed `vhd` block; not the window period, whose c may be 1000.
 _OUTAGE_BLOCK = 10
 
-# Most steps a run may simulate (onset_step + outage_steps): about 1000x the
-# longest benchmark run, and far below a grid whose truth cannot be allocated.
-_MAX_STEPS = 10**7
 
+def __getattr__(name: str):
+    """The per-run reference's names, from `outage` when one is used (PEP 562)."""
+    if name in ("OnsetState", "run_scenario", "track_to_outage"):
+        from . import outage
 
-class ConfigError(Exception):
-    """A config file or config value the run cannot proceed with."""
-
-
-# ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
-
-def _full_rank(A: np.ndarray) -> bool:
-    """`np.linalg.matrix_rank(A) == len(A)` for a symmetric A, certified
-    without an SVD where possible: 1/||A^-1||_F bounds the least singular
-    value from below and ||A||_F * len(A) * eps bounds matrix_rank's
-    tolerance from above, and a 100x margin covers inv's rounding. The
-    first SVD of a process pages in ~1 MB of LAPACK, so it runs only when
-    the certificate fails."""
-    try:
-        if 1.0 / np.linalg.norm(np.linalg.inv(A)) > 100.0 * np.linalg.norm(A) * len(A) * np.finfo(float).eps:
-            return True
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.matrix_rank(A) == len(A)
-
-
-def _key(key: str, default):
-    """A ScenarioConfig field that the config file sets with `key`."""
-    return field(default=default, metadata={"key": key})
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Every knob of a simulated run: one field per config key, set by `_key`.
-
-    Durations are in seconds. The outage covers
-    [outage_start, outage_start + outage_duration); the history window
-    must be filled before it begins.
-
-    position_fix_noise is the std dev of each fix coordinate, m, and
-    accel_white_noise the accelerometer's white noise std dev, m/s^2; both
-    are squared into the filter's measurement covariances, so each square
-    must be finite. accel_bias_walk is the std dev of each per-step bias
-    increment, m/s^2, and fix_rate the position fixes per second outside
-    the outage. r_base, alpha and p are `adaptive_variance`'s vhd noise
-    schedule; r_base is each virtual-fix coordinate's variance at onset, m^2.
-    The vehicle cruises straight, turns once over [turn_start, turn_end) at
-    the constant yaw rate turn_rate (centripetal acceleration cruise_speed *
-    turn_rate), and cruises on.
-    """
-
-    duration: float = _key("sim.duration", 110.0)
-    dt: float = _key("sim.dt", 0.1)
-    outage_start: float = _key("sim.outage_start", 60.0)
-    outage_duration: float = _key("sim.outage_duration", 40.0)
-    history_window: float = _key("sim.history_window", 50.0)
-    mc_runs: int = _key("sim.mc_runs", 100)
-    base_seed: int = _key("sim.base_seed", 1234)
-    sigma_jerk: float = _key("sim.sigma_jerk", 5.0)
-    current_speed: float = _key("current.speed", 1.0)
-    current_heading_deg: float = _key("current.heading_deg", 45.0)
-    position_fix_noise: float = _key("sensor.position_fix_noise", 1.0)
-    accel_white_noise: float = _key("sensor.accel_white_noise", 0.05)
-    accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005)
-    fix_rate: float = _key("sensor.fix_rate", 1.0)
-    r_base: float = _key("vhd.r_base", 0.5)
-    alpha: float = _key("vhd.alpha", 0.01)
-    p: float = _key("vhd.p", 2.0)
-    poly_degree: int = _key("vhd.poly_degree", 2)
-    lagrange_nodes: int = _key("baseline.lagrange_nodes", 8)
-    cruise_speed: float = _key("traj.cruise_speed", 2.0)
-    turn_rate: float = _key("traj.turn_rate", 0.1)
-    turn_start: float = _key("traj.turn_start", 45.0)
-    turn_duration: float = _key("traj.turn_duration", 10.0)
-    initial_heading: float = _key("traj.initial_heading", 0.0)
-
-    def __post_init__(self):
-        for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
-            # copysign also rejects -0.0, which numpy refuses as a scale
-            if math.copysign(1.0, getattr(self, name)) < 0.0:
-                raise ValueError(f"ScenarioConfig invariant: {name} must be >= 0")
-        for name in ("position_fix_noise", "accel_white_noise"):
-            value = getattr(self, name)
-            if not math.isfinite(value * value):
-                raise ValueError(f"ScenarioConfig invariant: {name} squared must be finite")
-        if self.fix_rate <= 0.0:
-            raise ValueError("ScenarioConfig invariant: fix_rate must be > 0")
-        if not 0.0 < self.r_base < math.inf:
-            raise ValueError(f"ScenarioConfig invariant: r_base must be > 0 and finite, got {self.r_base}")
-        if self.alpha < 0.0:
-            raise ValueError(f"ScenarioConfig invariant: alpha must be >= 0, got {self.alpha}")
-        if self.p < 1.0:
-            raise ValueError(f"ScenarioConfig invariant: p must be >= 1, got {self.p}")
-        if self.cruise_speed < 0.0:
-            raise ValueError("ScenarioConfig invariant: cruise_speed must be >= 0")
-        if self.turn_start < 0.0 or self.turn_duration < 0.0:
-            raise ValueError("ScenarioConfig invariant: turn timing must be >= 0")
-        if self.dt <= 0.0:
-            raise ValueError("ScenarioConfig invariant: dt must be > 0")
-        if self.duration <= 0.0:
-            raise ValueError("ScenarioConfig invariant: duration must be > 0")
-        if self.outage_start < self.history_window:
-            raise ValueError(
-                "ScenarioConfig invariant: outage_start must be >= history_window "
-                "(the buffer must fill before the outage)"
-            )
-        if self.outage_start + self.outage_duration > self.duration + _GRID_TOL:
-            raise ValueError("ScenarioConfig invariant: outage must end within the run")
-        if self.mc_runs < 1:
-            raise ValueError("ScenarioConfig invariant: mc_runs must be >= 1")
-        if self.history_window <= 0.0:
-            raise ValueError("ScenarioConfig invariant: history_window must be > 0")
-        if self.poly_degree < 0:
-            raise ValueError("ScenarioConfig invariant: poly_degree must be >= 0")
-        if self.lagrange_nodes < 2:
-            raise ValueError("ScenarioConfig invariant: lagrange_nodes must be >= 2")
-        if self.base_seed < 0:
-            raise ValueError("ScenarioConfig invariant: base_seed must be >= 0")
-        if not self.sigma_jerk >= 0.0:
-            raise ValueError("ScenarioConfig invariant: sigma_jerk must be >= 0")
-        if not math.isfinite(self.sigma_jerk * self.sigma_jerk):
-            raise ValueError("ScenarioConfig invariant: sigma_jerk squared must be finite")
-        if self.current_speed < 0.0:
-            raise ValueError("ScenarioConfig invariant: current_speed must be >= 0")
-        if self.has_turn and self.turn_start >= self.outage_start:
-            raise ValueError(
-                "ScenarioConfig invariant: the turn must begin before the outage"
-            )
-        # The step grid must line up with the fix cadence, the 1 s window
-        # sampling, and the configured interval boundaries; a fix_rate * dt
-        # that underflows to 0 is an infinite fix period.
-        fix_product = self.fix_rate * self.dt
-        for name, value in (
-            ("window sample period", 1.0 / self.dt),
-            ("fix period", 1.0 / fix_product if fix_product else math.inf),
-            ("duration", self.duration / self.dt),
-            ("outage_start", self.outage_start / self.dt),
-            ("outage_duration", self.outage_duration / self.dt),
-        ):
-            if not math.isfinite(value) or abs(value - round(value)) > 1e-6 or round(value) < 1:
-                raise ValueError(
-                    f"ScenarioConfig invariant: {name} must be a positive multiple of dt"
-                )
-        if self.onset_step + self.outage_steps > _MAX_STEPS:
-            raise ValueError(
-                f"ScenarioConfig invariant: (outage_start + outage_duration) / dt must be <= {_MAX_STEPS}"
-            )
-        # generate_truth rounds the turn's end to a step, as it rounds its start.
-        if not math.isfinite(self.turn_end / self.dt):
-            raise ValueError("ScenarioConfig invariant: (turn_start + turn_duration) / dt must be finite")
-        # The capacity divides by the window sample period, checked just above.
-        capacity = self.window_capacity
-        if self.poly_degree + 1 > capacity:
-            raise ValueError(f"ScenarioConfig invariant: poly_degree + 1 must be <= window capacity {capacity}")
-        if self.lagrange_nodes > capacity:
-            raise ValueError(f"ScenarioConfig invariant: lagrange_nodes must be <= window capacity {capacity}")
-        # A rank-deficient V^T V makes the window fit noise, which the outage amplifies.
-        V = _vandermonde(self.window_steps * self.dt, self.poly_degree + 1)[0]
-        if not _full_rank(V.T @ V):
-            raise ValueError("ScenarioConfig invariant: poly_degree is too high: the window fit's normal matrix is rank-deficient")
-        # The schedule grows with outage age, so its last step bounds it.
-        try:
-            last_noise = adaptive_variance(self, self.outage_steps * self.dt)
-        except OverflowError:
-            last_noise = math.inf
-        if not math.isfinite(last_noise):
-            raise ValueError("ScenarioConfig invariant: vhd noise must stay finite up to the last outage step")
-
-    # -- derived values ------------------------------------------------
-
-    @property
-    def turn_end(self) -> float:
-        return self.turn_start + self.turn_duration
-
-    @property
-    def has_turn(self) -> bool:
-        return self.turn_duration > 0.0 and self.turn_rate != 0.0
-
-    @property
-    def onset_step(self) -> int:
-        return round(self.outage_start / self.dt)
-
-    @property
-    def outage_steps(self) -> int:
-        return round(self.outage_duration / self.dt)
-
-    @property
-    def fix_period_steps(self) -> int:
-        return round(1.0 / (self.fix_rate * self.dt))
-
-    @property
-    def window_period_steps(self) -> int:
-        return round(1.0 / self.dt)
-
-    @property
-    def window_capacity(self) -> int:
-        """Samples in the history window: one per second of history_window,
-        but no more than the one-second samples that fit before the onset."""
-        return min(round(self.history_window) + 1, self.onset_step // self.window_period_steps + 1)
-
-    @property
-    def fix_steps(self) -> np.ndarray:
-        """Steps at which a position fix arrives: one every fix period from
-        the first period boundary after t = 0 up to, not at, the onset step.
-        Nothing after the onset is simulated."""
-        # A period past the onset means no fix; capping it keeps the steps
-        # int64 when the period itself does not fit.
-        period = min(self.fix_period_steps, self.onset_step)
-        return np.arange(period, self.onset_step, period)
-
-    @property
-    def window_steps(self) -> np.ndarray:
-        """Steps of the history window: one per window period backward from
-        the onset step, at most window_capacity of them, oldest first."""
-        return self.onset_step - self.window_period_steps * np.arange(self.window_capacity)[::-1]
-
-    @property
-    def current(self) -> tuple[float, float]:
-        """The water current's (x, y) velocity in m/s, from its speed and
-        heading."""
-        heading = np.radians(self.current_heading_deg)
-        return (self.current_speed * float(np.cos(heading)),
-                self.current_speed * float(np.sin(heading)))
-
-
-def adaptive_variance(cfg: ScenarioConfig, elapsed: float) -> float:
-    """Variance of each virtual-fix coordinate after `elapsed` seconds, of
-    `cfg`'s r_base, alpha and p only: R(elapsed) = r_base * (1 + alpha *
-    elapsed**p); equals r_base exactly at elapsed = 0 and is monotone
-    non-decreasing in elapsed."""
-    if not elapsed >= 0.0:
-        raise ValueError(f"elapsed must be >= 0, got {elapsed}")
-    return cfg.r_base * (1.0 + cfg.alpha * elapsed**cfg.p)
+        return getattr(outage, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -375,16 +144,6 @@ def simulate_measurements(truth: Trajectory, cfg: ScenarioConfig, seeds) -> tupl
 # single run
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class OnsetState:
-    """Everything known at the moment the outage begins."""
-
-    belief: GaussianBelief
-    window: Trajectory
-    model: CaModel
-    truth: Trajectory
-
-
 def _window(cfg: ScenarioConfig, means: np.ndarray) -> Trajectory:
     """The history window, which ends at the onset mean: the last rows of
     `_tracked`'s means of one run or a block. `np.take` lays each run's
@@ -438,19 +197,6 @@ def _tracked(cfg: ScenarioConfig, composed: np.ndarray, segment: list, seeds) ->
         raise ConfigError(f"the accelerometer readings are not finite at step {np.argmin(finite)}: the config's sensor values overflow them")
     buffer = _step(composed, segment, truth.states[0], imu[:, 1:], (cfg.fix_steps, fixes))
     return truth, _finite(np.moveaxis(buffer[..., :3, 0], 0, 1).reshape(len(seeds), -1, STATE_DIM), "means")
-
-
-def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
-    """Run the tracking filter from t = 0 to the outage onset for one run,
-    with the maps, the onset covariance and the `_tracked` that `run_block` uses."""
-    from .estimator import GaussianBelief
-
-    model = ca_model(cfg.dt, cfg.sigma_jerk)
-    maps, rows, onset = _tracking_maps(cfg, model)
-    truth, means = _tracked(cfg, *_compose(maps, rows, cfg.window_period_steps), [seed])
-    cov = np.zeros((STATE_DIM, STATE_DIM))
-    cov[:3, :3] = cov[3:, 3:] = onset[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
-    return OnsetState(GaussianBelief(means[0, -1], cov), _window(cfg, means[0]), model, truth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,32 +256,6 @@ def _open_loop_positions(cfg: ScenarioConfig, onset: np.ndarray) -> np.ndarray:
     xy[..., 0, :] = onset[..., [PX, PY]]
     xy[..., 1:, :] = p + t * v + (t**2 / 2) * a
     return xy
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def run_scenario(cfg: ScenarioConfig, seed: int) -> RunRecord:
-    """Track to onset, then branch the three predictors over the outage: the
-    `ukf` positions in closed form, as `run_block` computes them, and the
-    `vhd` path by numpy's 6x6 `predict` and `update`.
-
-    Before the outage, the engine's `_outage_schedule` checks its
-    covariances, so a config that overflows the filter or makes an
-    innovation covariance singular fails with the engine's ConfigError. The
-    6x6 beliefs alone would not always: where the `vhd` covariance collapses
-    to rounding level, the sign of s is set by the last bits, and their
-    products may keep it positive where the schedule's floats do not. With
-    numpy's overflow and invalid-value warnings off, as in `run_block`, the
-    virtual fixes are checked as the engine's means are, before the first
-    update: a window fit that overflows raises the engine's ConfigError."""
-    from .outage import run_outage
-
-    onset = track_to_outage(cfg, seed)
-    b0, model, T = onset.belief, onset.model, cfg.outage_steps
-    _outage_schedule(cfg, model, b0.cov[tuple(zip(*_AXIS_ENTRIES))])
-    ukf = _finite(_open_loop_positions(cfg, b0.mean), "means")
-    _finite(_virtual_fixes(cfg, onset.window), "means")
-    vhd = [b0] + run_outage(b0, onset.window, cfg, T, model)
-    return _record(cfg, seed, onset.truth, onset.window, ukf, np.array([b.mean for b in vhd])[:, [PX, PY]])
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +350,8 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     `_axis_fix` on the block permuted so that entry 2 comes first. The fix
     measures entry 0 with variance position_fix_noise^2. Each update appends
     one row to one table: its step, s, k (in state order) and the covariance
-    after it. One mask checks the table (`_check`).
+    after it. One mask checks the table (`_check`). The predict and the
+    accelerometer update are written out, as in `_outage_schedule`.
 
     Every full fix period has the same updates, so its start covariance sets
     its rows. Once a period starts where an earlier one started, every later
@@ -641,17 +362,31 @@ def _tracking_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray,
     covariance after it, and per step 1 .. onset_step the row of its
     accelerometer update and of its fix update, -1 on a step without a fix.
     The last row is the onset step's, so its covariance is the onset's."""
-    f, q = _axis_model(model)
+    (dt, h), (q00, q01, q02, q11, q12, q22) = _axis_model(model)
     r_acc, r_fix = cfg.accel_white_noise**2, cfg.position_fix_noise**2
     period, full = min(cfg.fix_period_steps, cfg.onset_step), cfg.fix_steps.size
     rows = array("d")
 
     def segment(cov: tuple, first: int, count: int, fix: bool) -> tuple:
+        p00, p01, p02, p11, p12, p22 = cov
         for i in range(first, first + count):
-            p00, p01, p02, p11, p12, p22 = _axis_predicted(cov, f, q)
-            (c22, c02, c12, c00, c01, c11), s, (k2, k0, k1) = _axis_fix((p22, p02, p12, p00, p01, p11), r_acc)
-            cov = (c00, c01, c02, c11, c12, c22)
-            rows.extend((i, s, k0, k1, k2, *cov))
+            # predict, as in `_outage_schedule`
+            a00, a01, a02 = p00 + dt * p01 + h * p02, p01 + dt * p11 + h * p12, p02 + dt * p12 + h * p22
+            a11, a12 = p11 + dt * p12, p12 + dt * p22
+            p00, p01, p02 = a00 + dt * a01 + h * a02 + q00, a01 + dt * a02 + q01, a02 + q02
+            p11, p12, p22 = a11 + dt * a12 + q11, a12 + q12, p22 + q22
+            # the accelerometer update of entry 2, with B = (I - k e2^T) P in state order
+            s = p22 + r_acc
+            k0, k1, k2 = (p02 / s, p12 / s, p22 / s) if s else (math.nan,) * 3
+            a = 1.0 - k2
+            b20, b21, b22 = a * p02, a * p12, a * p22
+            b00, b01, b02 = p00 - k0 * p02, p01 - k0 * p12, p02 - k0 * p22
+            b11, b12 = p11 - k1 * p12, p12 - k1 * p22
+            rk0, rk1, rk2 = k0 * r_acc, k1 * r_acc, k2 * r_acc
+            p00, p01, p02 = b00 - k0 * b02 + rk0 * k0, b01 - k1 * b02 + rk0 * k1, b20 - k0 * b22 + rk2 * k0
+            p11, p12, p22 = b11 - k1 * b12 + rk1 * k1, b21 - k1 * b22 + rk2 * k1, a * b22 + rk2 * k2
+            rows.extend((i, s, k0, k1, k2, p00, p01, p02, p11, p12, p22))
+        cov = (p00, p01, p02, p11, p12, p22)
         if fix:
             cov, s, k = _axis_fix(cov, r_fix)
             rows.extend((i, s, *k, *cov))
@@ -698,13 +433,30 @@ def _outage_schedule(cfg: ScenarioConfig, model: CaModel, onset: np.ndarray) -> 
     grouped as q * (t**5 / 20), so that q * t**5 does not overflow on its
     own. The `vhd` steps run in floats, each appending its 10 floats (s, k
     and the entries) to one array. With the `ukf` entries first, they form
-    one 16-column table, and one mask checks it (`_check`)."""
-    f, q = _axis_model(model)
-    vhd = p0 = tuple(onset.tolist())
+    one 16-column table, and one mask checks it (`_check`). A `vhd` step is
+    `_axis_fix(_axis_predicted(P, f, q), r)` written out on six local floats,
+    each operand in the helpers' order: their bits without their calls."""
+    (dt, h), (q00, q01, q02, q11, q12, q22) = _axis_model(model)
+    p00, p01, p02, p11, p12, p22 = p0 = tuple(onset.tolist())
     rows = array("d")
-    for k in range(1, cfg.outage_steps + 1):
-        vhd, s, gain = _axis_fix(_axis_predicted(vhd, f, q), adaptive_variance(cfg, k * cfg.dt))
-        rows.extend((s, *gain, *vhd))
+    for step in range(1, cfg.outage_steps + 1):
+        r = adaptive_variance(cfg, step * cfg.dt)
+        # predict: rows 0 and 1 of F P, then (F P) F^T + Q
+        a00, a01, a02 = p00 + dt * p01 + h * p02, p01 + dt * p11 + h * p12, p02 + dt * p12 + h * p22
+        a11, a12 = p11 + dt * p12, p12 + dt * p22
+        p00, p01, p02 = a00 + dt * a01 + h * a02 + q00, a01 + dt * a02 + q01, a02 + q02
+        p11, p12, p22 = a11 + dt * a12 + q11, a12 + q12, p22 + q22
+        # the virtual fix of entry 0: B = (I - k H) P, then B (I - k H)^T + r k k^T
+        s = p00 + r
+        k0, k1, k2 = (p00 / s, p01 / s, p02 / s) if s else (math.nan,) * 3
+        a = 1.0 - k0
+        b00, b01, b02 = a * p00, a * p01, a * p02
+        b10, b11, b12 = p01 - k1 * p00, p11 - k1 * p01, p12 - k1 * p02
+        b20, b22 = p02 - k2 * p00, p22 - k2 * p02
+        rk0, rk1, rk2 = k0 * r, k1 * r, k2 * r
+        p00, p01, p02 = a * b00 + rk0 * k0, b01 - k1 * b00 + rk0 * k1, b02 - k2 * b00 + rk0 * k2
+        p11, p12, p22 = b11 - k1 * b10 + rk1 * k1, b12 - k2 * b10 + rk1 * k2, b22 - k2 * b20 + rk2 * k2
+        rows.extend((s, k0, k1, k2, p00, p01, p02, p11, p12, p22))
     t, q = np.arange(1, cfg.outage_steps + 1) * cfg.dt, cfg.sigma_jerk**2
     ukf = _axis_predicted(p0, (t, t**2 / 2), (q * (t**5 / 20), q * (t**4 / 8), q * (t**3 / 6),
                                                q * (t**3 / 3), q * (t**2 / 2), q * t))

@@ -74,3 +74,18 @@ def test_a_batch_loads_no_reference_filter_and_no_codec(tmp_path):
     assert set_up_modules(tmp_path, names, then="vhd.simkit.run_scenario(cfg, cfg.base_seed)") == (
         "['vhd.estimator', 'vhd.outage']\n"
     )
+    assert set_up_modules(tmp_path, names, then="from vhd.simkit import run_scenario") == (
+        "['vhd.estimator', 'vhd.outage']\n"
+    )
+
+
+def test_simkit_forwards_the_reference_names_to_outage():
+    # The per-run reference lives in `outage`, so that a batch's process does
+    # not compile it; `simkit` hands out those three names and no others.
+    from vhd import outage, simkit
+
+    for name in ("OnsetState", "run_scenario", "track_to_outage"):
+        assert name not in vars(simkit)
+        assert getattr(simkit, name) is getattr(outage, name)
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        simkit.nothing

@@ -2,9 +2,13 @@ import collections
 import dataclasses
 import os
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from vhd import (
@@ -20,7 +24,7 @@ from vhd import (
     track_to_outage,
 )
 from vhd.kinematics import AX, AY, PX, PY, VX, VY, accel_measurement_matrix, ca_model, propagate_truth
-from vhd import simkit
+from vhd import config, simkit
 from vhd.cli import _summary_payload, _summary_text
 from vhd.history import _vandermonde
 from vhd.estimator import GaussianBelief, predict, update
@@ -238,7 +242,7 @@ class TestScenarioConfig:
             for degree in range(min(count - 1, 30) + 1):
                 V = _vandermonde(times, degree + 1)[0]
                 A = V.T @ V
-                assert simkit._full_rank(A) == (np.linalg.matrix_rank(A) > degree), (count, degree)
+                assert config._full_rank(A) == (np.linalg.matrix_rank(A) > degree), (count, degree)
 
     def test_default_config_is_certified_without_an_svd(self, monkeypatch):
         calls = []
@@ -288,6 +292,13 @@ class TestScenarioConfig:
     def test_the_schedule_is_checked_between_the_sensors_and_the_motion(self, fields, named):
         with pytest.raises(ValueError, match=f"^ScenarioConfig invariant: {named} must be"):
             ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"])
+    def test_a_nan_float_field_is_named_at_construction(self, name):
+        # A NaN passes the comparisons that a bad value fails, so without a
+        # check of its own it would surface only inside a run.
+        with pytest.raises(ValueError, match=f"^ScenarioConfig invariant: {name} (must|squared)"):
+            ScenarioConfig(**{name: np.nan})
 
     def test_turn_must_precede_outage(self):
         with pytest.raises(ValueError, match="turn must begin before"):
@@ -900,23 +911,16 @@ class TestRunBlock:
         atol = 4 * np.finfo(float).eps * np.abs(want[~plain]).max(axis=-1, keepdims=True)
         assert np.all(np.abs(maps[rows[~plain]] - want[~plain]) <= atol)
 
-    def test_converged_tracking_gains_are_replayed(self, monkeypatch):
+    def test_converged_tracking_gains_are_replayed(self):
         cfg = ENGINE_CONFIGS["onset 100 s"]
-        calls = []
-        axis_fix = simkit._axis_fix
-
-        def counted_axis_fix(*args):
-            calls.append(args)
-            return axis_fix(*args)
-
-        monkeypatch.setattr(simkit, "_axis_fix", counted_axis_fix)
-        simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        # Computing every tracking step takes one update per step plus one per
-        # fix (1099 here). The replayed periods take none: fix periods 1 .. 79
-        # are computed, and period 79 ends where period 77 did; so are the
-        # steps after the last fix (879 in all).
+        gains = simkit._tracking_schedule(cfg, ca_model(cfg.dt, cfg.sigma_jerk))[0]
+        # Each computed update is one row of the schedule. Computing every
+        # tracking step takes one update per step plus one per fix (1099
+        # here). The replayed periods take none: fix periods 1 .. 79 are
+        # computed, and period 79 ends where period 77 did; so are the steps
+        # after the last fix (879 in all).
         computed = 79 * (cfg.fix_period_steps + 1) + cfg.onset_step - cfg.fix_steps[-1]
-        assert len(calls) == computed < cfg.onset_step + cfg.fix_steps.size
+        assert len(gains) == computed < cfg.onset_step + cfg.fix_steps.size
 
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_tracking_covariances_equal_the_reference_beliefs(self, name):
@@ -1197,6 +1201,90 @@ class TestRunBlock:
             for block in (ref[:, :3, :3], ref[:, 3:, 3:]):
                 want = np.stack([block[:, a, b] for a, b in simkit._AXIS_ENTRIES], axis=-1)
                 np.testing.assert_allclose(covs[:, j], want, rtol=COV_RTOL, atol=0.0)
+
+
+# Terms of F, Q and the covariances that no config makes: of either sign and
+# unrelated to each other, so that no structure of a config's covariance (a
+# zero cross term, two equal entries) can hide a swapped or transposed term.
+TERM = st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3)
+POSITIVE = st.floats(1e-3, 4.0)
+
+
+@st.composite
+def spd_blocks(draw):
+    """The six `_AXIS_ENTRIES` of L L^T for a random lower-triangular L with a
+    positive diagonal: a random symmetric positive definite 3x3 block."""
+    l00, l11, l22 = draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)
+    l10, l20, l21 = draw(TERM), draw(TERM), draw(TERM)
+    return (l00 * l00, l00 * l10, l00 * l20, l10 * l10 + l11 * l11, l10 * l20 + l11 * l21,
+            l20 * l20 + l21 * l21 + l22 * l22)
+
+
+def axis_model(f, q):
+    """A stand-in for a CaModel whose `_axis_model` is (f, q)."""
+    F, Q = np.eye(3), np.zeros((3, 3))
+    F[0, 1:] = f
+    Q[tuple(zip(*simkit._AXIS_ENTRIES))] = q
+    return SimpleNamespace(F=F, Q=Q)
+
+
+def recorded_table(schedule, *args, **patches):
+    """`schedule(*args)` and the table that it hands its check, which the
+    check does not see: NaN rows come back instead of raising."""
+    tables = []
+    with mock.patch.multiple(simkit, _check=lambda table, s, steps: tables.append(table.copy()), **patches):
+        out = schedule(*args)
+    return out, tables[0]
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestWrittenOutLoops:
+    """Both schedules' float loops are `_axis_predicted` and `_axis_fix`
+    written out. Each step is held to a chain of the two helpers bit for
+    bit, on random terms, including the NaN gain of an s of exactly 0."""
+
+    # 30 tracking steps with a fix every 5th; an outage of 10 steps.
+    TRACKING = ScenarioConfig(outage_start=3.0, history_window=3.0, lagrange_nodes=4, turn_start=1.0, fix_rate=2.0)
+    OUTAGE = ScenarioConfig(outage_duration=1.0)
+
+    @given(p0=spd_blocks(), f=st.tuples(POSITIVE, POSITIVE), q=st.tuples(*[TERM] * 6),
+           variances=st.lists(POSITIVE, min_size=10, max_size=10), zero_at=st.none() | st.integers(0, 9))
+    def test_outage_steps_are_the_helper_chain(self, p0, f, q, variances, zero_at):
+        want, p = [], p0
+        for step, r in enumerate(variances):
+            predicted = simkit._axis_predicted(p, f, q)
+            if step == zero_at:  # s = p00 + r is exactly 0
+                variances[step] = r = -predicted[0]
+            p, s, k = simkit._axis_fix(predicted, r)
+            want.append((s, *k, *p))
+        cfg = self.OUTAGE
+        _, table = recorded_table(simkit._outage_schedule, cfg, axis_model(f, q), np.array(p0),
+                                  adaptive_variance=lambda _, elapsed: variances[round(elapsed / cfg.dt) - 1])
+        assert same_bits(table[:, 6:], want)
+        assert (zero_at is None) == (not np.isnan(table[:, 7:10]).any())
+
+    @given(p0=spd_blocks(), f=st.tuples(POSITIVE, POSITIVE), q=st.tuples(*[TERM] * 6),
+           noise=st.tuples(POSITIVE, POSITIVE), zero_s=st.booleans())
+    def test_tracking_steps_are_the_helper_chain(self, p0, f, q, noise, zero_s):
+        if zero_s:  # the first accelerometer update's s = p22 + q22 + r_acc is exactly 0
+            p0, q, noise = (*p0[:5], 0.0), (*q[:5], 0.0), (0.0, noise[1])
+        cfg = dataclasses.replace(self.TRACKING, accel_white_noise=noise[0], position_fix_noise=noise[1])
+        r_acc, r_fix = noise[0] ** 2, noise[1] ** 2
+        (_, _, acc_rows, fix_rows), table = recorded_table(simkit._tracking_schedule, cfg, axis_model(f, q), _P0_AXIS=p0)
+        p = p0
+        for i, (acc, fix) in enumerate(zip(acc_rows.tolist(), fix_rows.tolist()), 1):
+            p00, p01, p02, p11, p12, p22 = simkit._axis_predicted(p, f, q)
+            (c22, c02, c12, c00, c01, c11), s, (k2, k0, k1) = simkit._axis_fix((p22, p02, p12, p00, p01, p11), r_acc)
+            p = (c00, c01, c02, c11, c12, c22)
+            assert same_bits(table[acc, 1:], (s, k0, k1, k2, *p))
+            assert (fix >= 0) == (i in cfg.fix_steps)
+            if fix >= 0:
+                p, s, k = simkit._axis_fix(p, r_fix)
+                assert same_bits(table[fix, 1:], (s, *k, *p))
+        assert zero_s == np.isnan(table[:, 2:5]).any()
 
 
 class TestCompose:
