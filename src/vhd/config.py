@@ -6,6 +6,7 @@ cache bytecode, the largest module's compile sets the peak memory."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,14 +39,21 @@ def _full_rank(A: np.ndarray) -> bool:
     return np.linalg.matrix_rank(A) == len(A)
 
 
-def _key(key: str, default):
-    """A ScenarioConfig field that the config file sets with `key`."""
-    return field(default=default, metadata={"key": key})
+_OPS = {">": operator.gt, ">=": operator.ge}
+
+
+def _key(key: str, default, *, gt=None, ge=None):
+    """A ScenarioConfig field that the config file sets with `key`, and
+    whose value must be > gt or >= ge when either is given."""
+    bound = (">", gt) if gt is not None else (">=", ge) if ge is not None else None
+    return field(default=default, metadata={"key": key, "bound": bound})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Every knob of a simulated run: one field per config key, set by `_key`.
+    """Every knob of a simulated run: one field per config key, each with
+    its default and any lower bound, set by `_key`. An int field takes what
+    `operator.index` takes, a float field only a finite float.
 
     Durations are in seconds. The outage covers
     [outage_start, outage_start + outage_duration); the history window
@@ -63,60 +71,55 @@ class ScenarioConfig:
     turn_rate), and cruises on.
     """
 
-    duration: float = _key("sim.duration", 110.0)
-    dt: float = _key("sim.dt", 0.1)
+    duration: float = _key("sim.duration", 110.0, gt=0.0)
+    dt: float = _key("sim.dt", 0.1, gt=0.0)
     outage_start: float = _key("sim.outage_start", 60.0)
     outage_duration: float = _key("sim.outage_duration", 40.0)
-    history_window: float = _key("sim.history_window", 50.0)
-    mc_runs: int = _key("sim.mc_runs", 100)
-    base_seed: int = _key("sim.base_seed", 1234)
-    sigma_jerk: float = _key("sim.sigma_jerk", 5.0)
-    current_speed: float = _key("current.speed", 1.0)
+    history_window: float = _key("sim.history_window", 50.0, gt=0.0)
+    mc_runs: int = _key("sim.mc_runs", 100, ge=1)
+    base_seed: int = _key("sim.base_seed", 1234, ge=0)
+    sigma_jerk: float = _key("sim.sigma_jerk", 5.0, ge=0.0)
+    current_speed: float = _key("current.speed", 1.0, ge=0.0)
     current_heading_deg: float = _key("current.heading_deg", 45.0)
-    position_fix_noise: float = _key("sensor.position_fix_noise", 1.0)
-    accel_white_noise: float = _key("sensor.accel_white_noise", 0.05)
-    accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005)
-    fix_rate: float = _key("sensor.fix_rate", 1.0)
+    position_fix_noise: float = _key("sensor.position_fix_noise", 1.0, ge=0.0)
+    accel_white_noise: float = _key("sensor.accel_white_noise", 0.05, ge=0.0)
+    accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005, ge=0.0)
+    fix_rate: float = _key("sensor.fix_rate", 1.0, gt=0.0)
     r_base: float = _key("vhd.r_base", 0.5)
-    alpha: float = _key("vhd.alpha", 0.01)
-    p: float = _key("vhd.p", 2.0)
-    poly_degree: int = _key("vhd.poly_degree", 2)
-    lagrange_nodes: int = _key("baseline.lagrange_nodes", 8)
-    cruise_speed: float = _key("traj.cruise_speed", 2.0)
+    alpha: float = _key("vhd.alpha", 0.01, ge=0.0)
+    p: float = _key("vhd.p", 2.0, ge=1.0)
+    poly_degree: int = _key("vhd.poly_degree", 2, ge=0)
+    lagrange_nodes: int = _key("baseline.lagrange_nodes", 8, ge=2)
+    cruise_speed: float = _key("traj.cruise_speed", 2.0, ge=0.0)
     turn_rate: float = _key("traj.turn_rate", 0.1)
-    turn_start: float = _key("traj.turn_start", 45.0)
-    turn_duration: float = _key("traj.turn_duration", 10.0)
+    turn_start: float = _key("traj.turn_start", 45.0, ge=0.0)
+    turn_duration: float = _key("traj.turn_duration", 10.0, ge=0.0)
     initial_heading: float = _key("traj.initial_heading", 0.0)
 
     def __post_init__(self):
+        # r_base's rule names both ends, so it runs before the finite rule.
+        if not 0.0 < self.r_base < math.inf:
+            raise ValueError(f"ScenarioConfig invariant: r_base must be > 0 and finite, got {self.r_base}")
+        for f in fields(self):
+            name, value, bound = f.name, getattr(self, f.name), f.metadata["bound"]
+            if f.type == "int":
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise ValueError(f"ScenarioConfig invariant: {name} must be an int, got {value!r}") from None
+            elif not math.isfinite(value):
+                raise ValueError(f"ScenarioConfig invariant: {name} must be finite, got {value}")
+            if bound and not _OPS[bound[0]](value, bound[1]):
+                raise ValueError(f"ScenarioConfig invariant: {name} must be {bound[0]} {bound[1]:g}, got {value}")
         for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):
-            # copysign also rejects -0.0, which numpy refuses as a scale
-            if math.copysign(1.0, getattr(self, name)) < 0.0:
-                raise ValueError(f"ScenarioConfig invariant: {name} must be >= 0")
-        for name in ("position_fix_noise", "accel_white_noise"):
+            # >= 0 lets -0.0 pass, and numpy refuses it as a scale
+            value = getattr(self, name)
+            if math.copysign(1.0, value) < 0.0:
+                raise ValueError(f"ScenarioConfig invariant: {name} must be >= 0, got {value}")
+        for name in ("position_fix_noise", "accel_white_noise", "sigma_jerk"):
             value = getattr(self, name)
             if not math.isfinite(value * value):
                 raise ValueError(f"ScenarioConfig invariant: {name} squared must be finite")
-        if self.fix_rate <= 0.0:
-            raise ValueError("ScenarioConfig invariant: fix_rate must be > 0")
-        if not 0.0 < self.r_base < math.inf:
-            raise ValueError(f"ScenarioConfig invariant: r_base must be > 0 and finite, got {self.r_base}")
-        if self.alpha < 0.0:
-            raise ValueError(f"ScenarioConfig invariant: alpha must be >= 0, got {self.alpha}")
-        if self.p < 1.0:
-            raise ValueError(f"ScenarioConfig invariant: p must be >= 1, got {self.p}")
-        # A NaN passes every comparison below (those above name it), so name it here.
-        for f in fields(self):
-            if f.type == "float" and math.isnan(getattr(self, f.name)):
-                raise ValueError(f"ScenarioConfig invariant: {f.name} must not be NaN")
-        if self.cruise_speed < 0.0:
-            raise ValueError("ScenarioConfig invariant: cruise_speed must be >= 0")
-        if self.turn_start < 0.0 or self.turn_duration < 0.0:
-            raise ValueError("ScenarioConfig invariant: turn timing must be >= 0")
-        if self.dt <= 0.0:
-            raise ValueError("ScenarioConfig invariant: dt must be > 0")
-        if self.duration <= 0.0:
-            raise ValueError("ScenarioConfig invariant: duration must be > 0")
         if self.outage_start < self.history_window:
             raise ValueError(
                 "ScenarioConfig invariant: outage_start must be >= history_window "
@@ -124,22 +127,6 @@ class ScenarioConfig:
             )
         if self.outage_start + self.outage_duration > self.duration + _GRID_TOL:
             raise ValueError("ScenarioConfig invariant: outage must end within the run")
-        if self.mc_runs < 1:
-            raise ValueError("ScenarioConfig invariant: mc_runs must be >= 1")
-        if self.history_window <= 0.0:
-            raise ValueError("ScenarioConfig invariant: history_window must be > 0")
-        if self.poly_degree < 0:
-            raise ValueError("ScenarioConfig invariant: poly_degree must be >= 0")
-        if self.lagrange_nodes < 2:
-            raise ValueError("ScenarioConfig invariant: lagrange_nodes must be >= 2")
-        if self.base_seed < 0:
-            raise ValueError("ScenarioConfig invariant: base_seed must be >= 0")
-        if not self.sigma_jerk >= 0.0:
-            raise ValueError("ScenarioConfig invariant: sigma_jerk must be >= 0")
-        if not math.isfinite(self.sigma_jerk * self.sigma_jerk):
-            raise ValueError("ScenarioConfig invariant: sigma_jerk squared must be finite")
-        if self.current_speed < 0.0:
-            raise ValueError("ScenarioConfig invariant: current_speed must be >= 0")
         if self.has_turn and self.turn_start >= self.outage_start:
             raise ValueError(
                 "ScenarioConfig invariant: the turn must begin before the outage"

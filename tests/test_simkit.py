@@ -167,16 +167,6 @@ def assert_tracking_schedule_is_plain(cfg):
     return gains
 
 
-class TestSensorConfig:
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError, match="ScenarioConfig invariant: position_fix_noise"):
-            ScenarioConfig(position_fix_noise=-1.0)
-
-    def test_zero_fix_rate_rejected(self):
-        with pytest.raises(ValueError, match="fix_rate"):
-            ScenarioConfig(fix_rate=0.0)
-
-
 class TestTrajectoryConfig:
     def test_turn_extent(self):
         cfg = ScenarioConfig()
@@ -196,10 +186,6 @@ class TestTrajectoryConfig:
         truth = generate_truth(ScenarioConfig(turn_rate=0.0))
         assert truth.times[-1] == pytest.approx(100.0)  # the outage end
         assert np.all(truth.accelerations == 0.0)
-
-    def test_negative_timing_rejected(self):
-        with pytest.raises(ValueError, match="ScenarioConfig invariant: turn timing"):
-            ScenarioConfig(turn_start=-1.0)
 
 
 class TestScenarioConfig:
@@ -263,20 +249,41 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         ("field", "value", "message"),
         [
-            ("position_fix_noise", -1.0, "position_fix_noise must be >= 0"),
-            ("position_fix_noise", -0.0, "position_fix_noise must be >= 0"),
-            ("accel_white_noise", 1e300, "accel_white_noise squared must be finite"),
-            ("fix_rate", 0.0, "fix_rate must be > 0"),
-            ("cruise_speed", -1.0, "cruise_speed must be >= 0"),
-            ("turn_start", -1.0, "turn timing must be >= 0"),
-            ("dt", 0.0, "dt must be > 0"),
-            ("history_window", 0.0, "history_window must be > 0"),
-            ("poly_degree", -1, "poly_degree must be >= 0"),
-            ("current_speed", -1.0, "current_speed must be >= 0"),
-            ("r_base", 0.0, "r_base must be > 0 and finite, got 0.0"),
-            ("r_base", np.inf, "r_base must be > 0 and finite, got inf"),
+            # each declared bound, just outside it
+            ("duration", 0.0, "duration must be > 0, got 0.0"),
+            ("dt", 0.0, "dt must be > 0, got 0.0"),
+            ("history_window", 0.0, "history_window must be > 0, got 0.0"),
+            ("mc_runs", 0, "mc_runs must be >= 1, got 0"),
+            ("base_seed", -1, "base_seed must be >= 0, got -1"),
+            ("sigma_jerk", -1.0, "sigma_jerk must be >= 0, got -1.0"),
+            ("current_speed", -1.0, "current_speed must be >= 0, got -1.0"),
+            ("position_fix_noise", -1.0, "position_fix_noise must be >= 0, got -1.0"),
+            ("accel_white_noise", -1.0, "accel_white_noise must be >= 0, got -1.0"),
+            ("accel_bias_walk", -1.0, "accel_bias_walk must be >= 0, got -1.0"),
+            ("fix_rate", 0.0, "fix_rate must be > 0, got 0.0"),
             ("alpha", -1.0, "alpha must be >= 0, got -1.0"),
             ("p", 0.5, "p must be >= 1, got 0.5"),
+            ("poly_degree", -1, "poly_degree must be >= 0, got -1"),
+            ("lagrange_nodes", 1, "lagrange_nodes must be >= 2, got 1"),
+            ("cruise_speed", -1.0, "cruise_speed must be >= 0, got -1.0"),
+            ("turn_start", -1.0, "turn_start must be >= 0, got -1.0"),
+            ("turn_duration", -1.0, "turn_duration must be >= 0, got -1.0"),
+            # an int field takes only what operator.index takes
+            ("mc_runs", 2.5, "mc_runs must be an int, got 2.5"),
+            ("mc_runs", 2.0, "mc_runs must be an int, got 2.0"),
+            ("base_seed", 2.5, "base_seed must be an int, got 2.5"),
+            ("base_seed", 2.0, "base_seed must be an int, got 2.0"),
+            ("poly_degree", 2.5, "poly_degree must be an int, got 2.5"),
+            ("poly_degree", 2.0, "poly_degree must be an int, got 2.0"),
+            ("lagrange_nodes", 2.5, "lagrange_nodes must be an int, got 2.5"),
+            ("lagrange_nodes", 2.0, "lagrange_nodes must be an int, got 2.0"),
+            # a float field must be finite
+            ("current_speed", np.inf, "current_speed must be finite, got inf"),
+            # the rules written out beside the loop
+            ("position_fix_noise", -0.0, "position_fix_noise must be >= 0, got -0.0"),
+            ("accel_white_noise", 1e300, "accel_white_noise squared must be finite"),
+            ("r_base", 0.0, "r_base must be > 0 and finite, got 0.0"),
+            ("r_base", np.inf, "r_base must be > 0 and finite, got inf"),
         ],
     )
     def test_sensor_and_motion_checks_name_the_config(self, field, value, message):
@@ -572,6 +579,7 @@ class TestTrackToOutage:
         gains = assert_tracking_schedule_is_plain(cfg)
         assert len(gains) == 79 * (cfg.fix_period_steps + 1) + cfg.fix_period_steps
 
+    @pytest.mark.kernel
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_window_and_onset_mean_equal_a_predict_update_chain(self, name):
         # The reference steps each window period with one map, composed from
@@ -629,6 +637,7 @@ class TestRunScenario:
                 rec.errors[name], np.linalg.norm(rec.paths[name] - rec.truth_xy, axis=-1)
             )
 
+    @pytest.mark.kernel
     def test_open_loop_branch_is_reproducible(self, default_block):
         # The block's ukf path is the open-loop chain's, within the chain's
         # rounding (`assert_open_loop_chain`).
@@ -652,6 +661,7 @@ class TestRunScenario:
             oracle.append([npoly.polyval(tq, coefs[:, 0]), npoly.polyval(tq, coefs[:, 1])])
         np.testing.assert_array_equal(rec.paths["lagrange"][1:], oracle)
 
+    @pytest.mark.kernel
     def test_designated_run_monotonicity_contrast(self, default_block):
         # under the steady current the open-loop error can only keep
         # growing, while VHD's pull toward the history polynomial lets its
@@ -834,6 +844,7 @@ ONSET_RUNS = {
 
 
 class TestRunBlock:
+    @pytest.mark.kernel
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_records_equal_run_scenario(self, name):
         cfg = ENGINE_CONFIGS[name]
@@ -885,6 +896,7 @@ class TestRunBlock:
             # shrinking and never repeats.
             assert replayed == []
 
+    @pytest.mark.kernel
     @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
     def test_tracking_maps_are_the_folded_predict_and_updates(self, name):
         # A step's map is [M | k_acc | 0] with numpy's M = (I - k_acc e2^T) F,
@@ -989,6 +1001,7 @@ class TestRunBlock:
         rec = run_scenario(cfg, SMALL.base_seed)
         assert_records_equal(run_block(cfg, [SMALL.base_seed]).run(0), rec, vhd_atol=VHD_ATOL)
 
+    @pytest.mark.kernel
     def test_the_long_outage_run_is_the_reference_run_within_the_bench_tolerance(self):
         # The benchmark's long_blackout geometry and seed: 300 s of composed
         # vhd blocks stay within the bench's designated-run bound of the
@@ -1175,6 +1188,7 @@ class TestRunBlock:
         assert gains.tolist() == [list(gain) for gain, _ in plain]
         assert covs[:, 1].tolist() == [list(cov) for _, cov in plain]
 
+    @pytest.mark.kernel
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -1287,6 +1301,7 @@ class TestWrittenOutLoops:
         assert zero_s == np.isnan(table[:, 2:5]).any()
 
 
+@pytest.mark.kernel
 class TestCompose:
     def test_identity_padding_keeps_a_mean_bit_exact(self):
         # An onset off the window grid pads the first period with one
@@ -1295,11 +1310,11 @@ class TestCompose:
         # [m; readings] to m bit for bit.
         cfg = ENGINE_CONFIGS["dt 0.5, onset 60.5 s"]
         maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
+        composed, segment, _ = simkit._compose(maps, rows, cfg.window_period_steps)
         assert cfg.window_period_steps == 2 and len(segment) == (cfg.onset_step + 1) // 2
         first = maps[rows[0]]
         np.testing.assert_array_equal(composed[segment[0]], np.hstack([first[:, :3], np.zeros((3, 2)), first[:, 3:]]))
-        identity, segment = simkit._compose(maps, np.full(6, -1), 3)
+        identity, segment, _ = simkit._compose(maps, np.full(6, -1), 3)
         assert segment == [0, 0]
         m = np.array([1234.5678, -0.123, 3e-7])
         column = np.r_[m, np.random.default_rng(5).normal(size=6)][:, None]
@@ -1313,7 +1328,7 @@ class TestCompose:
         cfg = ENGINE_CONFIGS[name]
         c = cfg.window_period_steps
         maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        composed, segment = simkit._compose(maps, rows, c)
+        composed, segment, _ = simkit._compose(maps, rows, c)
         padded = np.r_[np.full(len(segment) * c - len(rows), -1), rows].reshape(-1, c)
         rng = np.random.default_rng(11)
         for period, s in zip(padded, segment):
@@ -1334,7 +1349,7 @@ class TestCompose:
         # The 1000 s track replays the 2-cycle of fix periods 78 and 79, so
         # its 1000 periods take 80 distinct segments of 23 columns.
         maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
+        composed, segment, _ = simkit._compose(maps, rows, cfg.window_period_steps)
         assert len(segment) == periods and composed.shape == (distinct, 3, 23)
         assert sorted(set(segment)) == list(range(distinct))
 
@@ -1349,6 +1364,7 @@ def vhd_outage_maps(cfg):
     return np.stack(maps + [np.eye(3, 4)])
 
 
+@pytest.mark.kernel
 class TestOutageBlocks:
     def test_outage_block_padding_keeps_a_start_mean_bit_exact(self):
         # 407 steps pad the first block with 3 identity steps: their prefix
@@ -1363,7 +1379,7 @@ class TestOutageBlocks:
         m = np.array([1234.5678, -0.123, 3e-7])
         column = np.r_[m, np.random.default_rng(5).normal(size=B)]
         np.testing.assert_array_equal(prefix[0, :pad] @ column, m[0])
-        identity, segment, firsts = simkit._compose(vhd_outage_maps(cfg), np.full(2 * B, -1), B, prefix=True)
+        identity, segment, firsts = simkit._compose(vhd_outage_maps(cfg), np.full(2 * B, -1), B)
         assert segment == [0, 0]
         np.testing.assert_array_equal(identity[0] @ column, m)
         np.testing.assert_array_equal(firsts[0] @ column, m[0])
@@ -1376,7 +1392,7 @@ class TestOutageBlocks:
         # the composed product's terms. Every block is distinct, in order.
         cfg, B = ENGINE_CONFIGS[name], simkit._OUTAGE_BLOCK
         maps, T = vhd_outage_maps(cfg), cfg.outage_steps
-        blocks, segment, prefix = simkit._compose(maps, np.arange(T), B, prefix=True)
+        blocks, segment, prefix = simkit._compose(maps, np.arange(T), B)
         assert segment == list(range(-(-T // B)))
         padded = np.r_[np.full(len(segment) * B - T, -1), np.arange(T)].reshape(-1, B)
         rng = np.random.default_rng(11)
@@ -1394,6 +1410,7 @@ class TestOutageBlocks:
 OPEN_LOOP_CONFIGS = {**ENGINE_CONFIGS, "long_blackout": LONG_BLACKOUT}
 
 
+@pytest.mark.kernel
 class TestOpenLoop:
     @pytest.mark.parametrize("name", list(OPEN_LOOP_CONFIGS))
     def test_open_loop_positions_are_the_predict_chain(self, name):
@@ -1419,6 +1436,7 @@ class TestOpenLoop:
         np.testing.assert_allclose(covs, want, rtol=COV_RTOL, atol=0.0)
 
 
+@pytest.mark.kernel
 class TestMonteCarlo:
     def test_single_run_aggregate_equals_the_run(self):
         cfg = ScenarioConfig(
