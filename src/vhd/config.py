@@ -85,7 +85,7 @@ class ScenarioConfig:
     accel_white_noise: float = _key("sensor.accel_white_noise", 0.05, ge=0.0)
     accel_bias_walk: float = _key("sensor.accel_bias_walk", 0.005, ge=0.0)
     fix_rate: float = _key("sensor.fix_rate", 1.0, gt=0.0)
-    r_base: float = _key("vhd.r_base", 0.5)
+    r_base: float = _key("vhd.r_base", 0.5, gt=0.0)
     alpha: float = _key("vhd.alpha", 0.01, ge=0.0)
     p: float = _key("vhd.p", 2.0, ge=1.0)
     poly_degree: int = _key("vhd.poly_degree", 2, ge=0)
@@ -97,9 +97,6 @@ class ScenarioConfig:
     initial_heading: float = _key("traj.initial_heading", 0.0)
 
     def __post_init__(self):
-        # r_base's rule names both ends, so it runs before the finite rule.
-        if not 0.0 < self.r_base < math.inf:
-            raise ValueError(f"ScenarioConfig invariant: r_base must be > 0 and finite, got {self.r_base}")
         for f in fields(self):
             name, value, bound = f.name, getattr(self, f.name), f.metadata["bound"]
             if f.type == "int":
@@ -107,8 +104,13 @@ class ScenarioConfig:
                     operator.index(value)
                 except TypeError:
                     raise ValueError(f"ScenarioConfig invariant: {name} must be an int, got {value!r}") from None
-            elif not math.isfinite(value):
-                raise ValueError(f"ScenarioConfig invariant: {name} must be finite, got {value}")
+            else:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int too large for a float
+                    finite = False
+                if not finite:
+                    raise ValueError(f"ScenarioConfig invariant: {name} must be finite, got {value}")
             if bound and not _OPS[bound[0]](value, bound[1]):
                 raise ValueError(f"ScenarioConfig invariant: {name} must be {bound[0]} {bound[1]:g}, got {value}")
         for name in ("position_fix_noise", "accel_white_noise", "accel_bias_walk"):

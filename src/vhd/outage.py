@@ -98,7 +98,7 @@ def track_to_outage(cfg: ScenarioConfig, seed: int) -> OnsetState:
     with the maps, the onset covariance and the `_tracked` that `run_block` uses."""
     model = ca_model(cfg.dt, cfg.sigma_jerk)
     maps, rows, onset = simkit._tracking_maps(cfg, model)
-    truth, means = simkit._tracked(cfg, *simkit._compose(maps, rows, cfg.window_period_steps)[:2], [seed])
+    truth, means = simkit._tracked(cfg, *simkit._compose(maps, rows, cfg.window_period_steps), [seed])
     cov = np.zeros((STATE_DIM, STATE_DIM))
     cov[:3, :3] = cov[3:, 3:] = onset[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
     return OnsetState(GaussianBelief(means[0, -1], cov), simkit._window(cfg, means[0]), model, truth)

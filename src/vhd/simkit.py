@@ -479,8 +479,8 @@ def _gain_schedule(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, ...
     gains = _outage_schedule(cfg, model, onset)[0]
     # The vhd update of an axis measures its entry 0 after F; the identity last.
     vhd = np.concatenate([_fold(model.F[:3, :3], gains, 0), np.eye(3, 4)[None]])
-    blocks, _, prefix = _compose(vhd, np.arange(len(gains)), _OUTAGE_BLOCK)
-    return *_compose(maps, rows, cfg.window_period_steps)[:2], blocks, prefix
+    blocks, _, prefix = _compose(vhd, np.arange(len(gains)), _OUTAGE_BLOCK, prefix=True)
+    return *_compose(maps, rows, cfg.window_period_steps), blocks, prefix
 
 
 def _fold(maps: np.ndarray, k: np.ndarray, entry: int) -> np.ndarray:
@@ -507,15 +507,15 @@ def _tracking_maps(cfg: ScenarioConfig, model: CaModel) -> tuple[np.ndarray, np.
     return maps, np.where(fixed, fix_rows, acc_rows), covs[-1]
 
 
-def _compose(maps: np.ndarray, rows: np.ndarray, c: int) -> tuple:
+def _compose(maps: np.ndarray, rows: np.ndarray, c: int, prefix: bool = False) -> tuple:
     """The per-axis (segments, 3, 3 + rc) map of each distinct run of c
     steps of `rows` of the (n + 1, 3, 3 + r) `maps` (the identity last), which
-    takes an axis's [m; the r readings of each step] to its last mean; each
-    run's segment; and each step's row 0 of its partial map, (segments, c,
-    3 + rc): its position. Identity steps (row -1) pad the front, so that every
+    takes an axis's [m; the r readings of each step] to its last mean, and
+    each run's segment. Identity steps (row -1) pad the front, so that every
     segment ends on a run's last step. Each distinct segment, keyed by its
     rows' bytes, is composed once, forward as a mean is stepped: step t's
-    maps, gathered for all segments, take every column."""
+    maps, gathered for all segments, take every column. With `prefix`, also
+    each step's row 0 of its partial map, (segments, c, 3 + rc): its position."""
     r = maps.shape[-1] - 3
     periods = np.concatenate([np.full(-len(rows) % c, -1), rows]).reshape(-1, c)
     index: dict[bytes, int] = {}
@@ -523,13 +523,14 @@ def _compose(maps: np.ndarray, rows: np.ndarray, c: int) -> tuple:
     distinct = np.frombuffer(b"".join(index), dtype=periods.dtype).reshape(-1, c)
     composed = np.zeros((len(distinct), 3, 3 + r * c))
     composed[:, :, :3] = np.eye(3)
-    firsts = np.empty((len(distinct), c, 3 + r * c))
+    firsts = np.empty((len(distinct), c if prefix else 0, 3 + r * c))
     for t in range(c):
         step = maps[distinct[:, t]]
         composed[:, :, : 3 + r * t] = step[..., :3] @ composed[:, :, : 3 + r * t]
         composed[:, :, 3 + r * t : 3 + r * (t + 1)] = step[..., 3:]
-        firsts[:, t] = composed[:, 0]
-    return composed, segment, firsts
+        if prefix:
+            firsts[:, t] = composed[:, 0]
+    return (composed, segment, firsts) if prefix else (composed, segment)
 
 
 # ----------------------------------------------------------------------

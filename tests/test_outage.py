@@ -43,7 +43,8 @@ class TestParams:
 
     @pytest.mark.parametrize("r_base", [0.0, -0.0, -1.0, np.inf, np.nan])
     def test_r_base_outside_zero_to_inf_rejected(self, r_base):
-        with pytest.raises(ValueError, match="r_base must be > 0 and finite"):
+        rule = "> 0" if math.isfinite(r_base) else "finite"
+        with pytest.raises(ValueError, match=f"^ScenarioConfig invariant: r_base must be {rule}, got {r_base}$"):
             ScenarioConfig(r_base=r_base)
 
 

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import os
 import re
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -261,6 +262,7 @@ class TestScenarioConfig:
             ("accel_white_noise", -1.0, "accel_white_noise must be >= 0, got -1.0"),
             ("accel_bias_walk", -1.0, "accel_bias_walk must be >= 0, got -1.0"),
             ("fix_rate", 0.0, "fix_rate must be > 0, got 0.0"),
+            ("r_base", 0.0, "r_base must be > 0, got 0.0"),
             ("alpha", -1.0, "alpha must be >= 0, got -1.0"),
             ("p", 0.5, "p must be >= 1, got 0.5"),
             ("poly_degree", -1, "poly_degree must be >= 0, got -1"),
@@ -279,11 +281,11 @@ class TestScenarioConfig:
             ("lagrange_nodes", 2.0, "lagrange_nodes must be an int, got 2.0"),
             # a float field must be finite
             ("current_speed", np.inf, "current_speed must be finite, got inf"),
+            ("r_base", np.inf, "r_base must be finite, got inf"),
+            pytest.param("current_speed", 10**400, f"current_speed must be finite, got {10**400}", id="current_speed 10**400"),
             # the rules written out beside the loop
             ("position_fix_noise", -0.0, "position_fix_noise must be >= 0, got -0.0"),
             ("accel_white_noise", 1e300, "accel_white_noise squared must be finite"),
-            ("r_base", 0.0, "r_base must be > 0 and finite, got 0.0"),
-            ("r_base", np.inf, "r_base must be > 0 and finite, got inf"),
         ],
     )
     def test_sensor_and_motion_checks_name_the_config(self, field, value, message):
@@ -1310,11 +1312,11 @@ class TestCompose:
         # [m; readings] to m bit for bit.
         cfg = ENGINE_CONFIGS["dt 0.5, onset 60.5 s"]
         maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        composed, segment, _ = simkit._compose(maps, rows, cfg.window_period_steps)
+        composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
         assert cfg.window_period_steps == 2 and len(segment) == (cfg.onset_step + 1) // 2
         first = maps[rows[0]]
         np.testing.assert_array_equal(composed[segment[0]], np.hstack([first[:, :3], np.zeros((3, 2)), first[:, 3:]]))
-        identity, segment, _ = simkit._compose(maps, np.full(6, -1), 3)
+        identity, segment = simkit._compose(maps, np.full(6, -1), 3)
         assert segment == [0, 0]
         m = np.array([1234.5678, -0.123, 3e-7])
         column = np.r_[m, np.random.default_rng(5).normal(size=6)][:, None]
@@ -1328,7 +1330,7 @@ class TestCompose:
         cfg = ENGINE_CONFIGS[name]
         c = cfg.window_period_steps
         maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        composed, segment, _ = simkit._compose(maps, rows, c)
+        composed, segment = simkit._compose(maps, rows, c)
         padded = np.r_[np.full(len(segment) * c - len(rows), -1), rows].reshape(-1, c)
         rng = np.random.default_rng(11)
         for period, s in zip(padded, segment):
@@ -1349,9 +1351,25 @@ class TestCompose:
         # The 1000 s track replays the 2-cycle of fix periods 78 and 79, so
         # its 1000 periods take 80 distinct segments of 23 columns.
         maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
-        composed, segment, _ = simkit._compose(maps, rows, cfg.window_period_steps)
+        composed, segment = simkit._compose(maps, rows, cfg.window_period_steps)
         assert len(segment) == periods and composed.shape == (distinct, 3, 23)
         assert sorted(set(segment)) == list(range(distinct))
+
+    def test_a_tracking_composition_allocates_no_prefix_rows(self):
+        # At dt 0.01 a window period is 100 steps: prefix rows would be a
+        # (60, 100, 203) array, 34 times the composed maps, and at dt 0.001
+        # about 1 GB. The tracking composition neither returns nor builds them.
+        cfg = ScenarioConfig(dt=0.01)
+        maps, rows, _ = simkit._tracking_maps(cfg, ca_model(cfg.dt, cfg.sigma_jerk))
+        tracemalloc.start()
+        try:
+            result = simkit._compose(maps, rows, cfg.window_period_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        composed, segment = result
+        assert composed.shape == (60, 3, 203) and len(segment) == 60
+        assert peak < 4 * composed.nbytes
 
 
 def vhd_outage_maps(cfg):
@@ -1379,7 +1397,7 @@ class TestOutageBlocks:
         m = np.array([1234.5678, -0.123, 3e-7])
         column = np.r_[m, np.random.default_rng(5).normal(size=B)]
         np.testing.assert_array_equal(prefix[0, :pad] @ column, m[0])
-        identity, segment, firsts = simkit._compose(vhd_outage_maps(cfg), np.full(2 * B, -1), B)
+        identity, segment, firsts = simkit._compose(vhd_outage_maps(cfg), np.full(2 * B, -1), B, prefix=True)
         assert segment == [0, 0]
         np.testing.assert_array_equal(identity[0] @ column, m)
         np.testing.assert_array_equal(firsts[0] @ column, m[0])
@@ -1392,7 +1410,7 @@ class TestOutageBlocks:
         # the composed product's terms. Every block is distinct, in order.
         cfg, B = ENGINE_CONFIGS[name], simkit._OUTAGE_BLOCK
         maps, T = vhd_outage_maps(cfg), cfg.outage_steps
-        blocks, segment, prefix = simkit._compose(maps, np.arange(T), B)
+        blocks, segment, prefix = simkit._compose(maps, np.arange(T), B, prefix=True)
         assert segment == list(range(-(-T // B)))
         padded = np.r_[np.full(len(segment) * B - T, -1), np.arange(T)].reshape(-1, B)
         rng = np.random.default_rng(11)
