@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vhd import ScenarioConfig, adaptive_noise, simkit
 from vhd.cli import (
+    _CSV_ROWS,
     _SCHEMA,
     ConfigError,
     _csv,
@@ -233,15 +234,34 @@ class TestRunCommand:
             mantissa = cell.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 6
 
-    # Around one block of `_csv`'s rows per `%` (256), and a 300 s outage's
-    # 3001 rows; the cells take special values at the table's edges.
-    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 3001])
-    def test_csv_is_one_percent_per_row_byte_for_byte(self, rows):
+    # Around one block of `_csv`'s rows, and a 300 s outage's 3001 rows. "wide" draws magnitudes from
+    # 1e-320 to 1e308, most outside the scale `_cells` lays out by numpy and so left to `%`, with special
+    # values at the table's edges; the other inputs lie inside that scale and are cycled down each
+    # column: a decimal grid, 6-digit ties and carries, and each form's edges. Every third row is
+    # negated, and every seventh cell is -0.0, from a row that moves with the column.
+    @pytest.mark.parametrize("rows", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 3001])
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            "wide",
+            [60.1, 120.2, 60.2, 120.4, 60.300000000000004, 0.1, 0.2, 0.30000000000000004, 360.0, 299.90000000000003],
+            [0.5, 2.5, 1234565.0, 999999.5, 9.999995e-05, 0.1234565, 123456.5, 999999.7, 9.999996, 99999.96],
+            [1e-05, 1e-04, 99999.95, 1e05, 1e06, 9.99999e-05, 999999.4, 1e-17, 9.999994e27, 9.9999951e27],
+        ],
+        ids=["wide", "decimal-grid", "ties-and-carries", "form-edges"],
+    )
+    def test_csv_is_one_percent_per_row_byte_for_byte(self, rows, inputs):
         rng = np.random.default_rng(rows)
-        columns = {f"c{j}": rng.normal(size=rows) * 10.0 ** rng.integers(-320, 308, size=rows) for j in range(9)}
-        specials = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308]
-        for j, values in enumerate(columns.values()):
-            values[[0, -1]] = specials[j % len(specials)], specials[(j + 3) % len(specials)]
+        if inputs == "wide":
+            columns = {f"c{j}": rng.normal(size=rows) * 10.0 ** rng.integers(-320, 308, size=rows) for j in range(9)}
+            specials = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308]
+            for j, values in enumerate(columns.values()):
+                values[[0, -1]] = specials[j % len(specials)], specials[(j + 3) % len(specials)]
+        else:
+            columns = {f"c{j}": np.resize(np.roll(inputs, j), rows) for j in range(9)}
+            for j, values in enumerate(columns.values()):
+                values[1::3] *= -1
+                values[j % 7 :: 7] = -0.0
         row = ",".join(["%.6g"] * len(columns)) + "\n"
         table = np.column_stack(list(columns.values()))
         want = ",".join(columns) + "\n" + "".join(row % tuple(values.tolist()) for values in table)
@@ -660,10 +680,17 @@ class TestMain:
         code = main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(out), "--quiet"])
         assert code == 0 or (code == 2 and not out.exists())
 
-    def test_unwritable_out_dir_exits_3(self, tmp_path, capsys):
-        cfg_path = tiny_cfg_file(tmp_path)
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["the file", "under the file"])
+    def test_an_out_dir_that_cannot_be_a_directory_exits_2_before_running(self, tmp_path, capsys, monkeypatch, below):
+        def ran(*args, **kwargs):
+            raise AssertionError("the batch ran")
+
+        monkeypatch.setattr("vhd.cli.monte_carlo", ran)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory", encoding="utf-8")
-        code = main(["--config", str(cfg_path), "--runs", "1", "--out-dir", str(blocker), "--quiet"])
-        assert code == 3
-        assert "error" in capsys.readouterr().err
+        out = blocker.joinpath(*below)
+        code = main(["--config", str(tiny_cfg_file(tmp_path)), "--runs", "1", "--out-dir", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output directory {out} cannot be made: {blocker} is not a directory\n"
+        assert blocker.read_text(encoding="utf-8") == "a file, not a directory"

@@ -11,7 +11,8 @@ and names each file that differs, or that only one side wrote. The
 bundles hold the truth, so the cases compare it on two geometries: the
 default one, and a turn from t = 0 against a current from another
 direction. One case sets all 24 config keys, each away from its default,
-so every key's path from the file to the bundle is compared. An error
+so every key's path from the file to the bundle is compared, and one runs
+without noise, so its CSVs hold exact zeros and rounding residues. An error
 case runs a config that cannot run, or a file that does not parse, and
 requires the same exit code, the same stderr and the same output
 directory, written or not, on both sides; each case that differs is
@@ -47,8 +48,10 @@ RUN_TIMEOUT_S = 600.0
 # second geometry: a turn from t = 0 the other way, from another heading,
 # against a current from another direction, every key set at once, a
 # predictor selection without ukf (every reduction `--` in summary.txt, none
-# in summary.json, and CSVs of a subset of columns), and a 300 s outage whose
-# noise law has a power other than 2.
+# in summary.json, and CSVs of a subset of columns), a 300 s outage whose
+# noise law has a power other than 2, and a noise-free straight run, whose
+# CSV cells take the writer's rarer forms: exact zeros, and rounding residues
+# that print with a negative exponent (2.84217e-14).
 CASES = {
     "default": ([], []),
     "default --jobs 3": ([], ["--jobs", "3"]),
@@ -86,6 +89,13 @@ CASES = {
     "300 s outage, vhd.p 3.7, vhd.alpha 0.002": (
         ["sim.duration = 360", "sim.outage_duration = 300", "vhd.p = 3.7", "vhd.alpha = 0.002"],
         ["--runs", "2"],
+    ),
+    "noise-free straight run": (
+        [
+            "current.speed = 0", "sensor.position_fix_noise = 0", "sensor.accel_white_noise = 0",
+            "sensor.accel_bias_walk = 0", "traj.turn_rate = 0", "sim.mc_runs = 2",
+        ],
+        [],
     ),
 }
 
